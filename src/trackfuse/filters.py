@@ -87,9 +87,12 @@ def zero_pad(track: GaussianDensity, target_dim: int, pad_var: float) -> Gaussia
 
 
 def truncate_state(track: GaussianDensity, dim: int) -> GaussianDensity:
-    """Marginal over the leading ``dim`` state entries."""
+    """Marginal over the leading ``dim`` state entries (``track`` itself when
+    ``dim`` is its whole dimension)."""
     if dim > track.dim:
         raise ValueError("cannot truncate to a larger dimension")
+    if dim == track.dim:
+        return track
     return GaussianDensity(track.mean[:dim], track.cov[:dim, :dim])
 
 

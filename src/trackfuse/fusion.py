@@ -124,7 +124,7 @@ def fuse_gmd(a: GaussianDensity, b: GaussianDensity, w: float = 0.5) -> Gaussian
         return a
     if w == 0.0:
         return b
-    lam_a, lam_b = spd_inv(a.cov), spd_inv(b.cov)
+    lam_a, lam_b = a.precision, b.precision
     prec = w * lam_a + (1.0 - w) * lam_b
     cov = spd_inv(prec)
     mean = cov @ (w * (lam_a @ a.mean) + (1.0 - w) * (lam_b @ b.mean))
@@ -246,7 +246,7 @@ def fuse_hmd(a: GaussianDensity, b: GaussianDensity, w: float = 0.5,
     if w == 0.0:
         return FusionResult(a, "hmd", {"endpoint": True})
     eq = moment_match(GaussianMixture(np.array([w, 1.0 - w]), (a, b)))
-    lam_a, lam_b, lam_eq = spd_inv(a.cov), spd_inv(b.cov), spd_inv(eq.cov)
+    lam_a, lam_b, lam_eq = a.precision, b.precision, eq.precision
     prec = symmetrize(lam_a + lam_b - lam_eq)
     try:
         cov = spd_inv(prec)
@@ -472,7 +472,7 @@ def fuse_many(densities: Sequence[GaussianDensity], strategy: str,
             acc = fuse_naive(acc, d)
         return acc
     if strategy == "gmd":
-        lams = [spd_inv(d.cov) for d in densities]
+        lams = [d.precision for d in densities]
         lam = sum(w * L for w, L in zip(weights, lams))
         info = sum(w * (L @ d.mean) for w, L, d in zip(weights, lams, densities))
         cov = spd_inv(symmetrize(lam))

@@ -3,15 +3,25 @@
 Everything downstream (fusion, filtering, simulation) is built on the small
 set of closed-form operations in this module: pointwise evaluation, products
 and divisions of Gaussians (with their scalar normalization factors), fractional
-powers, and moment matching of mixtures. Covariances are validated on entry
-and re-symmetrized after every operation so that round-off never accumulates
-into asymmetry.
+powers, and moment matching of mixtures. Covariances are re-symmetrized after
+every operation so that round-off never accumulates into asymmetry.
+
+Validation contract: a :class:`GaussianDensity` checks its covariance once,
+when it is built, with :func:`assert_spd` (symmetry, Cholesky factorization,
+pivot floor). It keeps the Cholesky factor that check computed, and every later
+use of the same matrix (``logpdf``, the log-determinant in
+:func:`scaled_power`, the cached ``precision``) reuses that factor instead of
+validating or factoring again. The covariance, its factor and its precision
+are read-only arrays, so the stored factor can never go stale. Matrices that
+are not yet a density (a precision sum, a division gap) still pass through the
+full check in :func:`assert_spd` or :func:`spd_inv`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +47,8 @@ _SYM_RTOL = 1e-9
 _EIG_FLOOR = 1e-12
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_TINY = np.finfo(float).tiny
+_HALF_MAX = np.finfo(float).max / 2.0
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -62,24 +74,37 @@ def assert_spd(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise NotPositiveDefinite(f"expected a square matrix, got shape {cov.shape}")
-    scale = max(1.0, float(np.max(np.abs(cov))))
-    if np.max(np.abs(cov - cov.T)) > _SYM_RTOL * scale:
+    scale = max(1.0, float(abs(cov).max()))
+    asym = abs(cov - cov.T).max()
+    if asym > _SYM_RTOL * scale:
         raise NotSymmetric("covariance is not symmetric within 1e-9 relative tolerance")
+    # An exactly symmetric matrix is its own symmetric part, as long as
+    # ``cov + cov.T`` cannot overflow.
+    exact = asym == 0.0 and scale <= _HALF_MAX
     try:
-        chol = np.linalg.cholesky(symmetrize(cov))
+        chol = np.linalg.cholesky(cov if exact else symmetrize(cov))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("covariance is not positive definite") from exc
-    pivots = np.diag(chol) ** 2
-    if np.min(pivots) <= _EIG_FLOOR * max(np.max(np.diag(cov)), np.finfo(float).tiny):
+    pivots = chol.diagonal()
+    if (pivots * pivots).min() <= _EIG_FLOOR * max(cov.diagonal().max(), _TINY):
         raise NotPositiveDefinite("covariance is numerically singular")
     return chol
 
 
-def spd_inv(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, symmetrized."""
-    chol = assert_spd(mat)
+def _chol_inv(chol: np.ndarray) -> np.ndarray:
+    """Symmetrized inverse of ``L L^T`` from its Cholesky factor ``L``."""
     inv_chol = np.linalg.inv(chol)
     return symmetrize(inv_chol.T @ inv_chol)
+
+
+def _chol_logdet(chol: np.ndarray) -> float:
+    """``log |L L^T|`` from the Cholesky factor ``L``."""
+    return 2.0 * np.log(chol.diagonal()).sum()
+
+
+def spd_inv(mat: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix, symmetrized."""
+    return _chol_inv(assert_spd(mat))
 
 
 def spd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -91,10 +116,15 @@ def spd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianDensity:
-    """A multivariate Gaussian with validated mean and covariance."""
+    """A multivariate Gaussian with validated mean and covariance.
+
+    ``chol`` is the lower Cholesky factor of ``cov`` that validation computed;
+    ``cov`` and ``chol`` are read-only arrays.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -105,22 +135,36 @@ class GaussianDensity:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match state dimension {mean.size}"
             )
-        assert_spd(cov)
+        chol = assert_spd(cov)
+        cov = symmetrize(cov)
+        cov.setflags(write=False)
+        chol.setflags(write=False)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", symmetrize(cov))
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "chol", chol)
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so a copy or an unpickled density
+        # is validated and its arrays are read-only again.
+        return (GaussianDensity, (self.mean, self.cov))
 
     @property
     def dim(self) -> int:
         return self.mean.size
 
+    @cached_property
+    def precision(self) -> np.ndarray:
+        """Inverse covariance, computed once from the stored factor (read-only)."""
+        prec = _chol_inv(self.chol)
+        prec.setflags(write=False)
+        return prec
+
     def logpdf(self, x) -> np.ndarray:
         """Log density at ``x`` (shape ``(d,)`` or ``(n, d)``; ``(n,)`` if d=1)."""
         pts = _as_points(x, self.dim)
-        chol = np.linalg.cholesky(self.cov)
-        dev = np.linalg.solve(chol, (pts - self.mean).T)
-        maha = np.sum(dev * dev, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out = -0.5 * (self.dim * _LOG_2PI + logdet + maha)
+        dev = np.linalg.solve(self.chol, (pts - self.mean).T)
+        maha = (dev * dev).sum(axis=0)
+        out = -0.5 * (self.dim * _LOG_2PI + _chol_logdet(self.chol) + maha)
         return out[0] if np.ndim(x) <= 1 and pts.shape[0] == 1 else out
 
     def pdf(self, x) -> np.ndarray:
@@ -172,7 +216,7 @@ class GaussianMixture:
             raise ValueError("one weight per component required")
         if weights.size == 0:
             raise ValueError("mixture must have at least one component")
-        if np.any(weights < -1e-15) or not np.all(np.isfinite(weights)):
+        if (weights < -1e-15).any() or not np.isfinite(weights).all():
             raise ValueError("mixture weights must be finite and nonnegative")
         dims = {c.dim for c in components}
         if len(dims) != 1:
@@ -279,8 +323,7 @@ def scaled_power(d: GaussianDensity, w: float) -> ScaledGaussian:
         raise ValueError("power weight must lie in (0, 1]")
     if w == 1.0:
         return ScaledGaussian(0.0, d)
-    chol = np.linalg.cholesky(d.cov)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    logdet = _chol_logdet(d.chol)
     log_scale = 0.5 * (1.0 - w) * (d.dim * _LOG_2PI + logdet) - 0.5 * d.dim * math.log(w)
     return ScaledGaussian(float(log_scale), GaussianDensity(d.mean, d.cov / w))
 

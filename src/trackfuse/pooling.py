@@ -81,9 +81,8 @@ def _sobol_integrate(fn: Callable, densities: Sequence, n_points: int = 1 << 20,
     sampler = qmc.Sobol(d=match.dim, scramble=True, seed=seed)
     u = sampler.random(n_points)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    chol = np.linalg.cholesky(proposal.cov)
     from scipy.stats import norm
-    pts = proposal.mean + norm.ppf(u) @ chol.T
+    pts = proposal.mean + norm.ppf(u) @ proposal.chol.T
     ratio = fn(pts) / proposal.pdf(pts)
     return float(np.mean(ratio))
 

@@ -370,7 +370,7 @@ def _run_single(cfg: ScenarioConfig, run_idx: int) -> dict:
                     pos_sq[slot] = float(np.sum((est.mean[:dims] - states[k][:dims]) ** 2))
                     vel_sq[slot] = float(np.sum(
                         (est.mean[dims:2 * dims] - states[k][dims:2 * dims]) ** 2))
-                    nees[slot] = compute_nees(fused, states[k], nees_idx)
+                    nees[slot] = compute_nees(est, states[k], nees_idx)
                     slot += 1
 
         results[strategy] = {

@@ -8,11 +8,12 @@ two-route check rather than the same code evaluated twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from trackfuse import GaussianDensity, wrap_angle
+from trackfuse import GaussianDensity, NotPositiveDefinite, NotSymmetric, wrap_angle
 
 
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 4.0) -> np.ndarray:
@@ -169,3 +170,51 @@ def mean_with_batch_se(values: np.ndarray, n_batches: int = 100):
     overall = np.mean(values, axis=0)
     se = np.std(batch_means, axis=0, ddof=1) / np.sqrt(len(batches))
     return overall, se
+
+
+# Reference copies of the covariance routines as they stood before densities
+# kept their Cholesky factor: every call validates and factors afresh.
+# The package's versions must reproduce them bit for bit.
+
+def _ref_symmetrize(mat):
+    return 0.5 * (mat + mat.T)
+
+
+def ref_assert_spd(cov):
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise NotPositiveDefinite(f"expected a square matrix, got shape {cov.shape}")
+    scale = max(1.0, float(np.max(np.abs(cov))))
+    if np.max(np.abs(cov - cov.T)) > 1e-9 * scale:
+        raise NotSymmetric("covariance is not symmetric within 1e-9 relative tolerance")
+    try:
+        chol = np.linalg.cholesky(_ref_symmetrize(cov))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("covariance is not positive definite") from exc
+    pivots = np.diag(chol) ** 2
+    if np.min(pivots) <= 1e-12 * max(np.max(np.diag(cov)), np.finfo(float).tiny):
+        raise NotPositiveDefinite("covariance is numerically singular")
+    return chol
+
+
+def ref_spd_inv(mat):
+    chol = ref_assert_spd(mat)
+    inv_chol = np.linalg.inv(chol)
+    return _ref_symmetrize(inv_chol.T @ inv_chol)
+
+
+def ref_logpdf(mean, cov, pts):
+    """Log density at the rows of ``pts``; ``cov`` is the density's stored covariance."""
+    chol = np.linalg.cholesky(cov)
+    dev = np.linalg.solve(chol, (pts - mean).T)
+    maha = np.sum(dev * dev, axis=0)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (mean.size * math.log(2.0 * math.pi) + logdet + maha)
+
+
+def ref_scaled_power_log_scale(cov, w):
+    chol = np.linalg.cholesky(cov)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    dim = cov.shape[0]
+    return float(0.5 * (1.0 - w) * (dim * math.log(2.0 * math.pi) + logdet)
+                 - 0.5 * dim * math.log(w))

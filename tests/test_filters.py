@@ -170,6 +170,7 @@ def test_truncate_is_leading_marginal(rng):
     cut = truncate_state(track, 2)
     np.testing.assert_allclose(cut.mean, track.mean[:2], atol=0)
     np.testing.assert_allclose(cut.cov, track.cov[:2, :2], atol=0)
+    assert truncate_state(track, 4) is track
     with pytest.raises(ValueError, match="larger"):
         truncate_state(cut, 3)
     back = truncate_state(zero_pad(track, 6, 1.0), 4)
