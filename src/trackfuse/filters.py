@@ -10,12 +10,19 @@ are formed, and truncating back afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ModeLikelihoodDegenerate, SingularInnovation
-from .gaussians import GaussianDensity, GaussianMixture, moment_match, symmetrize
+from .errors import ModeLikelihoodDegenerate, NotPositiveDefinite, SingularInnovation
+from .gaussians import (
+    GaussianDensity,
+    GaussianMixture,
+    _moment_match,
+    moment_match,
+    symmetrize,
+)
 from .models import MeasurementModel, MotionModel, wrap_angle
 
 __all__ = [
@@ -35,6 +42,13 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
+
+
 def ekf_predict(track: GaussianDensity, motion: MotionModel) -> GaussianDensity:
     """One motion-model prediction step."""
     f = motion.transition
@@ -50,14 +64,15 @@ def ekf_update_with_loglik(track: GaussianDensity, meas: MeasurementModel,
     innov = z - meas.measure(track.mean)
     for idx in meas.angle_indices:
         innov[idx] = wrap_angle(innov[idx])
-    s = symmetrize(jac @ track.cov @ jac.T + meas.noise_cov)
+    jac_cov = jac @ track.cov
+    s = symmetrize(jac_cov @ jac.T + meas.noise_cov)
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation("innovation covariance is singular") from exc
-    gain = np.linalg.solve(s, jac @ track.cov).T
+    gain = np.linalg.solve(s, jac_cov).T
     mean = track.mean + gain @ innov
-    imkh = np.eye(track.dim) - gain @ jac
+    imkh = _identity(track.dim) - gain @ jac
     cov = symmetrize(imkh @ track.cov @ imkh.T + gain @ meas.noise_cov @ gain.T)
     white = np.linalg.solve(chol, innov)
     loglik = -0.5 * (z.size * _LOG_2PI
@@ -73,27 +88,54 @@ def ekf_update(track: GaussianDensity, meas: MeasurementModel,
 
 
 def zero_pad(track: GaussianDensity, target_dim: int, pad_var: float) -> GaussianDensity:
-    """Embed a state in a larger space; padded entries get variance ``pad_var``."""
-    extra = target_dim - track.dim
+    """Embed a state in a larger space; padded entries get variance ``pad_var``.
+
+    The padded factor is ``blockdiag(track.chol, sqrt(pad_var) I)``, a
+    Cholesky factor of the padded covariance, so only the pivot floor test
+    runs again. A ``pad_var`` that is not positive and finite raises
+    :class:`NotPositiveDefinite`, as the padded covariance would.
+    """
+    dim = track.dim
+    extra = target_dim - dim
     if extra < 0:
         raise ValueError("cannot pad to a smaller dimension")
     if extra == 0:
         return track
+    if not 0.0 < pad_var < math.inf:
+        raise NotPositiveDefinite("padding variance must be positive and finite")
     mean = np.concatenate((track.mean, np.zeros(extra)))
     cov = np.zeros((target_dim, target_dim))
-    cov[: track.dim, : track.dim] = track.cov
-    cov[track.dim:, track.dim:] = pad_var * np.eye(extra)
-    return GaussianDensity(mean, cov)
+    cov[:dim, :dim] = track.cov
+    chol = np.zeros((target_dim, target_dim))
+    chol[:dim, :dim] = track.chol
+    # The padded diagonal entries, in row-major flat order.
+    pad = slice(dim * (target_dim + 1), None, target_dim + 1)
+    cov.ravel()[pad] = pad_var
+    chol.ravel()[pad] = math.sqrt(pad_var)
+    return GaussianDensity._derived(mean, cov, chol)
 
 
 def truncate_state(track: GaussianDensity, dim: int) -> GaussianDensity:
     """Marginal over the leading ``dim`` state entries (``track`` itself when
-    ``dim`` is its whole dimension)."""
+    ``dim`` is its whole dimension); its factor is the leading block of
+    ``track.chol``."""
     if dim > track.dim:
         raise ValueError("cannot truncate to a larger dimension")
     if dim == track.dim:
         return track
-    return GaussianDensity(track.mean[:dim], track.cov[:dim, :dim])
+    return track._leading(dim)
+
+
+def _check_mode_probs(probs: np.ndarray) -> None:
+    # A NaN or infinite entry makes the sum non-finite, which fails the test.
+    if (probs < 0.0).any() or not abs(float(np.sum(probs)) - 1.0) <= 1e-9:
+        raise ValueError("mode probabilities must be a distribution")
+
+
+def _check_mode_dims(densities, models) -> None:
+    for dens, model in zip(densities, models):
+        if dens.dim != model.state_dim:
+            raise ValueError("mode density dimension does not match its model")
 
 
 @dataclass(frozen=True)
@@ -118,17 +160,29 @@ class ImmState:
         n = len(self.densities)
         if len(self.models) != n or probs.shape != (n,) or trans.shape != (n, n):
             raise ValueError("densities, models, mode_probs and transition disagree")
-        if np.any(probs < 0) or abs(float(np.sum(probs)) - 1.0) > 1e-9:
-            raise ValueError("mode probabilities must be a distribution")
+        _check_mode_probs(probs)
+        if not np.isfinite(trans).all() or (trans < 0.0).any():
+            raise ValueError("transition entries must be finite and nonnegative")
         if np.max(np.abs(np.sum(trans, axis=1) - 1.0)) > 1e-9:
             raise ValueError("transition rows must sum to 1")
-        for dens, model in zip(self.densities, self.models):
-            if dens.dim != model.state_dim:
-                raise ValueError("mode density dimension does not match its model")
+        _check_mode_dims(self.densities, self.models)
         object.__setattr__(self, "densities", tuple(self.densities))
         object.__setattr__(self, "mode_probs", probs)
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "transition", trans)
+
+    def _advance(self, densities: tuple[GaussianDensity, ...],
+                 mode_probs: np.ndarray) -> "ImmState":
+        """This state with new mode densities and probabilities.
+
+        Only the new fields are checked; the models, transition and
+        ``pad_var`` are carried over as already validated.
+        """
+        _check_mode_probs(mode_probs)
+        _check_mode_dims(densities, self.models)
+        state = object.__new__(ImmState)
+        state.__dict__.update(self.__dict__, densities=densities, mode_probs=mode_probs)
+        return state
 
     @property
     def max_dim(self) -> int:
@@ -151,12 +205,13 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
     cbar = np.maximum(cbar, np.finfo(float).tiny)
     top = state.max_dim
     padded = [zero_pad(d, top, state.pad_var) for d in state.densities]
+    means = np.array([d.mean for d in padded])
+    covs = np.array([d.cov for d in padded])
 
     new_densities = []
     logliks = np.empty(n)
     for j, model in enumerate(state.models):
-        mix_w = trans[:, j] * mu / cbar[j]
-        mixed = moment_match(GaussianMixture(mix_w, tuple(padded)))
+        mixed = _moment_match(trans[:, j] * mu / cbar[j], means, covs)
         mode_track = truncate_state(mixed, model.state_dim)
         predicted = ekf_predict(mode_track, model)
         updated, loglik = ekf_update_with_loglik(predicted, meas, z)
@@ -173,7 +228,7 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
         new_mu = np.full(n, 1.0 / n)
     else:
         new_mu = new_mu / total
-    return replace(state, densities=tuple(new_densities), mode_probs=new_mu)
+    return state._advance(tuple(new_densities), new_mu)
 
 
 def imm_output(state: ImmState) -> GaussianMixture:
@@ -269,4 +324,4 @@ def apply_feedback(state: ImmState, fed: GaussianMixture) -> ImmState:
         densities.append(truncate_state(comp, model.state_dim))
         probs[k] = fed.weights[matches[0]]
     probs = probs / np.sum(probs)
-    return replace(state, densities=tuple(densities), mode_probs=probs)
+    return state._advance(tuple(densities), probs)

@@ -6,15 +6,28 @@ and divisions of Gaussians (with their scalar normalization factors), fractional
 powers, and moment matching of mixtures. Covariances are re-symmetrized after
 every operation so that round-off never accumulates into asymmetry.
 
-Validation contract: a :class:`GaussianDensity` checks its covariance once,
-when it is built, with :func:`assert_spd` (symmetry, Cholesky factorization,
-pivot floor). It keeps the Cholesky factor that check computed, and every later
-use of the same matrix (``logpdf``, the log-determinant in
-:func:`scaled_power`, the cached ``precision``) reuses that factor instead of
-validating or factoring again. The covariance, its factor and its precision
-are read-only arrays, so the stored factor can never go stale. Matrices that
-are not yet a density (a precision sum, a division gap) still pass through the
-full check in :func:`assert_spd` or :func:`spd_inv`.
+Validation contract: a :class:`GaussianDensity` built through its constructor
+checks its covariance once with :func:`assert_spd` (finite entries, symmetry,
+Cholesky factorization, pivot floor). It keeps the Cholesky factor that check
+computed, and every later use of the same matrix (``logpdf``, the
+log-determinant in :func:`scaled_power`, the cached ``precision``) reuses that
+factor instead of validating or factoring again. The mean, covariance, factor
+and precision are read-only arrays (the mean and covariance are copies of the
+caller's), so the stored factor can never go stale.
+
+Two kinds of density carry a factor derived from an already validated one
+instead of a fresh factorization: a leading marginal (``marginal`` over the
+leading indices, ``filters.truncate_state``) takes the leading block of the
+parent's factor, and a zero-padded state (``filters.zero_pad``) takes
+``blockdiag(parent factor, sqrt(pad_var) I)``. Both are Cholesky factors of
+their covariances, and both still run :func:`assert_spd`'s pivot floor test on
+the derived pivots, so they are accepted or rejected as a fresh check would
+decide. OpenBLAS's unblocked factorization computes a leading block without
+looking at the rows below it, so for the matrix sizes of the presets (up to
+6) a derived factor has the same bits as a fresh one; a LAPACK that orders
+its operations differently agrees to round-off. Matrices that are not yet a
+density (a precision sum, a division gap) still pass through the full check
+in :func:`assert_spd` or :func:`spd_inv`.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ _EIG_FLOOR = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
 _TINY = np.finfo(float).tiny
 _HALF_MAX = np.finfo(float).max / 2.0
+_FLOAT = np.dtype(float)
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -59,22 +73,28 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
 def assert_spd(cov: np.ndarray) -> np.ndarray:
     """Validate that ``cov`` is symmetric positive definite.
 
-    Returns the Cholesky factor so callers can reuse it. Symmetry is checked
-    to a relative tolerance of 1e-9; positive definiteness is established by
-    Cholesky factorization, with matrices rejected as numerically singular
-    when the smallest pivot falls below ``1e-12 * max(diag)``.
+    Returns the Cholesky factor so callers can reuse it. Every entry must be
+    finite. Symmetry is checked to a relative tolerance of 1e-9; positive
+    definiteness is established by Cholesky factorization, with matrices
+    rejected as numerically singular when the smallest pivot falls below
+    ``1e-12 * max(diag)``.
 
     Raises
     ------
     NotSymmetric
         If the matrix is not symmetric within tolerance.
     NotPositiveDefinite
-        If factorization fails or the matrix is numerically singular.
+        If an entry is NaN or infinite, factorization fails or the matrix is
+        numerically singular.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise NotPositiveDefinite(f"expected a square matrix, got shape {cov.shape}")
-    scale = max(1.0, float(abs(cov).max()))
+    peak = float(abs(cov).max())
+    # The maximum propagates NaN, so one comparison catches NaN and infinity.
+    if not peak < math.inf:
+        raise NotPositiveDefinite("covariance has a non-finite entry")
+    scale = max(1.0, peak)
     asym = abs(cov - cov.T).max()
     if asym > _SYM_RTOL * scale:
         raise NotSymmetric("covariance is not symmetric within 1e-9 relative tolerance")
@@ -85,10 +105,16 @@ def assert_spd(cov: np.ndarray) -> np.ndarray:
         chol = np.linalg.cholesky(cov if exact else symmetrize(cov))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("covariance is not positive definite") from exc
+    _check_pivot_floor(chol, cov)
+    return chol
+
+
+def _check_pivot_floor(chol: np.ndarray, cov: np.ndarray) -> None:
+    """Reject ``cov`` as numerically singular if a squared pivot of its factor
+    ``chol`` is at most ``1e-12 * max(diag(cov))``."""
     pivots = chol.diagonal()
     if (pivots * pivots).min() <= _EIG_FLOOR * max(cov.diagonal().max(), _TINY):
         raise NotPositiveDefinite("covariance is numerically singular")
-    return chol
 
 
 def _chol_inv(chol: np.ndarray) -> np.ndarray:
@@ -119,7 +145,7 @@ class GaussianDensity:
     """A multivariate Gaussian with validated mean and covariance.
 
     ``chol`` is the lower Cholesky factor of ``cov`` that validation computed;
-    ``cov`` and ``chol`` are read-only arrays.
+    ``mean``, ``cov`` and ``chol`` are read-only arrays.
     """
 
     mean: np.ndarray
@@ -127,8 +153,11 @@ class GaussianDensity:
     chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        mean, cov = self.mean, self.cov
+        if type(mean) is not np.ndarray or mean.dtype is not _FLOAT or mean.ndim != 1:
+            mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        if type(cov) is not np.ndarray or cov.dtype is not _FLOAT or cov.ndim != 2:
+            cov = np.atleast_2d(np.asarray(cov, dtype=float))
         if mean.ndim != 1:
             raise ValueError("mean must be a vector")
         if cov.shape != (mean.size, mean.size):
@@ -136,12 +165,31 @@ class GaussianDensity:
                 f"covariance shape {cov.shape} does not match state dimension {mean.size}"
             )
         chol = assert_spd(cov)
-        cov = symmetrize(cov)
-        cov.setflags(write=False)
-        chol.setflags(write=False)
+        self._store(mean.copy(), symmetrize(cov), chol)
+
+    def _store(self, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> None:
+        for arr in (mean, cov, chol):
+            arr.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "chol", chol)
+
+    @classmethod
+    def _derived(cls, mean: np.ndarray, cov: np.ndarray,
+                 chol: np.ndarray) -> "GaussianDensity":
+        """Density whose factor ``chol`` was derived from a validated density.
+
+        ``chol`` must be a Cholesky factor of ``cov`` built from a validated
+        factor: its leading block, or a block-diagonal extension with positive
+        finite entries. Only the pivot floor test of :func:`assert_spd` runs;
+        it is the one part of that check such a factor can fail. The arrays
+        must be fresh or views of a validated density's read-only arrays; they
+        are made read-only here.
+        """
+        _check_pivot_floor(chol, cov)
+        density = object.__new__(cls)
+        density._store(mean, cov, chol)
+        return density
 
     def __reduce__(self):
         # Rebuild through the constructor, so a copy or an unpickled density
@@ -173,7 +221,15 @@ class GaussianDensity:
     def marginal(self, idx) -> "GaussianDensity":
         """Marginal over the state indices ``idx``."""
         idx = np.asarray(idx, dtype=int)
+        if idx.ndim == 1 and 0 < idx.size <= self.dim and (idx == np.arange(idx.size)).all():
+            return self._leading(idx.size)
         return GaussianDensity(self.mean[idx], self.cov[np.ix_(idx, idx)])
+
+    def _leading(self, dim: int) -> "GaussianDensity":
+        """Marginal over the leading ``dim`` entries, with the leading block of
+        this density's factor as its factor."""
+        return GaussianDensity._derived(self.mean[:dim], self.cov[:dim, :dim],
+                                        self.chol[:dim, :dim])
 
 
 @dataclass(frozen=True)
@@ -335,13 +391,29 @@ def moment_match(mixture: GaussianMixture) -> GaussianDensity:
     spread-of-means term, so it always dominates the weighted average of the
     component covariances.
     """
-    mix = mixture.normalized()
-    means = np.stack([c.mean for c in mix.components])
-    mean = mix.weights @ means
-    cov = np.zeros((mix.dim, mix.dim))
-    for w, comp in zip(mix.weights, mix.components):
-        dev = comp.mean - mean
-        cov += w * (comp.cov + np.outer(dev, dev))
+    comps = mixture.components
+    return _moment_match(mixture.weights, np.array([c.mean for c in comps]),
+                         np.array([c.cov for c in comps]))
+
+
+def _moment_match(weights: np.ndarray, means: np.ndarray,
+                  covs: np.ndarray) -> GaussianDensity:
+    """Moment matching over stacked components ``means[M, d]``, ``covs[M, d, d]``.
+
+    ``weights`` must be finite and nonnegative; they are normalized here. The
+    spread terms are formed by broadcasting and summed in component order, so
+    the result equals the per-component ``np.outer`` loop bit for bit.
+    """
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise ValueError("cannot normalize a mixture with zero total weight")
+    weights = weights / total
+    mean = weights @ means
+    dev = means - mean
+    terms = weights[:, None, None] * (covs + dev[:, :, None] * dev[:, None, :])
+    cov = np.zeros(covs.shape[1:])
+    for term in terms:
+        cov += term
     return GaussianDensity(mean, symmetrize(cov))
 
 

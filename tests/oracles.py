@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trackfuse import GaussianDensity, NotPositiveDefinite, NotSymmetric, wrap_angle
+from trackfuse import (
+    GaussianDensity,
+    ModeLikelihoodDegenerate,
+    NotPositiveDefinite,
+    NotSymmetric,
+    wrap_angle,
+)
 
 
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 4.0) -> np.ndarray:
@@ -218,3 +224,93 @@ def ref_scaled_power_log_scale(cov, w):
     dim = cov.shape[0]
     return float(0.5 * (1.0 - w) * (dim * math.log(2.0 * math.pi) + logdet)
                  - 0.5 * dim * math.log(w))
+
+
+# Reference copies of the IMM routines as they stood before the cycle mixed on
+# stacked arrays and derived padded and truncated factors: every density goes
+# through the public constructor (a full ``assert_spd``), and moment matching
+# normalizes a mixture and accumulates ``np.outer`` terms one component at a
+# time. The package's versions must reproduce them bit for bit.
+
+def ref_moment_match(weights, means, covs):
+    """Old ``moment_match`` on plain arrays; returns ``(mean, cov)``."""
+    weights = np.maximum(np.atleast_1d(np.asarray(weights, dtype=float)), 0.0)
+    total = float(np.sum(weights))
+    if total <= 0.0:
+        raise ValueError("cannot normalize a mixture with zero total weight")
+    weights = weights / total
+    means = np.stack(means)
+    mean = weights @ means
+    cov = np.zeros((means.shape[1], means.shape[1]))
+    for w, comp_mean, comp_cov in zip(weights, means, covs):
+        dev = comp_mean - mean
+        cov += w * (comp_cov + np.outer(dev, dev))
+    return mean, _ref_symmetrize(cov)
+
+
+def ref_zero_pad(track, target_dim, pad_var):
+    extra = target_dim - track.dim
+    if extra < 0:
+        raise ValueError("cannot pad to a smaller dimension")
+    if extra == 0:
+        return track
+    mean = np.concatenate((track.mean, np.zeros(extra)))
+    cov = np.zeros((target_dim, target_dim))
+    cov[: track.dim, : track.dim] = track.cov
+    cov[track.dim:, track.dim:] = pad_var * np.eye(extra)
+    return GaussianDensity(mean, cov)
+
+
+def ref_truncate_state(track, dim):
+    if dim > track.dim:
+        raise ValueError("cannot truncate to a larger dimension")
+    if dim == track.dim:
+        return track
+    return GaussianDensity(track.mean[:dim], track.cov[:dim, :dim])
+
+
+def ref_ekf_update_with_loglik(track, meas, z):
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    jac = meas.jacobian(track.mean, track.dim)
+    innov = z - meas.measure(track.mean)
+    for idx in meas.angle_indices:
+        innov[idx] = wrap_angle(innov[idx])
+    s = _ref_symmetrize(jac @ track.cov @ jac.T + meas.noise_cov)
+    chol = np.linalg.cholesky(s)
+    gain = np.linalg.solve(s, jac @ track.cov).T
+    mean = track.mean + gain @ innov
+    imkh = np.eye(track.dim) - gain @ jac
+    cov = _ref_symmetrize(imkh @ track.cov @ imkh.T + gain @ meas.noise_cov @ gain.T)
+    white = np.linalg.solve(chol, innov)
+    loglik = -0.5 * (z.size * math.log(2.0 * math.pi)
+                     + 2.0 * float(np.sum(np.log(np.diag(chol))))
+                     + float(white @ white))
+    return GaussianDensity(mean, cov), loglik
+
+
+def ref_imm_step(state, meas, z):
+    """Old ``imm_step``; returns the new ``(densities, mode_probs)``."""
+    n = len(state.models)
+    mu = state.mode_probs
+    trans = state.transition
+    cbar = np.maximum(trans.T @ mu, np.finfo(float).tiny)
+    padded = [ref_zero_pad(d, state.max_dim, state.pad_var) for d in state.densities]
+    densities = []
+    logliks = np.empty(n)
+    for j, model in enumerate(state.models):
+        mean, cov = ref_moment_match(trans[:, j] * mu / cbar[j],
+                                     [d.mean for d in padded], [d.cov for d in padded])
+        mode_track = ref_truncate_state(GaussianDensity(mean, cov), model.state_dim)
+        f = model.transition
+        predicted = GaussianDensity(f @ mode_track.mean,
+                                    _ref_symmetrize(f @ mode_track.cov @ f.T + model.noise))
+        updated, logliks[j] = ref_ekf_update_with_loglik(predicted, meas, z)
+        densities.append(updated)
+    if not np.all(np.isfinite(logliks)):
+        raise ModeLikelihoodDegenerate("non-finite mode likelihood")
+    log_mu = np.log(cbar) + logliks
+    log_mu -= np.max(log_mu)
+    new_mu = np.exp(log_mu)
+    total = float(np.sum(new_mu))
+    new_mu = np.full(n, 1.0 / n) if total <= 0.0 else new_mu / total
+    return tuple(densities), new_mu

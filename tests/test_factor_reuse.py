@@ -104,7 +104,15 @@ def test_assert_spd_accepts_and_rejects_like_the_reference(cov):
         "negative-zero", "near-max", "overflowing-sum", "subnormal"])
 def test_assert_spd_agrees_with_the_reference_on_edge_values(cov):
     with np.errstate(all="ignore"):
-        assert _same_outcome(_outcome(assert_spd, cov), _outcome(ref_assert_spd, cov))
+        outcome = _outcome(assert_spd, cov)
+        if np.isnan(cov).any():
+            # The reference accepts NaN entries, because every comparison
+            # with NaN is false; the check rejects any non-finite entry.
+            assert outcome is NotPositiveDefinite
+            with pytest.raises(NotPositiveDefinite):
+                GaussianDensity(np.zeros(cov.shape[0]), cov)
+        else:
+            assert _same_outcome(outcome, _outcome(ref_assert_spd, cov))
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,8 +125,8 @@ def test_density_reuses_its_factor_bit_for_bit(cov, w, seed):
         with pytest.raises(_SPD_ERRORS):
             GaussianDensity(mean, cov)
         return
-    caller_cov = cov.copy()
-    d = GaussianDensity(mean, caller_cov)
+    caller_mean, caller_cov = mean.copy(), cov.copy()
+    d = GaussianDensity(caller_mean, caller_cov)
 
     assert np.array_equal(d.cov, symmetrize(cov))
     assert np.array_equal(d.chol, ref_assert_spd(cov))
@@ -131,15 +139,22 @@ def test_density_reuses_its_factor_bit_for_bit(cov, w, seed):
     for stored in (d.cov, d.chol, d.precision):
         with pytest.raises(ValueError, match="read-only"):
             stored[0, 0] = 1.0
-    # The caller's own array is neither frozen nor shared.
+    with pytest.raises(ValueError, match="read-only"):
+        d.mean[0] = 1.0
+    # The caller's own arrays are neither frozen nor shared.
+    caller_mean[0] += 1.0
     caller_cov[0, 0] += 1.0
+    assert np.array_equal(d.mean, mean)
     assert np.array_equal(d.cov, symmetrize(cov))
 
 
 def test_copies_and_unpickled_densities_stay_read_only(rng):
     d = GaussianDensity(rng.standard_normal(3), np.diag([1.0, 2.0, 3.0]))
     for clone in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+        assert np.array_equal(clone.mean, d.mean)
         assert np.array_equal(clone.cov, d.cov) and np.array_equal(clone.chol, d.chol)
         for stored in (clone.cov, clone.chol, clone.precision):
             with pytest.raises(ValueError, match="read-only"):
                 stored[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            clone.mean[0] = 1.0

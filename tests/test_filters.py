@@ -205,6 +205,21 @@ def test_imm_state_validation():
     assert state.max_dim == 2
 
 
+@pytest.mark.parametrize("probs, transition, match", [
+    ([np.nan, 0.5], [[0.9, 0.1], [0.2, 0.8]], "distribution"),
+    ([np.inf, 0.5], [[0.9, 0.1], [0.2, 0.8]], "distribution"),
+    ([1.5, -0.5], [[0.9, 0.1], [0.2, 0.8]], "distribution"),
+    ([0.6, 0.4], [[1.2, -0.2], [0.2, 0.8]], "finite and nonnegative"),
+    ([0.6, 0.4], [[np.nan, 0.1], [0.2, 0.8]], "finite and nonnegative"),
+    ([0.6, 0.4], [[np.inf, 0.1], [0.2, 0.8]], "finite and nonnegative"),
+], ids=["nan-prob", "inf-prob", "negative-prob", "negative-transition",
+        "nan-transition", "inf-transition"])
+def test_imm_state_rejects_non_finite_or_negative_entries(probs, transition, match):
+    state = _two_mode_linear_state()
+    with pytest.raises(ValueError, match=match):
+        ImmState(state.densities, np.array(probs), state.models, np.array(transition))
+
+
 def test_imm_matches_exhaustive_reference_over_five_steps(rng):
     state = _two_mode_linear_state()
     sensor = _poslinear_sensor(4.0)
@@ -334,6 +349,18 @@ def test_apply_feedback_replaces_modes_by_tag(rng):
     assert updated.densities[0].dim == 4
     np.testing.assert_allclose(updated.densities[1].mean, new_ca.mean, atol=0)
     assert updated.densities[1].dim == 6
+
+
+def test_apply_feedback_checks_the_new_mode_probabilities():
+    """The advanced state checks its new probabilities: an all-zero feedback
+    weight would leave NaN mode probabilities."""
+    state = _mixed_dim_state()
+    comps = (GaussianDensity(np.zeros(6), np.eye(6)), GaussianDensity(np.ones(6), np.eye(6)))
+    stepped = apply_feedback(state, GaussianMixture(np.array([0.5, 0.5]), comps,
+                                                    tags=("ncv", "nca")))
+    assert stepped.transition is state.transition and stepped.models is state.models
+    with pytest.raises(ValueError, match="distribution"), np.errstate(invalid="ignore"):
+        apply_feedback(state, GaussianMixture(np.zeros(2), comps, tags=("ncv", "nca")))
 
 
 def test_apply_feedback_validation(rng):

@@ -1,0 +1,261 @@
+"""Property tests: the IMM cycle on stacked arrays and derived factors.
+
+``moment_match`` and ``imm_step`` mix stacked means and covariances instead
+of building a mixture per destination mode, and ``zero_pad``,
+``truncate_state`` and leading ``marginal`` densities derive their Cholesky
+factor from the parent's instead of factoring again. Each is compared with
+the reference copies of the old routines in ``oracles``:
+
+- moment matching and the densities and mode probabilities ``imm_step``
+  returns agree bit for bit (``tobytes``, so even the sign of a zero counts);
+- a derived density has the same mean and covariance bits as the old one, its
+  factor is exactly the parent's leading block or ``blockdiag(parent,
+  sqrt(pad_var) I)`` and reproduces the covariance, and it is accepted or
+  rejected exactly when the public constructor would accept or reject it.
+
+None of this depends on the platform's LAPACK. Whether its factorization of
+the padded or truncated matrix has the same bits as the derived factor does;
+``test_golden_digests.py`` checks that on the platform the digests were
+recorded on.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from trackfuse import (
+    GaussianDensity,
+    GaussianMixture,
+    ImmState,
+    MotionModel,
+    NotPositiveDefinite,
+    bearing_sensor,
+    imm_step,
+    moment_match,
+    truncate_state,
+    zero_pad,
+)
+
+from oracles import (
+    LinearSensor,
+    ref_imm_step,
+    ref_moment_match,
+    ref_truncate_state,
+    ref_zero_pad,
+)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_density(new, ref) -> bool:
+    return (_same_bits(new.mean, ref.mean) and _same_bits(new.cov, ref.cov)
+            and _same_bits(new.chol, ref.chol))
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - any exception type must agree
+        return type(exc)
+
+
+def _same_derived(new, ref, chol) -> bool:
+    """``new`` has ``ref``'s mean and covariance bits and the factor ``chol``,
+    which reproduces the covariance to round-off; all its arrays are read-only."""
+    scale = np.finfo(float).eps * new.dim * new.cov.diagonal().max()
+    return (_same_bits(new.mean, ref.mean) and _same_bits(new.cov, ref.cov)
+            and _same_bits(new.chol, chol)
+            and np.allclose(chol @ chol.T, new.cov, rtol=0.0, atol=8.0 * scale)
+            and not any(a.flags.writeable for a in (new.mean, new.cov, new.chol)))
+
+
+@st.composite
+def spd_matrices(draw, dim):
+    """SPD matrices of size ``dim``: well conditioned, or with one eigenvalue
+    straddling the ``1e-12`` relative pivot floor (exactly diagonal or in a
+    rotated basis)."""
+    root = draw(arrays(np.float64, (dim, dim),
+                       elements=st.floats(-10.0, 10.0, allow_nan=False)))
+    if draw(st.booleans()):
+        return root @ root.T + draw(st.floats(1e-3, 10.0)) * np.eye(dim)
+    eig = np.full(dim, draw(st.floats(0.5, 10.0)))
+    eig[draw(st.integers(0, dim - 1))] = draw(st.floats(0.25, 4.0)) * 1e-12 * eig[0]
+    if draw(st.booleans()):
+        return np.diag(eig)
+    basis, _ = np.linalg.qr(root + 25.0 * np.eye(dim))
+    return (basis * eig) @ basis.T
+
+
+@st.composite
+def densities(draw, dim):
+    cov = draw(spd_matrices(dim))
+    mean = draw(arrays(np.float64, dim, elements=st.floats(-100.0, 100.0)))
+    try:
+        return GaussianDensity(mean, cov)
+    except NotPositiveDefinite:  # rounded below the pivot floor
+        assume(False)
+
+
+# Padding variances from the tiny to the huge, around the pivot floor, and
+# invalid ones.
+PAD_VARS = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.floats(5e-324, 1.7e308),
+    st.floats(0.25, 4.0).map(lambda f: f * 1e-12),
+    st.floats(0.25, 4.0).map(lambda f: f * 1e12),
+    st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(densities), st.integers(0, 3), PAD_VARS)
+def test_zero_pad_derives_the_factor_a_fresh_check_would_compute(track, extra, pad_var):
+    target = track.dim + extra
+    with np.errstate(all="ignore"):
+        new = _outcome(zero_pad, track, target, pad_var)
+        ref = _outcome(ref_zero_pad, track, target, pad_var)
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    if extra == 0:
+        assert new is track
+        return
+    chol = np.zeros((target, target))
+    chol[:track.dim, :track.dim] = track.chol
+    chol[track.dim:, track.dim:] = np.sqrt(pad_var) * np.eye(extra)
+    assert _same_derived(new, ref, chol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(densities), st.data())
+def test_truncate_and_leading_marginal_take_the_leading_factor_block(track, data):
+    dim = data.draw(st.integers(-track.dim, track.dim))
+    new = _outcome(truncate_state, track, dim)
+    ref = _outcome(ref_truncate_state, track, dim)
+    if isinstance(ref, type):
+        assert new is ref
+    elif dim == track.dim:
+        assert new is track
+    else:
+        assert _same_derived(new, ref, track.chol[:dim, :dim])
+    if dim < 1:
+        return
+    lead = track.marginal(np.arange(dim))
+    assert _same_derived(lead, GaussianDensity(track.mean[:dim], track.cov[:dim, :dim]),
+                         track.chol[:dim, :dim])
+    # Any other index set still goes through the constructor.
+    idx = data.draw(st.permutations(range(track.dim)))[:dim]
+    if list(idx) != list(range(dim)):
+        assert _same_density(track.marginal(idx),
+                             GaussianDensity(track.mean[idx], track.cov[np.ix_(idx, idx)]))
+
+
+@pytest.mark.parametrize("pad_var, accepted", [
+    (1.0, True),
+    (1e-13, False),       # below the floor of the parent's largest variance
+    (1e-11, True),
+    (1e11, True),
+    (1e13, False),        # raises the floor above the parent's smallest pivot
+    (0.0, False),
+    (-1.0, False),
+    (math.nan, False),
+    (math.inf, False),
+])
+def test_zero_pad_pivot_floor_edges(pad_var, accepted):
+    track = GaussianDensity(np.zeros(2), np.diag([1.0, 4.0]) / 4.0)
+    with np.errstate(all="ignore"):
+        ref = _outcome(ref_zero_pad, track, 4, pad_var)
+        new = _outcome(zero_pad, track, 4, pad_var)
+    assert isinstance(ref, GaussianDensity) == accepted
+    if accepted:
+        assert _same_derived(new, ref, np.diag(np.sqrt([0.25, 1.0, pad_var, pad_var])))
+    else:
+        assert new is ref
+
+
+@st.composite
+def mixtures(draw, n_components):
+    dim = draw(st.integers(1, 6))
+    comps = tuple(draw(densities(dim)) for _ in range(n_components))
+    weights = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+        min_size=n_components, max_size=n_components)))
+    if not weights.sum() > 0.0:
+        weights[draw(st.integers(0, n_components - 1))] = 1.0
+    return GaussianMixture(weights, comps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 4]).flatmap(mixtures))
+def test_moment_match_equals_the_per_component_loop(mix):
+    new = _outcome(moment_match, mix)
+    mean, cov = ref_moment_match(mix.weights, [c.mean for c in mix.components],
+                                 [c.cov for c in mix.components])
+    ref = _outcome(GaussianDensity, mean, cov)
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    assert _same_density(new, ref)
+
+
+def test_moment_match_rejects_zero_total_weight():
+    comp = GaussianDensity(np.zeros(2), np.eye(2))
+    with pytest.raises(ValueError, match="zero total weight"):
+        moment_match(GaussianMixture(np.zeros(2), (comp, comp)))
+
+
+def _distribution(draw, n):
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    raw[draw(st.integers(0, n - 1))] += 0.05
+    return raw / raw.sum()
+
+
+@st.composite
+def imm_cases(draw):
+    """A two- or three-mode IMM state (NCV and NCA, possibly of different
+    dimension), a sensor and a few measurements."""
+    spatial = draw(st.integers(1, 2))
+    kinds = draw(st.lists(st.sampled_from(["ncv", "nca"]), min_size=2, max_size=3))
+    models = tuple(MotionModel(k, dt=draw(st.floats(0.5, 2.0)),
+                               q=draw(st.floats(1e-3, 1.0)), dims=spatial)
+                   for k in kinds)
+    dens = tuple(draw(densities(m.state_dim)) for m in models)
+    n = len(models)
+    transition = np.stack([_distribution(draw, n) for _ in range(n)])
+    state = ImmState(dens, _distribution(draw, n), models, transition,
+                     pad_var=draw(st.floats(1e-2, 1e2)))
+    if spatial == 1:
+        sensor = LinearSensor(np.array([[1.0]]), np.array([[draw(st.floats(0.1, 10.0))]]))
+    else:
+        sensor = bearing_sensor([draw(st.floats(-500.0, 500.0)), -300.0],
+                                sigma_bearing=np.deg2rad(draw(st.floats(0.5, 5.0))))
+    truth = dens[0].mean[:spatial]
+    zs = [np.atleast_1d(sensor.measure(truth + draw(st.floats(-5.0, 5.0))))
+          for _ in range(draw(st.integers(1, 4)))]
+    return state, sensor, zs
+
+
+@settings(max_examples=100, deadline=None)
+@given(imm_cases())
+def test_imm_step_equals_the_mixture_per_mode_cycle(case):
+    state, sensor, zs = case
+    for z in zs:
+        with np.errstate(all="ignore"):
+            ref = _outcome(ref_imm_step, state, sensor, z)
+            new = _outcome(imm_step, state, sensor, z)
+        if isinstance(ref, type):
+            assert new is ref
+            return
+        ref_densities, ref_probs = ref
+        assert _same_bits(new.mode_probs, ref_probs)
+        assert all(_same_density(a, b) for a, b in zip(new.densities, ref_densities))
+        assert new.models is state.models and new.transition is state.transition
+        assert new.pad_var == state.pad_var
+        state = new
