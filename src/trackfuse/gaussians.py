@@ -26,8 +26,14 @@ decide. OpenBLAS's unblocked factorization computes a leading block without
 looking at the rows below it, so for the matrix sizes of the presets (up to
 6) a derived factor has the same bits as a fresh one; a LAPACK that orders
 its operations differently agrees to round-off. Matrices that are not yet a
-density (a precision sum, a division gap) still pass through the full check
-in :func:`assert_spd` or :func:`spd_inv`.
+density (a precision sum, a division gap, the covariance of a product or
+division scale term) still pass through the full check in :func:`assert_spd`
+or :func:`spd_inv`; a scale term's log density comes from that check's
+factor, without building a density.
+
+:func:`assert_spd` also validates a ``[..., d, d]`` stack, one matrix per
+Monte Carlo run of the batched EKF engine, and gives every member the
+verdict the 2-D check gives it.
 """
 
 from __future__ import annotations
@@ -66,8 +72,8 @@ _FLOAT = np.dtype(float)
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
-    """Return the symmetric part ``(M + M^T) / 2``."""
-    return 0.5 * (mat + mat.T)
+    """Return the symmetric part ``(M + M^T) / 2`` (of each matrix in a stack)."""
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
 def assert_spd(cov: np.ndarray) -> np.ndarray:
@@ -77,7 +83,9 @@ def assert_spd(cov: np.ndarray) -> np.ndarray:
     finite. Symmetry is checked to a relative tolerance of 1e-9; positive
     definiteness is established by Cholesky factorization, with matrices
     rejected as numerically singular when the smallest pivot falls below
-    ``1e-12 * max(diag)``.
+    ``1e-12 * max(diag)``. A ``[..., d, d]`` stack is checked member by
+    member and returns the stacked factors; if members fail, the first
+    failing one raises what it would raise alone.
 
     Raises
     ------
@@ -88,8 +96,10 @@ def assert_spd(cov: np.ndarray) -> np.ndarray:
         numerically singular.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2]:
         raise NotPositiveDefinite(f"expected a square matrix, got shape {cov.shape}")
+    if cov.ndim > 2:
+        return _assert_spd_stack(cov)
     peak = float(abs(cov).max())
     # The maximum propagates NaN, so one comparison catches NaN and infinity.
     if not peak < math.inf:
@@ -109,6 +119,43 @@ def assert_spd(cov: np.ndarray) -> np.ndarray:
     return chol
 
 
+def _assert_spd_stack(cov: np.ndarray) -> np.ndarray:
+    """:func:`assert_spd` of every matrix in a ``[..., d, d]`` stack.
+
+    If every member passes, the stacked factorization returns each member's
+    factor. Otherwise the members are checked one by one in order, so the
+    first failing member raises what the 2-D check raises for it.
+    """
+    chol = _passing_stack_factor(cov)
+    if chol is not None:
+        return chol
+    members = cov.reshape((-1,) + cov.shape[-2:])
+    return np.array([assert_spd(m) for m in members]).reshape(cov.shape)
+
+
+def _passing_stack_factor(cov: np.ndarray) -> np.ndarray | None:
+    """The stacked factors if every member passes the tests of the 2-D
+    check, computed from the same per-member quantities; None otherwise."""
+    peak = abs(cov).max(axis=(-2, -1))
+    if not (peak < math.inf).all():
+        return None
+    scale = np.maximum(peak, 1.0)
+    asym = abs(cov - cov.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (asym > _SYM_RTOL * scale).any():
+        return None
+    exact = (asym == 0.0) & (scale <= _HALF_MAX)
+    sym = cov if exact.all() else np.where(exact[..., None, None], cov, symmetrize(cov))
+    try:
+        chol = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = chol.diagonal(axis1=-2, axis2=-1)
+    floor = _EIG_FLOOR * np.maximum(cov.diagonal(axis1=-2, axis2=-1).max(axis=-1), _TINY)
+    if ((pivots * pivots).min(axis=-1) <= floor).any():
+        return None
+    return chol
+
+
 def _check_pivot_floor(chol: np.ndarray, cov: np.ndarray) -> None:
     """Reject ``cov`` as numerically singular if a squared pivot of its factor
     ``chol`` is at most ``1e-12 * max(diag(cov))``."""
@@ -118,14 +165,22 @@ def _check_pivot_floor(chol: np.ndarray, cov: np.ndarray) -> None:
 
 
 def _chol_inv(chol: np.ndarray) -> np.ndarray:
-    """Symmetrized inverse of ``L L^T`` from its Cholesky factor ``L``."""
+    """Symmetrized inverse of ``L L^T`` from its Cholesky factor ``L`` (of
+    each factor in a stack)."""
     inv_chol = np.linalg.inv(chol)
-    return symmetrize(inv_chol.T @ inv_chol)
+    return symmetrize(inv_chol.swapaxes(-1, -2) @ inv_chol)
 
 
 def _chol_logdet(chol: np.ndarray) -> float:
     """``log |L L^T|`` from the Cholesky factor ``L``."""
     return 2.0 * np.log(chol.diagonal()).sum()
+
+
+def _factor_logpdf(mean: np.ndarray, chol: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Log density of ``N(mean, L L^T)`` at the rows of ``pts``, from ``L``."""
+    dev = np.linalg.solve(chol, (pts - mean).T)
+    maha = (dev * dev).sum(axis=0)
+    return -0.5 * (mean.size * _LOG_2PI + _chol_logdet(chol) + maha)
 
 
 def spd_inv(mat: np.ndarray) -> np.ndarray:
@@ -210,9 +265,7 @@ class GaussianDensity:
     def logpdf(self, x) -> np.ndarray:
         """Log density at ``x`` (shape ``(d,)`` or ``(n, d)``; ``(n,)`` if d=1)."""
         pts = _as_points(x, self.dim)
-        dev = np.linalg.solve(self.chol, (pts - self.mean).T)
-        maha = (dev * dev).sum(axis=0)
-        out = -0.5 * (self.dim * _LOG_2PI + _chol_logdet(self.chol) + maha)
+        out = _factor_logpdf(self.mean, self.chol, pts)
         return out[0] if np.ndim(x) <= 1 and pts.shape[0] == 1 else out
 
     def pdf(self, x) -> np.ndarray:
@@ -336,7 +389,9 @@ def gaussian_product(a: GaussianDensity, b: GaussianDensity) -> ScaledGaussian:
     gain = np.linalg.solve(sum_cov, np.column_stack((b.mean - a.mean, b.cov)))
     mean = a.mean + a.cov @ gain[:, 0]
     cov = symmetrize(a.cov @ gain[:, 1:])
-    log_scale = float(GaussianDensity(a.mean, sum_cov).logpdf(b.mean))
+    # The scale's covariance is checked like a density's, but no density of
+    # it is built: the log density comes straight from the factor.
+    log_scale = float(_factor_logpdf(a.mean, assert_spd(sum_cov), b.mean[None])[0])
     return ScaledGaussian(log_scale, GaussianDensity(mean, cov))
 
 
@@ -365,7 +420,7 @@ def gaussian_division(num: GaussianDensity, den: GaussianDensity) -> ScaledGauss
     cov = symmetrize(num.cov + num.cov @ np.linalg.solve(gap, num.cov))
     info_mean = np.linalg.solve(num.cov, num.mean) - np.linalg.solve(den.cov, den.mean)
     mean = cov @ info_mean
-    log_scale = -float(GaussianDensity(mean, cov + den.cov).logpdf(den.mean))
+    log_scale = -float(_factor_logpdf(mean, assert_spd(cov + den.cov), den.mean[None])[0])
     return ScaledGaussian(log_scale, GaussianDensity(mean, cov))
 
 
@@ -398,7 +453,14 @@ def moment_match(mixture: GaussianMixture) -> GaussianDensity:
 
 def _moment_match(weights: np.ndarray, means: np.ndarray,
                   covs: np.ndarray) -> GaussianDensity:
-    """Moment matching over stacked components ``means[M, d]``, ``covs[M, d, d]``.
+    """Moment matching over stacked components ``means[M, d]``, ``covs[M, d, d]``."""
+    return GaussianDensity(*_mixture_moments(weights, means, covs))
+
+
+def _mixture_moments(weights: np.ndarray, means: np.ndarray,
+                     covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the mixture of ``means[..., M, d]``,
+    ``covs[..., M, d, d]`` (of each mixture in a stack sharing ``weights``).
 
     ``weights`` must be finite and nonnegative; they are normalized here. The
     spread terms are formed by broadcasting and summed in component order, so
@@ -409,12 +471,12 @@ def _moment_match(weights: np.ndarray, means: np.ndarray,
         raise ValueError("cannot normalize a mixture with zero total weight")
     weights = weights / total
     mean = weights @ means
-    dev = means - mean
-    terms = weights[:, None, None] * (covs + dev[:, :, None] * dev[:, None, :])
-    cov = np.zeros(covs.shape[1:])
-    for term in terms:
-        cov += term
-    return GaussianDensity(mean, symmetrize(cov))
+    dev = means - mean[..., None, :]
+    terms = weights[:, None, None] * (covs + dev[..., :, None] * dev[..., None, :])
+    cov = np.zeros(covs.shape[:-3] + covs.shape[-2:])
+    for m in range(weights.size):
+        cov += terms[..., m, :, :]
+    return mean, symmetrize(cov)
 
 
 def density_to_dict(density) -> dict:

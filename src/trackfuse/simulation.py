@@ -4,9 +4,16 @@ One run simulates the truth, generates every sensor's measurement noise and
 every tracker's initial perturbation up front, and then evaluates all
 requested strategies on that shared randomness (common random numbers keep
 strategy comparisons tight). Runs are seeded from a master seed through
-``numpy`` seed-sequence spawning, so results do not depend on execution order
-and the run count can be parallelized (``TRACKFUSE_THREADS``) without
-changing the report.
+``numpy`` seed-sequence spawning, so results do not depend on execution order.
+
+The tracker kind picks the engine. A study with EKF locals steps all its runs
+together: every bank (the locals, the centralized track, each strategy's
+fusion centre) is held as arrays stacked over the runs, and the stacked
+kernels in :mod:`trackfuse._stacked` repeat the scalar filter, fusion and
+scoring arithmetic per run, so the report is byte-identical to stepping each
+run through the scalar API. A study with IMM locals runs one run at a time.
+``TRACKFUSE_THREADS`` splits the runs into contiguous blocks, one batch per
+worker process for EKF studies, without changing the report.
 
 Estimation quality is reported at fusion instants: position/velocity RMSE
 across runs and the average normalized estimation error squared (NEES) with
@@ -21,10 +28,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import chi2
 
+from . import _stacked
 from .errors import ConfigError
 from .filters import (
     ImmState,
@@ -35,7 +44,7 @@ from .filters import (
     prune_mixture,
     route_feedback,
 )
-from .fusion import fuse_many, fuse_pair
+from .fusion import fuse_pair
 from .gaussians import GaussianDensity, GaussianMixture, moment_match
 from .models import MotionModel, wrap_angle
 from .scenarios import (
@@ -175,16 +184,6 @@ def _steady_state(rmse: np.ndarray):
     return float(np.mean(finite)) if finite.size else None
 
 
-def _tracker_models(cfg: ScenarioConfig) -> dict:
-    dims = cfg.sensors[0].spatial_dims
-    if isinstance(cfg.tracker, EkfTracker):
-        return {"kind": "ekf",
-                "model": MotionModel("ncv", cfg.dt_s, cfg.tracker.q, dims)}
-    return {"kind": "imm",
-            "ncv": MotionModel("ncv", cfg.dt_s, cfg.tracker.q_ncv, dims),
-            "nca": MotionModel("nca", cfg.dt_s, cfg.tracker.q_nca, dims)}
-
-
 def _init_cov(cfg: ScenarioConfig, state_dim: int, dims: int) -> np.ndarray:
     tr = cfg.tracker
     stds = [tr.init_pos_std] * dims + [tr.init_vel_std] * dims
@@ -214,96 +213,159 @@ def _draw_measurements(cfg: ScenarioConfig, states: np.ndarray,
     return out
 
 
-def _init_locals(cfg: ScenarioConfig, models: dict, truth0: np.ndarray,
-                 perturbations: list) -> list:
-    locals_ = []
-    dims = cfg.sensors[0].spatial_dims
-    if models["kind"] == "ekf":
-        model = models["model"]
-        cov0 = _init_cov(cfg, model.state_dim, dims)
-        for pert in perturbations:
-            mean0 = truth0[: model.state_dim] + pert[: model.state_dim]
-            locals_.append(GaussianDensity(mean0, cov0))
-        return locals_
-    ncv, nca = models["ncv"], models["nca"]
-    cov_nca = _init_cov(cfg, nca.state_dim, dims)
-    cov_ncv = cov_nca[: ncv.state_dim, : ncv.state_dim]
-    for pert in perturbations:
-        full_mean = np.concatenate((truth0, np.zeros(nca.state_dim - truth0.size)))
-        full_mean = full_mean + pert
-        dens = (GaussianDensity(full_mean[: ncv.state_dim], cov_ncv),
-                GaussianDensity(full_mean, cov_nca))
-        locals_.append(ImmState(dens, np.full(2, 0.5), (ncv, nca),
-                                cfg.tracker.transition, cfg.tracker.pad_var))
-    return locals_
-
-
-def _init_central(cfg: ScenarioConfig, models: dict, name: str,
-                  truth0: np.ndarray, pert: np.ndarray) -> tuple:
-    dims = cfg.sensors[0].spatial_dims
-    if models["kind"] == "ekf":
-        model = models["model"]
-    elif name == "centralized_ca":
-        model = models["nca"]
-    else:
-        model = models["ncv"]
-    cov0 = _init_cov(cfg, model.state_dim, dims)
-    mean0 = np.concatenate((truth0, np.zeros(max(0, model.state_dim - truth0.size))))
-    mean0 = mean0[: model.state_dim] + pert[: model.state_dim]
-    return GaussianDensity(mean0, cov0), model
-
-
-def _local_step(cfg, models, local, sensor, z):
-    if models["kind"] == "ekf":
-        return ekf_update(ekf_predict(local, models["model"]), sensor, z)
-    return imm_step(local, sensor, z)
-
-
-def _local_output(models, local):
-    return local if models["kind"] == "ekf" else imm_output(local)
-
-
-def _fuse(cfg: ScenarioConfig, strategy: str, outputs: list):
-    if all(isinstance(o, GaussianDensity) for o in outputs):
-        return fuse_many(outputs, strategy)
-    if len(outputs) != 2:
-        raise ConfigError("mixture fusion supports exactly two sensors")
-    return fuse_pair(outputs[0], outputs[1], strategy, cfg.omega)
-
-
-def _run_single(cfg: ScenarioConfig, run_idx: int) -> dict:
+def _draws(cfg: ScenarioConfig, run_idx: int, state_dim: int) -> tuple:
+    """One run's random material, drawn from its own seed sequence in the
+    documented order: truth, per-sensor initial perturbations, the central
+    perturbation, then measurement noise step by step."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(run_idx,)))
-    models = _tracker_models(cfg)
     dims = cfg.sensors[0].spatial_dims
     states = _truth_states(cfg, rng)
-    truth0 = states[0]
-
-    state_dim = (models["model"].state_dim if models["kind"] == "ekf"
-                 else models["nca"].state_dim)
-    init_cov = _init_cov(cfg, state_dim, dims)
-    init_chol = np.linalg.cholesky(init_cov)
+    init_chol = np.linalg.cholesky(_init_cov(cfg, state_dim, dims))
     perturbations = [init_chol @ rng.standard_normal(state_dim)
                      for _ in cfg.sensors]
     central_pert = init_chol @ rng.standard_normal(state_dim)
     meas = _draw_measurements(cfg, states, rng)
+    return states, perturbations, central_pert, meas
 
-    fusion_steps = [k for k in range(1, cfg.n_steps + 1) if k % cfg.fusion_every == 0]
-    n_fuse = len(fusion_steps)
-    if cfg.nees_marginal == "posvel":
-        nees_idx = np.arange(2 * dims)
-    else:
-        nees_idx = None
 
-    distributed = [s for s in cfg.strategies if s not in _CENTRAL]
+def _central_mean(truth0: np.ndarray, pert: np.ndarray, state_dim: int) -> np.ndarray:
+    """Initial centralized mean: the truth, zero-padded to the state, plus ``pert``."""
+    pad = np.zeros(truth0.shape[:-1] + (max(0, state_dim - truth0.shape[-1]),))
+    return np.concatenate((truth0, pad), axis=-1)[..., :state_dim] + pert[..., :state_dim]
+
+
+def _sq_errors(mean: np.ndarray, truth: np.ndarray, dims: int) -> tuple:
+    """Squared position and velocity errors (per run for stacked inputs)."""
+    pos = np.sum((mean[..., :dims] - truth[..., :dims]) ** 2, axis=-1)
+    vel = np.sum((mean[..., dims:2 * dims] - truth[..., dims:2 * dims]) ** 2, axis=-1)
+    return pos, vel
+
+
+def _run_result(pos_sq, vel_sq, nees, fuse_seconds: float, fuse_calls: int) -> dict:
+    return {
+        "pos_sq": pos_sq,
+        "vel_sq": vel_sq,
+        "nees": nees,
+        "final_pos_err": float(np.sqrt(pos_sq[-1])) if pos_sq.size else np.inf,
+        "fuse_seconds": fuse_seconds,
+        "fuse_calls": fuse_calls,
+    }
+
+
+def _run_ekf_batch(cfg: ScenarioConfig, runs: Sequence[int]) -> list:
+    """All ``runs`` of an EKF study, stepped together as stacked arrays.
+
+    Each bank (the locals, the centralized track, each strategy's fusion
+    centre) is one :class:`~trackfuse._stacked.GaussianStack` over the runs.
+    The fusion centre keeps its own fused track between fusion instants and
+    folds the predicted track in as one more operand: the previous fused
+    estimate carries the locals' history, so re-fusing the current locals
+    double-counts unless the rule accounts for it, which is what separates
+    the conservative rules from the naive product. The NCV state is exactly
+    position and velocity, so both NEES variants score the whole state (the
+    "posvel" marginal is the track itself, whose check already passed).
+
+    Runs and strategies advance step by step together, so only the current
+    banks are held. Each strategy's arithmetic is that of a run on its own;
+    if several runs or strategies would fail, the first failure in step
+    order is raised.
+    """
+    n_runs = len(runs)
+    if not n_runs:
+        return []
+    dims = cfg.sensors[0].spatial_dims
+    model = MotionModel("ncv", cfg.dt_s, cfg.tracker.q, dims)
+    dim = model.state_dim
+    states, perts, central_pert, meas = zip(*(_draws(cfg, r, dim) for r in runs))
+    states = np.stack(states)
+    truth0 = states[:, 0]
+    perts = np.stack(perts)
+    central_pert = np.stack(central_pert)
+    # One [R, n_steps, meas_dim] array per sensor.
+    meas = [np.stack([[row[s] for row in run_meas] for run_meas in meas])
+            for s in range(len(cfg.sensors))]
+    cov0 = np.broadcast_to(_init_cov(cfg, dim, dims), (n_runs, dim, dim))
+    n_fuse = cfg.n_steps // cfg.fusion_every
+
+    strategies = list(dict.fromkeys(cfg.strategies))
+    # The centralized tracks, and each fusion centre's last fused track.
+    tracks = {name: (_stacked.density(_central_mean(truth0, central_pert, dim), cov0)
+                     if name in _CENTRAL else None) for name in strategies}
+    # The locals do not depend on the strategy (EKF studies have no
+    # feedback), so one bank serves every distributed strategy.
+    bank = ([_stacked.density(truth0[:, :dim] + perts[:, s, :dim], cov0)
+             for s in range(len(cfg.sensors))]
+            if any(name not in _CENTRAL for name in strategies) else [])
+    scores = {name: np.full((3, n_runs, n_fuse), np.nan) for name in strategies}
+    fuse_seconds = dict.fromkeys(strategies, 0.0)
+    for k in range(1, cfg.n_steps + 1):
+        bank = [_stacked.update(_stacked.predict(loc, model), sensor, z[:, k - 1])
+                for loc, sensor, z in zip(bank, cfg.sensors, meas)]
+        for name in strategies:
+            if name in _CENTRAL:
+                track = _stacked.predict(tracks[name], model)
+                for sensor, z in zip(cfg.sensors, meas):
+                    track = _stacked.update(track, sensor, z[:, k - 1])
+                tracks[name] = track
+        if k % cfg.fusion_every:
+            continue
+        slot = k // cfg.fusion_every - 1
+        for name in strategies:
+            track = tracks[name]
+            if name not in _CENTRAL:
+                operands = bank
+                if track is not None:
+                    for _ in range(cfg.fusion_every):
+                        track = _stacked.predict(track, model)
+                    operands = [track] + bank
+                tic = time.perf_counter()
+                track = tracks[name] = _stacked.fuse(operands, name)
+                fuse_seconds[name] += time.perf_counter() - tic
+            pos_sq, vel_sq = _sq_errors(track.mean, states[:, k], dims)
+            scores[name][:, :, slot] = pos_sq, vel_sq, _stacked.nees(track, states[:, k, :dim])
+
+    return [{name: _run_result(*scores[name][:, r], fuse_seconds[name] / n_runs,
+                               0 if name in _CENTRAL else n_fuse)
+             for name in cfg.strategies}
+            for r in range(n_runs)]
+
+
+def _run_single(cfg: ScenarioConfig, run_idx: int) -> dict:
+    """One run of an IMM study."""
+    dims = cfg.sensors[0].spatial_dims
+    ncv = MotionModel("ncv", cfg.dt_s, cfg.tracker.q_ncv, dims)
+    nca = MotionModel("nca", cfg.dt_s, cfg.tracker.q_nca, dims)
+    states, perturbations, central_pert, meas = _draws(cfg, run_idx, nca.state_dim)
+    truth0 = states[0]
+    cov_nca = _init_cov(cfg, nca.state_dim, dims)
+    cov_ncv = cov_nca[: ncv.state_dim, : ncv.state_dim]
+
+    def init_locals():
+        locals_ = []
+        for pert in perturbations:
+            full_mean = np.concatenate((truth0, np.zeros(nca.state_dim - truth0.size)))
+            full_mean = full_mean + pert
+            dens = (GaussianDensity(full_mean[: ncv.state_dim], cov_ncv),
+                    GaussianDensity(full_mean, cov_nca))
+            locals_.append(ImmState(dens, np.full(2, 0.5), (ncv, nca),
+                                    cfg.tracker.transition, cfg.tracker.pad_var))
+        return locals_
+
+    def step_locals(locals_, k):
+        return [imm_step(loc, sensor, z)
+                for loc, sensor, z in zip(locals_, cfg.sensors, meas[k - 1])]
+
+    n_fuse = cfg.n_steps // cfg.fusion_every
+    nees_idx = np.arange(2 * dims)
+
     # Without feedback the local banks do not depend on the strategy, so the
     # filtering pass is shared across strategies.
     locals_by_step = None
-    if distributed and not cfg.feedback:
+    if any(s not in _CENTRAL for s in cfg.strategies) and not cfg.feedback:
         locals_by_step = []
-        current = _init_locals(cfg, models, truth0, perturbations)
+        current = init_locals()
         for k in range(1, cfg.n_steps + 1):
-            current = [_local_step(cfg, models, loc, sensor, z)
-                       for loc, sensor, z in zip(current, cfg.sensors, meas[k - 1])]
+            current = step_locals(current, k)
             locals_by_step.append(current)
 
     results = {}
@@ -313,80 +375,58 @@ def _run_single(cfg: ScenarioConfig, run_idx: int) -> dict:
         nees = np.full(n_fuse, np.nan)
         fuse_seconds = 0.0
         fuse_calls = 0
+        central = strategy in _CENTRAL
+        if central:
+            model = nca if strategy == "centralized_ca" else ncv
+            track = GaussianDensity(_central_mean(truth0, central_pert, model.state_dim),
+                                    _init_cov(cfg, model.state_dim, dims))
+        elif locals_by_step is None:
+            locals_ = init_locals()
         slot = 0
-
-        if strategy in _CENTRAL:
-            track, model = _init_central(cfg, models, strategy, truth0, central_pert)
-            for k in range(1, cfg.n_steps + 1):
+        for k in range(1, cfg.n_steps + 1):
+            if central:
                 track = ekf_predict(track, model)
                 for sensor, z in zip(cfg.sensors, meas[k - 1]):
                     track = ekf_update(track, sensor, z)
-                if k % cfg.fusion_every == 0:
-                    pos_sq[slot] = float(np.sum((track.mean[:dims] - states[k][:dims]) ** 2))
-                    vel_sq[slot] = float(np.sum(
-                        (track.mean[dims:2 * dims] - states[k][dims:2 * dims]) ** 2))
-                    nees[slot] = compute_nees(track, states[k], nees_idx)
-                    slot += 1
-        else:
-            locals_ = None if locals_by_step is not None else \
-                _init_locals(cfg, models, truth0, perturbations)
-            # With single-model locals and no feedback, the fusion center keeps
-            # its own fused track between fusion instants and folds the
-            # predicted track in as one more operand. The previous fused
-            # estimate carries the locals' history, so re-fusing the current
-            # locals double-counts unless the rule accounts for it: this is
-            # what separates the conservative rules from the naive product.
-            # With feedback the fused information returns through the locals
-            # instead, so the center stays memoryless there.
-            center = None
-            center_model = models["model"] if models["kind"] == "ekf" else None
-            for k in range(1, cfg.n_steps + 1):
-                if locals_by_step is not None:
-                    locals_ = locals_by_step[k - 1]
-                else:
-                    locals_ = [_local_step(cfg, models, loc, sensor, z)
-                               for loc, sensor, z in zip(locals_, cfg.sensors,
-                                                         meas[k - 1])]
-                if k % cfg.fusion_every == 0:
-                    outputs = [_local_output(models, loc) for loc in locals_]
-                    if center is not None:
-                        for _ in range(cfg.fusion_every):
-                            center = ekf_predict(center, center_model)
-                        outputs = [center] + outputs
-                    tic = time.perf_counter()
-                    fused = _fuse(cfg, strategy, outputs)
-                    fuse_seconds += time.perf_counter() - tic
-                    fuse_calls += 1
-                    if isinstance(fused, GaussianMixture) and models["kind"] == "imm":
-                        if cfg.feedback:
-                            locals_ = [route_feedback(loc, fused, idx)
-                                       for idx, loc in enumerate(locals_)]
-                        elif fused.n_components > cfg.prune_to:
-                            fused = prune_mixture(fused, cfg.prune_to)
-                    est = (moment_match(fused)
-                           if isinstance(fused, GaussianMixture) else fused)
-                    if center_model is not None and not cfg.feedback:
-                        center = est
-                    pos_sq[slot] = float(np.sum((est.mean[:dims] - states[k][:dims]) ** 2))
-                    vel_sq[slot] = float(np.sum(
-                        (est.mean[dims:2 * dims] - states[k][dims:2 * dims]) ** 2))
-                    nees[slot] = compute_nees(est, states[k], nees_idx)
-                    slot += 1
+            elif locals_by_step is not None:
+                locals_ = locals_by_step[k - 1]
+            else:
+                locals_ = step_locals(locals_, k)
+            if k % cfg.fusion_every:
+                continue
+            if not central:
+                if len(locals_) != 2:
+                    raise ConfigError("mixture fusion supports exactly two sensors")
+                outputs = [imm_output(loc) for loc in locals_]
+                tic = time.perf_counter()
+                fused = fuse_pair(outputs[0], outputs[1], strategy, cfg.omega)
+                fuse_seconds += time.perf_counter() - tic
+                fuse_calls += 1
+                if cfg.feedback:
+                    locals_ = [route_feedback(loc, fused, idx)
+                               for idx, loc in enumerate(locals_)]
+                elif fused.n_components > cfg.prune_to:
+                    fused = prune_mixture(fused, cfg.prune_to)
+                track = moment_match(fused)
+            pos_sq[slot], vel_sq[slot] = _sq_errors(track.mean, states[k], dims)
+            nees[slot] = compute_nees(track, states[k], nees_idx)
+            slot += 1
 
-        results[strategy] = {
-            "pos_sq": pos_sq,
-            "vel_sq": vel_sq,
-            "nees": nees,
-            "final_pos_err": float(np.sqrt(pos_sq[-1])) if n_fuse else np.inf,
-            "fuse_seconds": fuse_seconds,
-            "fuse_calls": fuse_calls,
-        }
+        results[strategy] = _run_result(pos_sq, vel_sq, nees, fuse_seconds, fuse_calls)
     return results
 
 
+def _run_block(cfg: ScenarioConfig, runs: Sequence[int]) -> list:
+    """Per-run results of ``runs``: EKF studies step them as one batch, IMM
+    studies run them one at a time."""
+    if isinstance(cfg.tracker, EkfTracker):
+        return _run_ekf_batch(cfg, runs)
+    return [_run_single(cfg, r) for r in runs]
+
+
 def _worker(args):
-    cfg, run_idx = args
-    return _run_single(cfg, run_idx)
+    cfg, runs = args
+    return _run_block(cfg, runs)
 
 
 def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
@@ -414,12 +454,21 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     workers = int(os.environ.get("TRACKFUSE_THREADS", "1") or "1")
     workers = max(1, min(workers, cfg.runs))
     if workers > 1:
+        # An EKF worker batches one contiguous block of runs; IMM runs are
+        # handed out in smaller blocks for load balance.
+        size = (-(-cfg.runs // workers) if isinstance(cfg.tracker, EkfTracker)
+                else max(1, cfg.runs // (4 * workers)))
+        blocks = [range(a, min(a + size, cfg.runs)) for a in range(0, cfg.runs, size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_run = list(pool.map(_worker, [(cfg, r) for r in range(cfg.runs)],
-                                    chunksize=max(1, cfg.runs // (4 * workers))))
+            per_run = [res for block in pool.map(_worker, [(cfg, b) for b in blocks])
+                       for res in block]
     else:
-        per_run = [_run_single(cfg, r) for r in range(cfg.runs)]
+        per_run = _run_block(cfg, range(cfg.runs))
+    return _report(cfg, per_run)
 
+
+def _report(cfg: ScenarioConfig, per_run: list) -> MetricsReport:
+    """Aggregate per-run results (in run order) into the study's report."""
     fusion_steps = np.array([k for k in range(1, cfg.n_steps + 1)
                              if k % cfg.fusion_every == 0])
     times = fusion_steps * cfg.dt_s

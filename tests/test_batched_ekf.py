@@ -1,0 +1,206 @@
+"""The batched EKF engine against the scalar path, byte for byte.
+
+``run_scenario`` steps every run of an EKF study together on stacked arrays.
+``oracles.ref_ekf_study`` runs the same study one run at a time through the
+public scalar API, as the simulation did before. The CSV text and the
+timing-free summary must be equal as strings. This holds on any platform,
+not only the one the golden digests were recorded on: per run, the stacked
+kernels call the same BLAS/LAPACK routines on the same operand layouts as
+the scalar code.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from trackfuse import (
+    EkfTracker,
+    GaussianDensity,
+    GaussianMixture,
+    NcvTruth,
+    ScenarioConfig,
+    SingularInnovation,
+    bearing_sensor,
+    ekf_update,
+    fuse_many,
+    load_preset,
+    moment_match,
+    run_scenario,
+)
+from trackfuse import _stacked, gaussians
+
+from oracles import LinearSensor, random_gaussian, ref_ekf_run, ref_ekf_study
+
+STRATEGIES = ("centralized", "naive", "gmd", "amd", "hmd")
+
+
+def _summary(report) -> str:
+    return json.dumps(report.summary_dict(include_timing=False), sort_keys=True)
+
+
+def _assert_same_report(cfg):
+    batched = run_scenario(cfg)
+    ref = ref_ekf_study(cfg)
+    assert batched.csv_text() == ref.csv_text()
+    assert _summary(batched) == _summary(ref)
+    return batched
+
+
+def _radar(**overrides):
+    """scenario1 (three radars, every strategy), shortened to 20 steps."""
+    return load_preset("scenario1", **dict({"duration_s": 40.0}, **overrides))
+
+
+@pytest.mark.parametrize("runs", [1, 3, 10])
+@pytest.mark.parametrize("seed", [1, 7, 11])
+def test_radar_study_matches_the_scalar_path(seed, runs):
+    _assert_same_report(_radar(seed=seed, runs=runs))
+
+
+@pytest.mark.parametrize("strategies", [(s,) for s in STRATEGIES] + [STRATEGIES])
+@pytest.mark.parametrize("fusion_every", [1, 2, 3])
+def test_each_strategy_and_fusion_interval_matches(fusion_every, strategies):
+    _assert_same_report(_radar(seed=7, runs=3, fusion_every=fusion_every,
+                               strategies=strategies))
+
+
+def test_full_length_benchmark_study_matches():
+    report = _assert_same_report(load_preset("scenario1", runs=10))
+    assert report.steps.size == 30
+
+
+def _bearing_toy(**overrides):
+    """The two-bearing planar toy study of ``test_simulation.py``."""
+    base = dict(
+        name="toy",
+        duration_s=12.0,
+        dt_s=1.0,
+        truth=NcvTruth(q=[0.1, 0.1], initial_position=[1500.0, 2500.0],
+                       initial_velocity=[10.0, 5.0]),
+        sensors=(bearing_sensor([0.0, 0.0], 2e-3),
+                 bearing_sensor([4000.0, 500.0], 2e-3)),
+        tracker=EkfTracker(q=[0.5, 0.5]),
+        strategies=STRATEGIES,
+        runs=4,
+        seed=42,
+        fusion_every=3,
+    )
+    base.update(overrides)
+    return ScenarioConfig(**base)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"fusion_every": 1, "seed": 3},
+    {"nees_marginal": "posvel", "nees_sided": 1},
+    {"track_loss_m": 5.0, "runs": 6},
+    {"sensors": (bearing_sensor([0.0, 0.0], 2e-3),), "fusion_every": 2},
+    {"duration_s": 3.0},
+])
+def test_bearing_toy_study_matches(overrides):
+    _assert_same_report(_bearing_toy(**overrides))
+
+
+def test_partial_track_loss_is_counted_like_the_scalar_path():
+    report = _assert_same_report(_bearing_toy(track_loss_m=5.0, runs=6))
+    lost = [report.summary_dict()["excluded_runs"][s] for s in STRATEGIES]
+    assert any(0 < n < 6 for n in lost)
+
+
+def test_worker_blocks_give_the_serial_report(monkeypatch):
+    cfg = _radar(seed=11, runs=5)
+    monkeypatch.setenv("TRACKFUSE_THREADS", "2")
+    parallel = _assert_same_report(cfg)
+    monkeypatch.delenv("TRACKFUSE_THREADS")
+    serial = run_scenario(cfg)
+    assert parallel.csv_text() == serial.csv_text()
+    assert _summary(parallel) == _summary(serial)
+
+
+def test_timing_is_batched_fusion_seconds_per_run_and_call():
+    report = run_scenario(_radar(runs=3))
+    assert report.summary_dict()["timing"]["centralized"] is None
+    for name in STRATEGIES[1:]:
+        assert 0.0 < report.timing[name] < 1.0
+
+
+@pytest.mark.parametrize("cfg", [_radar(runs=2, strategies=("pcf",)),
+                                 _bearing_toy(strategies=("naive", "ci"))])
+def test_rules_fuse_many_lacks_raise_value_error_like_the_scalar_path(cfg):
+    with pytest.raises(ValueError, match="unknown fusion strategy"):
+        ref_ekf_study(cfg)
+    with pytest.raises(ValueError, match="unknown fusion strategy"):
+        run_scenario(cfg)
+
+
+def test_single_operand_fusion_passes_any_name_through_like_the_scalar_path():
+    # With one sensor, the first fusion has one operand, which fuse_many
+    # returns as is whatever the rule; with one fusion step there is no other.
+    cfg = _bearing_toy(sensors=(bearing_sensor([0.0, 0.0], 2e-3),),
+                       strategies=("pcf",), duration_s=3.0)
+    report = _assert_same_report(cfg)
+    assert np.isfinite(report.metrics["pcf"].rmse_pos).all()
+
+
+def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch):
+    """The engine passes, per run, exactly the matrices the scalar path
+    passes to ``assert_spd`` (densities, precision sums, the product scale
+    term naive discards), each as often. The engine advances strategies
+    together, so the order differs."""
+    cfg = _radar(runs=3, duration_s=12.0)
+    check = gaussians.assert_spd
+    scalar = []
+
+    def record_scalar(cov):
+        scalar[-1].append(np.array(cov))
+        return check(cov)
+
+    monkeypatch.setattr(gaussians, "assert_spd", record_scalar)
+    for r in range(cfg.runs):
+        scalar.append([])
+        ref_ekf_run(cfg, r)
+    monkeypatch.undo()
+    stacked = []
+
+    def record_stack(cov):
+        stacked.append(np.array(cov))
+        return check(cov)
+
+    monkeypatch.setattr(_stacked, "assert_spd", record_stack)
+    run_scenario(cfg)
+    assert len(stacked) > 0
+    for r, checked in enumerate(scalar):
+        assert (sorted((m.shape, m.tobytes()) for m in checked)
+                == sorted((m[r].shape, m[r].tobytes()) for m in stacked))
+
+
+def _stack(densities):
+    return _stacked.density(np.stack([d.mean for d in densities]),
+                            np.stack([d.cov for d in densities]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5),
+       st.sampled_from(["naive", "gmd", "amd", "hmd"]), st.integers(0, 2**32 - 1))
+def test_stacked_fusion_equals_fuse_many_per_run(dim, runs, n_operands, strategy, seed):
+    rng = np.random.default_rng(seed)
+    operands = [[random_gaussian(rng, dim) for _ in range(runs)] for _ in range(n_operands)]
+    fused = _stacked.fuse([_stack(op) for op in operands], strategy)
+    for r in range(runs):
+        ref = fuse_many([op[r] for op in operands], strategy)
+        if isinstance(ref, GaussianMixture):
+            ref = moment_match(ref)
+        for got, want in ((fused.mean[r], ref.mean), (fused.cov[r], ref.cov),
+                          (fused.chol[r], ref.chol)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_singular_innovation_is_raised_like_the_scalar_update():
+    blind = LinearSensor(np.zeros((1, 1)), np.zeros((1, 1)))
+    track = GaussianDensity(np.zeros(2), np.eye(2))
+    with pytest.raises(SingularInnovation):
+        ekf_update(track, blind, np.zeros(1))
+    with pytest.raises(SingularInnovation):
+        _stacked.update(_stack([track, track]), blind, np.zeros((2, 1)))

@@ -16,10 +16,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trackfuse import GaussianDensity, NotPositiveDefinite, NotSymmetric, scaled_power
+from trackfuse import (
+    GaussianDensity,
+    NotPositiveDefinite,
+    NotSymmetric,
+    gaussian_division,
+    gaussian_product,
+    scaled_power,
+)
 from trackfuse.gaussians import assert_spd, spd_inv, symmetrize
 
 from oracles import (
+    random_gaussian,
     ref_assert_spd,
     ref_logpdf,
     ref_scaled_power_log_scale,
@@ -158,3 +166,18 @@ def test_copies_and_unpickled_densities_stay_read_only(rng):
                 stored[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             clone.mean[0] = 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_scale_terms_equal_the_log_density_of_a_fresh_density(dim, seed):
+    """Product and division scales are computed from the factor of the
+    checked covariance, without building a density of it, and keep the bits
+    of the log density such a density would return."""
+    rng = np.random.default_rng(seed)
+    a, b = random_gaussian(rng, dim), random_gaussian(rng, dim)
+    prod = gaussian_product(a, b)
+    assert prod.log_scale == float(ref_logpdf(a.mean, a.cov + b.cov, b.mean[None])[0])
+    div = gaussian_division(prod.density, a)
+    quot = div.density
+    assert div.log_scale == -float(ref_logpdf(quot.mean, quot.cov + a.cov, a.mean[None])[0])

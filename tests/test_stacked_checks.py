@@ -1,0 +1,144 @@
+"""Property tests: ``assert_spd`` on a stack of covariance matrices.
+
+The batched EKF engine checks each bank's covariances as one ``[R, d, d]``
+stack where the scalar path built one ``GaussianDensity`` per run. So the
+stacked check must give each member the 2-D verdict:
+
+- a stack whose members are all valid returns, bit for bit, the factor the
+  2-D check computes for each member (``np.linalg.cholesky`` of the member,
+  or of its symmetric part when it is asymmetric within tolerance);
+- a stack with bad members (non-finite, asymmetric beyond ``1e-9``,
+  indefinite, under the pivot floor, or too large to symmetrize) raises the
+  exception class ``GaussianDensity`` raises for the first bad one.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from trackfuse import GaussianDensity, NotPositiveDefinite, NotSymmetric, assert_spd
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - any exception type must agree
+        return type(exc)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+HALF_MAX = np.finfo(float).max / 2.0
+
+KINDS = ("valid", "near_symmetric", "nan", "inf", "asymmetric", "indefinite",
+         "pivot_floor", "huge")
+
+
+def _member(draw, dim: int, kind: str) -> np.ndarray:
+    root = draw(arrays(np.float64, (dim, dim),
+                       elements=st.floats(-10.0, 10.0, allow_nan=False)))
+    mat = root @ root.T + draw(st.floats(1e-3, 10.0)) * np.eye(dim)
+    mat = 0.5 * (mat + mat.T)
+    i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    if kind == "near_symmetric" and i != j:
+        mat[i, j] += 1e-12 * abs(mat).max()
+    elif kind in ("nan", "inf"):
+        mat[i, j] = mat[j, i] = math.nan if kind == "nan" else draw(
+            st.sampled_from([math.inf, -math.inf]))
+    elif kind == "asymmetric" and i != j:
+        mat[i, j] += draw(st.floats(2e-9, 1.0)) * max(1.0, abs(mat).max())
+    elif kind == "indefinite":
+        mat[i, i] = -draw(st.floats(0.0, 10.0)) - abs(mat).max()
+    elif kind == "pivot_floor":
+        # One eigenvalue straddling 1e-12 of the others, in a rotated basis.
+        eig = np.full(dim, draw(st.floats(0.5, 10.0)))
+        eig[i] *= draw(st.floats(0.25, 4.0)) * 1e-12
+        basis, _ = np.linalg.qr(root + 25.0 * np.eye(dim))
+        mat = (basis * eig) @ basis.T
+    elif kind == "huge":
+        # Entries so large that ``cov + cov.T`` overflows.
+        mat = mat / abs(mat).max() * (draw(st.floats(0.6, 1.0)) * 1.79e308)
+    return mat
+
+
+@st.composite
+def stacks(draw, kinds=KINDS):
+    dim = draw(st.integers(1, 6))
+    runs = draw(st.integers(1, 8))
+    members = [_member(draw, dim, draw(st.sampled_from(kinds))) for _ in range(runs)]
+    stack = np.stack(members)
+    if runs % 2 == 0 and draw(st.booleans()):
+        stack = stack.reshape((2, runs // 2, dim, dim))
+    return stack
+
+
+def _check_like_the_2d_path(stack):
+    members = stack.reshape((-1,) + stack.shape[-2:])
+    with np.errstate(all="ignore"):
+        refs = [_outcome(GaussianDensity, np.zeros(stack.shape[-1]), m) for m in members]
+        new = _outcome(assert_spd, stack)
+    failed = [r for r in refs if isinstance(r, type)]
+    if failed:
+        assert new is failed[0]
+        return
+    assert _same_bits(new, np.stack([r.chol for r in refs]).reshape(stack.shape))
+    for member, ref in zip(members, refs):
+        # The 2-D check factors an exactly symmetric member as it is, unless
+        # ``cov + cov.T`` would overflow.
+        if (member == member.T).all() and abs(member).max() <= HALF_MAX:
+            assert _same_bits(ref.chol, np.linalg.cholesky(member))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks())
+def test_stacked_check_gives_every_member_the_2d_verdict(stack):
+    _check_like_the_2d_path(stack)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacks(kinds=("valid", "near_symmetric")))
+def test_valid_stacks_return_each_members_factor(stack):
+    factors = assert_spd(stack)
+    members = stack.reshape((-1,) + stack.shape[-2:])
+    expected = [np.linalg.cholesky(m if (m == m.T).all() else 0.5 * (m + m.T))
+                for m in members]
+    assert _same_bits(factors, np.stack(expected).reshape(stack.shape))
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.array([[math.nan, 0.0], [0.0, 1.0]]), NotPositiveDefinite),
+    (np.array([[1.0, math.inf], [math.inf, 1.0]]), NotPositiveDefinite),
+    (np.array([[1.0, 1e-6], [0.0, 1.0]]), NotSymmetric),
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), NotPositiveDefinite),
+    (np.diag([1.0, 1e-13]), NotPositiveDefinite),
+])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_one_bad_member_raises_its_own_error(bad, error, position):
+    stack = np.stack([np.eye(2) * (1.0 + r) for r in range(5)])
+    stack[position] = bad
+    with pytest.raises(error):
+        GaussianDensity(np.zeros(2), bad)
+    with pytest.raises(error):
+        assert_spd(stack)
+
+
+def test_the_first_bad_member_decides_the_error():
+    stack = np.stack([np.eye(2), np.array([[1.0, 1e-6], [0.0, 1.0]]),
+                      np.array([[math.nan, 0.0], [0.0, 1.0]])])
+    with pytest.raises(NotSymmetric):
+        assert_spd(stack)
+    with pytest.raises(NotPositiveDefinite):
+        assert_spd(stack[::-1])
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2, 3), (0,)])
+def test_non_square_shapes_are_rejected(shape):
+    with pytest.raises(NotPositiveDefinite, match="square"):
+        assert_spd(np.ones(shape))
