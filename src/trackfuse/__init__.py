@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigError,
-    GateMatrixInvalid,
     MeasurementSingular,
     ModeLikelihoodDegenerate,
     NonPositiveDefiniteResult,
@@ -33,19 +32,16 @@ from .gaussians import (
     moment_match,
     scaled_power,
     spd_inv,
-    spd_sqrt,
     symmetrize,
 )
 from .fusion import (
     FusionResult,
-    association_gate,
     fuse_amd,
     fuse_gmd,
     fuse_hmd,
     fuse_hmd_mixture,
     fuse_hmd_recursive,
     fuse_many,
-    fuse_ml_correlated,
     fuse_naive,
     fuse_pair,
     fuse_pcf,
@@ -99,18 +95,17 @@ __all__ = [
     "__version__",
     # errors
     "TrackfuseError", "NotSymmetric", "NotPositiveDefinite",
-    "NonPositiveDefiniteResult", "GateMatrixInvalid", "MeasurementSingular",
-    "SingularInnovation",
+    "NonPositiveDefiniteResult", "MeasurementSingular", "SingularInnovation",
     "ModeLikelihoodDegenerate", "QuadratureError", "ConfigError",
     # gaussians
     "GaussianDensity", "GaussianMixture", "ScaledGaussian", "assert_spd",
-    "symmetrize", "spd_inv", "spd_sqrt", "gaussian_product",
+    "symmetrize", "spd_inv", "gaussian_product",
     "gaussian_division", "scaled_power", "moment_match", "density_to_dict",
     "density_from_dict",
     # fusion
     "FusionResult", "fuse_naive", "fuse_gmd", "fuse_amd", "fuse_pcf",
-    "fuse_hmd", "fuse_hmd_mixture", "fuse_hmd_recursive", "fuse_ml_correlated",
-    "hmd_norm_const", "association_gate", "fuse_pair", "fuse_many",
+    "fuse_hmd", "fuse_hmd_mixture", "fuse_hmd_recursive", "hmd_norm_const",
+    "fuse_pair", "fuse_many",
     # models and filters
     "MotionModel", "MeasurementModel", "ncv_matrices", "nca_matrices",
     "range_az_el_sensor", "bearing_sensor", "wrap_angle", "ekf_predict",

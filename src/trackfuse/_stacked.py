@@ -123,13 +123,13 @@ def _moment_match(weights: np.ndarray, tracks: Sequence[GaussianStack]) -> Gauss
                                       np.stack([t.cov for t in tracks], axis=-3)))
 
 
-def _hmd_pair(a: GaussianStack, b: GaussianStack, w: float) -> GaussianStack:
-    """``fusion.fuse_hmd(a, b, w).density`` of every run."""
-    if w == 1.0:
+def _hmd_pair(a: GaussianStack, b: GaussianStack, v: float) -> GaussianStack:
+    """``fusion._hmd_pair(a, b, v).density`` of every run."""
+    if v == 1.0:
         return b
-    if w == 0.0:
+    if v == 0.0:
         return a
-    eq = _moment_match(np.array([w, 1.0 - w]), (a, b))
+    eq = _moment_match(np.array([v, 1.0 - v]), (a, b))
     lam_a, lam_b, lam_eq = a.precision, b.precision, eq.precision
     prec = symmetrize(lam_a + lam_b - lam_eq)
     try:

@@ -234,7 +234,6 @@ def build_scenario(sections: dict) -> ScenarioConfig:
         prune_to=int(fusion_sec.get("prune_to", 2)),
         track_loss_m=float(scen.get("track_loss_m", 500.0)),
         nees_sided=int(scen.get("nees_sided", 2)),
-        nees_marginal=str(scen.get("nees_marginal", "full")),
     )
     for sec in (scen, fusion_sec, mc_sec):
         sec.finish()

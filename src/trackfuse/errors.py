@@ -5,7 +5,6 @@ __all__ = [
     "NotSymmetric",
     "NotPositiveDefinite",
     "NonPositiveDefiniteResult",
-    "GateMatrixInvalid",
     "MeasurementSingular",
     "SingularInnovation",
     "ModeLikelihoodDegenerate",
@@ -32,10 +31,6 @@ class NonPositiveDefiniteResult(TrackfuseError):
     Raised by Gaussian division when the numerator's precision does not
     strictly exceed the denominator's.
     """
-
-
-class GateMatrixInvalid(TrackfuseError):
-    """Association gate matrix is not positive definite."""
 
 
 class MeasurementSingular(TrackfuseError):

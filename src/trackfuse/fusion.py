@@ -1,9 +1,6 @@
 """Track-to-track fusion rules for Gaussian and Gaussian-mixture estimates.
 
-Implemented strategies, all sharing the convention that the weight ``w``
-multiplies the first operand in the underlying pool (so ``w = 1`` recovers the
-operand that ``w`` points away from under division-style rules, see each
-function):
+Implemented strategies:
 
 - naive: product of densities, correct only for independent estimates;
 - gmd: geometric mean density, the covariance-intersection rule;
@@ -12,6 +9,12 @@ function):
   (a separated-component approximation of gmd for mixtures);
 - hmd: harmonic mean density, approximated by dividing the naive product by
   a moment-matched Gaussian of the weighted input mixture.
+
+Every weighted rule gives the weight ``w`` (the CLI's ``omega``) to its first
+operand: ``w = 1`` returns the first operand and ``w = 0`` the second. For hmd
+that is the weight in the harmonic pool ``1 / (w / p_a + (1-w) / p_b)``, so in
+the moment-matched denominator ``(1-w) p_a + w p_b`` the first operand carries
+``1 - w``.
 
 The harmonic rule's division step is always well posed for a pair of
 Gaussians: the moment-matched mixture covariance dominates the product
@@ -24,14 +27,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
-from .errors import (
-    GateMatrixInvalid,
-    NonPositiveDefiniteResult,
-    NotPositiveDefinite,
-    NotSymmetric,
-)
+from .errors import NonPositiveDefiniteResult, NotPositiveDefinite, NotSymmetric
 from .gaussians import (
     GaussianDensity,
     GaussianMixture,
@@ -40,7 +37,6 @@ from .gaussians import (
     moment_match,
     scaled_power,
     spd_inv,
-    spd_sqrt,
     symmetrize,
 )
 from . import pooling
@@ -54,9 +50,7 @@ __all__ = [
     "fuse_hmd",
     "fuse_hmd_mixture",
     "fuse_hmd_recursive",
-    "fuse_ml_correlated",
     "hmd_norm_const",
-    "association_gate",
     "fuse_pair",
     "fuse_many",
 ]
@@ -224,28 +218,36 @@ def fuse_pcf(a, b, w: float = 0.5) -> GaussianMixture:
 
 def fuse_hmd(a: GaussianDensity, b: GaussianDensity, w: float = 0.5,
              with_diagnostics: bool = False) -> FusionResult:
-    """Harmonic mean density fusion of two Gaussians.
+    """Harmonic mean density fusion of two Gaussians, with weight ``w`` on ``a``.
 
-    The harmonic pool ``p_a p_b / (w p_a + (1-w) p_b)`` is approximated by
-    moment matching the denominator mixture to a Gaussian ``N(m_eq, C_eq)``
-    and dividing the exact product by it:
+    The harmonic pool ``1 / (w / p_a + (1-w) / p_b)``, which equals
+    ``p_a p_b / ((1-w) p_a + w p_b)``, is approximated by moment matching the
+    denominator mixture to a Gaussian ``N(m_eq, C_eq)`` and dividing the exact
+    product by it:
 
     ``cov = (A^-1 + B^-1 - C_eq^-1)^-1``
 
     with the analogous information-vector combination for the mean. ``w = 1``
-    returns ``b`` exactly and ``w = 0`` returns ``a`` (the denominator then
+    returns ``a`` exactly and ``w = 0`` returns ``b`` (the denominator then
     cancels one factor).
 
     Diagnostics (opt-in, they cost an extra eigendecomposition): the smallest
     eigenvalue of ``C_eq - C_naive`` (positive in exact arithmetic) and the
     approximate mass of the unnormalized pool.
     """
-    w = _check_weight(w)
-    if w == 1.0:
+    return _hmd_pair(a, b, 1.0 - _check_weight(w), with_diagnostics)
+
+
+def _hmd_pair(a: GaussianDensity, b: GaussianDensity, v: float,
+              with_diagnostics: bool = False) -> FusionResult:
+    """:func:`fuse_hmd` with ``v = 1 - w``, the first operand's weight in the
+    denominator mixture ``v p_a + (1-v) p_b``. Multi-operand fusion passes the
+    new operand's weight share as ``v``, without going through ``1 - w``."""
+    if v == 1.0:
         return FusionResult(b, "hmd", {"endpoint": True})
-    if w == 0.0:
+    if v == 0.0:
         return FusionResult(a, "hmd", {"endpoint": True})
-    eq = moment_match(GaussianMixture(np.array([w, 1.0 - w]), (a, b)))
+    eq = moment_match(GaussianMixture(np.array([v, 1.0 - v]), (a, b)))
     lam_a, lam_b, lam_eq = a.precision, b.precision, eq.precision
     prec = symmetrize(lam_a + lam_b - lam_eq)
     try:
@@ -281,8 +283,8 @@ def _pair_quotient(num: GaussianDensity, eq: GaussianDensity,
     gap_eigs = np.linalg.eigvalsh(symmetrize(eq.cov - num.cov))
     if gap_eigs[0] > _PAIR_GAP_RTOL * gap_eigs[-1]:
         return gaussian_division(num, eq)
-    wa = w * float(mix_a.weights[i])
-    wb = (1.0 - w) * float(mix_b.weights[j])
+    wa = (1.0 - w) * float(mix_a.weights[i])
+    wb = w * float(mix_b.weights[j])
     local = moment_match(GaussianMixture(
         np.array([wa, wb]) / (wa + wb),
         (mix_a.components[i], mix_b.components[j])))
@@ -290,12 +292,13 @@ def _pair_quotient(num: GaussianDensity, eq: GaussianDensity,
 
 
 def fuse_hmd_mixture(a, b, w: float = 0.5) -> GaussianMixture:
-    """Harmonic mean density fusion of two Gaussian mixtures.
+    """Harmonic mean density fusion of two Gaussian mixtures, ``w`` on ``a``.
 
     The denominator pool over all components of both operands (weights
-    ``w alpha_i`` and ``(1-w) beta_j``) is moment matched to one Gaussian
-    ``N(m_eq, C_eq)``; each cross product ``alpha_i beta_j p_i q_j`` is then
-    divided by it in closed form. The resulting component weight is
+    ``(1-w) alpha_i`` and ``w beta_j``, as in :func:`fuse_hmd`) is moment
+    matched to one Gaussian ``N(m_eq, C_eq)``; each cross product
+    ``alpha_i beta_j p_i q_j`` is then divided by it in closed form. The
+    resulting component weight is
 
     ``kappa_ij = alpha_i beta_j s_ij / N(m_eq; f_ij, F_ij + C_eq)``
 
@@ -316,10 +319,10 @@ def fuse_hmd_mixture(a, b, w: float = 0.5) -> GaussianMixture:
     w = _check_weight(w)
     mix_a, mix_b = _as_mixture(a), _as_mixture(b)
     if w == 1.0:
-        return mix_b
-    if w == 0.0:
         return mix_a
-    pool_w = np.concatenate((w * mix_a.weights, (1.0 - w) * mix_b.weights))
+    if w == 0.0:
+        return mix_b
+    pool_w = np.concatenate(((1.0 - w) * mix_a.weights, w * mix_b.weights))
     eq = moment_match(GaussianMixture(pool_w, mix_a.components + mix_b.components))
     log_w, comps, tags = [], [], []
     for i in range(mix_a.n_components):
@@ -345,11 +348,11 @@ def fuse_hmd_recursive(inputs: Sequence[GaussianDensity],
     ``p_1 .. p_k`` can be done by pooling the first ``k-1`` (with their
     weights renormalized) and then pooling the result with ``p_k`` using
     weight pair ``(nu_1 + .. + nu_{k-1}, nu_k)``. Applied left to right this
-    reduces multi-input fusion to the two-input rule: step ``k`` uses
-    ``w = nu_k / (nu_1 + .. + nu_k)`` as the second operand's weight.
+    reduces multi-input fusion to the two-input rule: step ``k`` gives
+    ``p_k`` the weight ``nu_k / (nu_1 + .. + nu_k)``.
 
-    Weights must be positive and sum to one. Two inputs reduce exactly to
-    ``fuse_hmd(a, b, w=weights[1])``.
+    Weights must be positive and sum to one. Two inputs reduce to
+    ``fuse_hmd(a, b, w=weights[0])``.
     """
     weights = np.asarray(weights, dtype=float)
     if len(inputs) != weights.size or weights.size == 0:
@@ -362,74 +365,20 @@ def fuse_hmd_recursive(inputs: Sequence[GaussianDensity],
     running = float(weights[0])
     for k in range(1, weights.size):
         running += float(weights[k])
-        acc = fuse_hmd(acc, inputs[k], w=float(weights[k]) / running).density
+        acc = _hmd_pair(acc, inputs[k], float(weights[k]) / running).density
     return FusionResult(acc, "hmd", {"steps": int(weights.size) - 1})
-
-
-def fuse_ml_correlated(a: GaussianDensity, b: GaussianDensity,
-                       cross: np.ndarray) -> GaussianDensity:
-    """Maximum-likelihood fusion of two estimates with known cross-covariance.
-
-    Equivalent to generalized least squares on the stacked pair with joint
-    error covariance ``[[A, X], [X^T, B]]``. Used as the non-conservative
-    benchmark when the cross term is actually known. The joint covariance
-    must be positive semidefinite; the fully redundant case (``X = A = B``)
-    is handled through the pseudo-inverse and returns ``a`` unchanged.
-    """
-    cross = np.asarray(cross, dtype=float)
-    joint = np.block([[a.cov, cross], [cross.T, b.cov]])
-    eigs = np.linalg.eigvalsh(symmetrize(joint))
-    if eigs[0] < -1e-9 * max(1.0, eigs[-1]):
-        raise NotPositiveDefinite("joint covariance of the pair is indefinite")
-    denom = symmetrize(a.cov + b.cov - cross - cross.T)
-    gain = (a.cov - cross) @ np.linalg.pinv(denom)
-    mean = a.mean + gain @ (b.mean - a.mean)
-    cov = symmetrize(a.cov - gain @ (a.cov - cross.T))
-    return GaussianDensity(mean, cov)
 
 
 def hmd_norm_const(a: GaussianDensity, b: GaussianDensity, w: float = 0.5,
                    **quad_kwargs) -> float:
-    """Mass of the unnormalized harmonic pool ``p_a p_b / (w p_a + (1-w) p_b)``.
+    """Mass of the unnormalized harmonic pool ``1 / (w / p_a + (1-w) / p_b)``.
 
     Computed by quadrature on the exact pointwise form. The value is at most
     one, equals one at ``w`` of 0 or 1, and is convex in ``w``; the shortfall
     from one measures how much the pool discounts for unknown correlation.
     """
     w = _check_weight(w)
-    return pooling.harmonic_norm_const([a, b], [1.0 - w, w], **quad_kwargs)
-
-
-def association_gate(a: GaussianDensity, b: GaussianDensity,
-                     gamma: float | None = None, rho: float = 0.0) -> bool:
-    """Chi-square test that two tracks may share an origin.
-
-    The gate statistic is ``d^T G^-1 d`` with ``d`` the mean difference and
-    ``G = A + B - 2 X`` for an assumed cross-covariance
-    ``X = rho sqrt(A) sqrt(B)`` (symmetric matrix square roots, with ``G``
-    symmetrized since the roots need not commute). ``gamma`` defaults to the
-    95% chi-square quantile for the state dimension.
-
-    Raises
-    ------
-    GateMatrixInvalid
-        If the gate matrix is not positive definite (e.g. ``rho`` near 1 with
-        nearly equal covariances).
-    """
-    if a.dim != b.dim:
-        raise ValueError("operands must share one dimension")
-    if gamma is None:
-        gamma = float(chi2.ppf(0.95, a.dim))
-    gate = a.cov + b.cov
-    if rho != 0.0:
-        sqrt_ab = spd_sqrt(a.cov) @ spd_sqrt(b.cov)
-        gate = gate - rho * (sqrt_ab + sqrt_ab.T)
-    try:
-        lam = spd_inv(symmetrize(gate))
-    except (NotPositiveDefinite, NotSymmetric) as exc:
-        raise GateMatrixInvalid("gate matrix is not positive definite") from exc
-    diff = a.mean - b.mean
-    return float(diff @ lam @ diff) <= gamma
+    return pooling.harmonic_norm_const([a, b], [w, 1.0 - w], **quad_kwargs)
 
 
 def fuse_pair(a, b, strategy: str, omega: float = 0.5):

@@ -7,13 +7,14 @@ powers, and moment matching of mixtures. Covariances are re-symmetrized after
 every operation so that round-off never accumulates into asymmetry.
 
 Validation contract: a :class:`GaussianDensity` built through its constructor
-checks its covariance once with :func:`assert_spd` (finite entries, symmetry,
-Cholesky factorization, pivot floor). It keeps the Cholesky factor that check
-computed, and every later use of the same matrix (``logpdf``, the
-log-determinant in :func:`scaled_power`, the cached ``precision``) reuses that
-factor instead of validating or factoring again. The mean, covariance, factor
-and precision are read-only arrays (the mean and covariance are copies of the
-caller's), so the stored factor can never go stale.
+checks its covariance once with :func:`assert_spd` (finite entries of at most
+half the float maximum, symmetry, Cholesky factorization, pivot floor). It
+keeps the Cholesky factor that check computed, and every later use of the same
+matrix (``logpdf``, the log-determinant in :func:`scaled_power`, the cached
+``precision``) reuses that factor instead of validating or factoring again.
+The mean, covariance, factor and precision are read-only arrays (the mean and
+covariance are copies of the caller's), so the stored factor can never go
+stale.
 
 Two kinds of density carry a factor derived from an already validated one
 instead of a fresh factorization: a leading marginal (``marginal`` over the
@@ -53,7 +54,6 @@ __all__ = [
     "assert_spd",
     "symmetrize",
     "spd_inv",
-    "spd_sqrt",
     "gaussian_product",
     "gaussian_division",
     "scaled_power",
@@ -80,9 +80,10 @@ def assert_spd(cov: np.ndarray) -> np.ndarray:
     """Validate that ``cov`` is symmetric positive definite.
 
     Returns the Cholesky factor so callers can reuse it. Every entry must be
-    finite. Symmetry is checked to a relative tolerance of 1e-9; positive
-    definiteness is established by Cholesky factorization, with matrices
-    rejected as numerically singular when the smallest pivot falls below
+    finite and at most half the float maximum in magnitude. Symmetry is
+    checked to a relative tolerance of 1e-9; positive definiteness is
+    established by Cholesky factorization, with matrices rejected as
+    numerically singular when the smallest pivot falls below
     ``1e-12 * max(diag)``. A ``[..., d, d]`` stack is checked member by
     member and returns the stacked factors; if members fail, the first
     failing one raises what it would raise alone.
@@ -92,8 +93,8 @@ def assert_spd(cov: np.ndarray) -> np.ndarray:
     NotSymmetric
         If the matrix is not symmetric within tolerance.
     NotPositiveDefinite
-        If an entry is NaN or infinite, factorization fails or the matrix is
-        numerically singular.
+        If an entry is NaN, infinite or above half the float maximum in
+        magnitude, factorization fails or the matrix is numerically singular.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2]:
@@ -101,18 +102,18 @@ def assert_spd(cov: np.ndarray) -> np.ndarray:
     if cov.ndim > 2:
         return _assert_spd_stack(cov)
     peak = float(abs(cov).max())
-    # The maximum propagates NaN, so one comparison catches NaN and infinity.
-    if not peak < math.inf:
-        raise NotPositiveDefinite("covariance has a non-finite entry")
+    # The maximum propagates NaN, so one comparison catches NaN, infinity and
+    # entries whose symmetric part ``(cov + cov.T) / 2`` would overflow.
+    if not peak <= _HALF_MAX:
+        raise NotPositiveDefinite(
+            "covariance has a non-finite entry or one above half the float maximum")
     scale = max(1.0, peak)
     asym = abs(cov - cov.T).max()
     if asym > _SYM_RTOL * scale:
         raise NotSymmetric("covariance is not symmetric within 1e-9 relative tolerance")
-    # An exactly symmetric matrix is its own symmetric part, as long as
-    # ``cov + cov.T`` cannot overflow.
-    exact = asym == 0.0 and scale <= _HALF_MAX
+    # An exactly symmetric matrix is its own symmetric part.
     try:
-        chol = np.linalg.cholesky(cov if exact else symmetrize(cov))
+        chol = np.linalg.cholesky(cov if asym == 0.0 else symmetrize(cov))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("covariance is not positive definite") from exc
     _check_pivot_floor(chol, cov)
@@ -137,13 +138,13 @@ def _passing_stack_factor(cov: np.ndarray) -> np.ndarray | None:
     """The stacked factors if every member passes the tests of the 2-D
     check, computed from the same per-member quantities; None otherwise."""
     peak = abs(cov).max(axis=(-2, -1))
-    if not (peak < math.inf).all():
+    if not (peak <= _HALF_MAX).all():
         return None
     scale = np.maximum(peak, 1.0)
     asym = abs(cov - cov.swapaxes(-1, -2)).max(axis=(-2, -1))
     if (asym > _SYM_RTOL * scale).any():
         return None
-    exact = (asym == 0.0) & (scale <= _HALF_MAX)
+    exact = asym == 0.0
     sym = cov if exact.all() else np.where(exact[..., None, None], cov, symmetrize(cov))
     try:
         chol = np.linalg.cholesky(sym)
@@ -186,13 +187,6 @@ def _factor_logpdf(mean: np.ndarray, chol: np.ndarray, pts: np.ndarray) -> np.nd
 def spd_inv(mat: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, symmetrized."""
     return _chol_inv(assert_spd(mat))
-
-
-def spd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric square root of an SPD matrix via eigendecomposition."""
-    assert_spd(mat)
-    eigval, eigvec = np.linalg.eigh(symmetrize(mat))
-    return symmetrize((eigvec * np.sqrt(np.maximum(eigval, 0.0))) @ eigvec.T)
 
 
 @dataclass(frozen=True)
@@ -296,13 +290,6 @@ class ScaledGaussian:
 
     log_scale: float
     density: GaussianDensity
-
-    @property
-    def scale(self) -> float:
-        return math.exp(self.log_scale)
-
-    def eval(self, x) -> np.ndarray:
-        return np.exp(self.log_scale + self.density.logpdf(x))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Exact pooled-density evaluation and deterministic quadrature.
 
 The fusion rules in :mod:`trackfuse.fusion` return Gaussian approximations.
-This module provides the exact pointwise forms they approximate (harmonic,
-geometric, and arithmetic pooling of densities) together with grid quadrature
-for normalization constants and divergences. These exact forms are what the
-validation suite and the test oracles integrate against.
+This module provides the exact pointwise harmonic pool that the hmd rule
+approximates, together with grid quadrature for normalization constants and
+divergences. The validation suite and the test oracles integrate against
+these.
 
 Grids are deterministic tensor products covering every operand's mean plus or
 minus ``span`` standard deviations per axis. Dimensions three and above fall
@@ -27,7 +27,6 @@ __all__ = [
     "integrate",
     "log_harmonic_mean",
     "harmonic_norm_const",
-    "geometric_norm_const",
     "kl_divergence",
 ]
 
@@ -126,8 +125,9 @@ def log_harmonic_mean(densities: Sequence, weights: Sequence[float],
 
     The harmonic mean of densities ``p_i`` with weights ``nu_i`` is
     ``1 / sum_i nu_i / p_i(x)``, evaluated here in log space so that points far
-    in any tail stay finite. For two densities with weights ``(1 - w, w)``
-    this equals ``p_a p_b / (w p_a + (1 - w) p_b)``.
+    in any tail stay finite. For two densities with weights ``(w, 1 - w)``
+    this equals ``p_a p_b / ((1 - w) p_a + w p_b)``, the pool that
+    ``fusion.fuse_hmd(a, b, w)`` approximates.
     """
     weights = np.asarray(weights, dtype=float)
     logs = np.stack([np.log(max(nu, np.finfo(float).tiny)) - d.logpdf(x)
@@ -141,14 +141,6 @@ def harmonic_norm_const(densities: Sequence, weights: Sequence[float],
     """Mass of the unnormalized harmonic mean (at most 1; exactly 1 at endpoints)."""
     return integrate(lambda pts: np.exp(log_harmonic_mean(densities, weights, pts)),
                      densities, **quad_kwargs)
-
-
-def geometric_norm_const(a: GaussianDensity, b: GaussianDensity, w: float,
-                         **quad_kwargs) -> float:
-    """Mass of the unnormalized geometric pool ``p_a^w p_b^(1-w)`` by quadrature."""
-    def fn(pts):
-        return np.exp(w * a.logpdf(pts) + (1.0 - w) * b.logpdf(pts))
-    return integrate(fn, [a, b], **quad_kwargs)
 
 
 def kl_divergence(log_p: Callable, log_q: Callable, densities: Sequence,

@@ -117,7 +117,6 @@ class ScenarioConfig:
     prune_to: int = 2
     track_loss_m: float = 500.0
     nees_sided: int = 2
-    nees_marginal: str = "full"  # "full" or "posvel"
 
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
@@ -126,8 +125,6 @@ class ScenarioConfig:
             raise ValueError("fusion_every must be a positive step count")
         if self.nees_sided not in (1, 2):
             raise ValueError("nees_sided must be 1 or 2")
-        if self.nees_marginal not in ("full", "posvel"):
-            raise ValueError("nees_marginal must be 'full' or 'posvel'")
 
     @property
     def n_steps(self) -> int:

@@ -246,7 +246,7 @@ def _run_result(pos_sq, vel_sq, nees, fuse_seconds: float, fuse_calls: int) -> d
         "pos_sq": pos_sq,
         "vel_sq": vel_sq,
         "nees": nees,
-        "final_pos_err": float(np.sqrt(pos_sq[-1])) if pos_sq.size else np.inf,
+        "final_pos_err": float(np.sqrt(pos_sq[-1])),
         "fuse_seconds": fuse_seconds,
         "fuse_calls": fuse_calls,
     }
@@ -261,9 +261,8 @@ def _run_ekf_batch(cfg: ScenarioConfig, runs: Sequence[int]) -> list:
     folds the predicted track in as one more operand: the previous fused
     estimate carries the locals' history, so re-fusing the current locals
     double-counts unless the rule accounts for it, which is what separates
-    the conservative rules from the naive product. The NCV state is exactly
-    position and velocity, so both NEES variants score the whole state (the
-    "posvel" marginal is the track itself, whose check already passed).
+    the conservative rules from the naive product. NEES scores the whole
+    NCV state, which is exactly position and velocity.
 
     Runs and strategies advance step by step together, so only the current
     banks are held. Each strategy's arithmetic is that of a run on its own;
@@ -395,8 +394,6 @@ def _run_single(cfg: ScenarioConfig, run_idx: int) -> dict:
             if k % cfg.fusion_every:
                 continue
             if not central:
-                if len(locals_) != 2:
-                    raise ConfigError("mixture fusion supports exactly two sensors")
                 outputs = [imm_output(loc) for loc in locals_]
                 tic = time.perf_counter()
                 fused = fuse_pair(outputs[0], outputs[1], strategy, cfg.omega)
@@ -435,21 +432,25 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     Raises
     ------
     ConfigError
-        For inconsistent configurations (no sensors, no strategies, or a
-        mixture fusion setup with other than two sensors).
+        For inconsistent configurations (no sensors, no strategies, fewer
+        steps than ``fusion_every``, or a mixture fusion setup with other
+        than two sensors).
     """
     if not cfg.sensors:
         raise ConfigError("at least one sensor required")
     if not cfg.strategies:
         raise ConfigError("at least one fusion strategy required")
-    if isinstance(cfg.tracker, ImmTracker) and not isinstance(cfg.truth, SineTruth):
+    if cfg.n_steps < cfg.fusion_every:
+        raise ConfigError(f"{cfg.n_steps} steps hold no fusion step at "
+                          f"fusion_every = {cfg.fusion_every}")
+    imm = isinstance(cfg.tracker, ImmTracker)
+    if imm and not isinstance(cfg.truth, SineTruth):
         if cfg.sensors[0].spatial_dims != 2:
             raise ConfigError("the IMM tracker is built for planar scenarios")
-    if cfg.feedback and not isinstance(cfg.tracker, ImmTracker):
+    if cfg.feedback and not imm:
         raise ConfigError("feedback routing is defined for the IMM tracker only")
-    if isinstance(cfg.tracker, ImmTracker) and cfg.nees_marginal != "posvel":
-        raise ConfigError("IMM estimates carry acceleration states the truth "
-                          "lacks; set nees_marginal = 'posvel'")
+    if imm and len(cfg.sensors) != 2 and any(s not in _CENTRAL for s in cfg.strategies):
+        raise ConfigError("mixture fusion supports exactly two sensors")
 
     workers = int(os.environ.get("TRACKFUSE_THREADS", "1") or "1")
     workers = max(1, min(workers, cfg.runs))
@@ -473,9 +474,8 @@ def _report(cfg: ScenarioConfig, per_run: list) -> MetricsReport:
                              if k % cfg.fusion_every == 0])
     times = fusion_steps * cfg.dt_s
     dims = cfg.sensors[0].spatial_dims
-    # Truth carries position and velocity; both NEES variants score 2*dims
-    # states (the "posvel" marginal only differs for trackers whose state is
-    # larger, and those are required to use it).
+    # NEES scores position and velocity: the whole state of an EKF track and
+    # the leading marginal of an IMM estimate.
     nees_dim = 2 * dims
 
     metrics = {}

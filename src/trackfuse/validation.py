@@ -102,9 +102,9 @@ def _check_lower_bound(rng, n_pairs) -> CheckResult:
         a = _random_gaussian(rng, 1)
         b = _random_gaussian(rng, 1)
         w = float(rng.uniform(0.1, 0.9))
-        zeta = hmd_norm_const(a, b, w)
+        zeta = hmd_norm_const(b, a, w)
         pts, _ = grid_points([a, b], 401)
-        pooled = np.exp(log_harmonic_mean([a, b], [1.0 - w, w], pts)) / zeta
+        pooled = np.exp(log_harmonic_mean([b, a], [w, 1.0 - w], pts)) / zeta
         floor = np.minimum(a.pdf(pts), b.pdf(pts))
         worst = min(worst, float(np.min(pooled - floor)))
     return CheckResult("normalized pool dominates the pointwise minimum",
@@ -118,10 +118,10 @@ def _check_kl_placement(rng, n_pairs) -> CheckResult:
         a = _random_gaussian(rng, 1, mean_scale=3.0)
         b = _random_gaussian(rng, 1, mean_scale=3.0)
         w = float(rng.uniform(0.2, 0.8))
-        zeta = hmd_norm_const(a, b, w)
+        zeta = hmd_norm_const(b, a, w)
 
         def log_pool(pts, _w=w, _z=zeta, _a=a, _b=b):
-            return log_harmonic_mean([_a, _b], [1.0 - _w, _w], pts) - np.log(_z)
+            return log_harmonic_mean([_b, _a], [_w, 1.0 - _w], pts) - np.log(_z)
 
         for p, q in ((a, b), (b, a)):
             to_pool = kl_divergence(p.logpdf, log_pool, [a, b])

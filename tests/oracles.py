@@ -30,6 +30,7 @@ from trackfuse import (
     sine_truth_states,
     wrap_angle,
 )
+from trackfuse.pooling import integrate
 from trackfuse.simulation import _report
 
 
@@ -42,6 +43,14 @@ def random_gaussian(rng: np.random.Generator, dim: int,
                     mean_scale: float = 5.0) -> GaussianDensity:
     return GaussianDensity(mean_scale * rng.standard_normal(dim),
                            random_spd(rng, dim))
+
+
+def geometric_norm_const(a: GaussianDensity, b: GaussianDensity, w: float,
+                         **quad_kwargs) -> float:
+    """Mass of the unnormalized geometric pool ``p_a^w p_b^(1-w)`` by quadrature."""
+    def fn(pts):
+        return np.exp(w * a.logpdf(pts) + (1.0 - w) * b.logpdf(pts))
+    return integrate(fn, [a, b], **quad_kwargs)
 
 
 @dataclass(frozen=True)
@@ -365,7 +374,6 @@ def ref_ekf_run(cfg, run_idx):
         meas.append(row)
 
     n_fuse = cfg.n_steps // cfg.fusion_every
-    nees_idx = np.arange(2 * dims) if cfg.nees_marginal == "posvel" else None
     locals_by_step = []
     if any(s not in _CENTRAL for s in cfg.strategies):
         current = [GaussianDensity(truth0[:dim] + pert[:dim], init_cov)
@@ -404,7 +412,7 @@ def ref_ekf_run(cfg, run_idx):
             pos_sq[slot] = float(np.sum((track.mean[:dims] - states[k][:dims]) ** 2))
             vel_sq[slot] = float(np.sum(
                 (track.mean[dims:2 * dims] - states[k][dims:2 * dims]) ** 2))
-            nees[slot] = compute_nees(track, states[k], nees_idx)
+            nees[slot] = compute_nees(track, states[k])
             slot += 1
         results[strategy] = {
             "pos_sq": pos_sq,

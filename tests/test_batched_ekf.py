@@ -94,7 +94,7 @@ def _bearing_toy(**overrides):
 @pytest.mark.parametrize("overrides", [
     {},
     {"fusion_every": 1, "seed": 3},
-    {"nees_marginal": "posvel", "nees_sided": 1},
+    {"nees_sided": 1},
     {"track_loss_m": 5.0, "runs": 6},
     {"sensors": (bearing_sensor([0.0, 0.0], 2e-3),), "fusion_every": 2},
     {"duration_s": 3.0},

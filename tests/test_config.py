@@ -159,6 +159,8 @@ def test_json_errors():
      (lambda t: t + "\n[extra]\nx = 1\n", "unknown sections"),
      (lambda t: t.replace("kind = bearing", "kind = sonar", 1), "unknown sensor kind"),
      (lambda t: t + "\n[scenario]\nwhatever = 1\n", "unknown keys"),
+     (lambda t: t.replace("[scenario]\n", "[scenario]\nnees_marginal = posvel\n"),
+      "unknown keys: nees_marginal"),
      (lambda t: t.replace("q_ncv = 0.01\n", ""), "missing required key"),],
 )
 def test_build_scenario_structural_errors(mutate, message):
@@ -206,7 +208,6 @@ def test_scenario1_preset_contents():
     assert cfg.fusion_every == 2
     assert cfg.feedback is False
     assert cfg.nees_sided == 2
-    assert cfg.nees_marginal == "full"
     assert isinstance(cfg.truth, NcvTruth)
     np.testing.assert_allclose(cfg.truth.q, [0.5, 0.5, 0.001])
     np.testing.assert_allclose(cfg.truth.initial_position, [0.0, 0.0, 2000.0])
@@ -227,7 +228,6 @@ def test_scenario2_preset_contents():
     assert cfg.dt_s == 1.0
     assert cfg.duration_s == 300.0
     assert cfg.nees_sided == 1
-    assert cfg.nees_marginal == "posvel"
     assert cfg.track_loss_m == 500.0
     assert isinstance(cfg.truth, SineTruth)
     assert cfg.truth.amplitude_m == 50.0

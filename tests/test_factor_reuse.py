@@ -35,6 +35,7 @@ from oracles import (
 )
 
 _SPD_ERRORS = (NotSymmetric, NotPositiveDefinite)
+_HALF_MAX = np.finfo(float).max / 2.0
 
 
 @st.composite
@@ -113,9 +114,11 @@ def test_assert_spd_accepts_and_rejects_like_the_reference(cov):
 def test_assert_spd_agrees_with_the_reference_on_edge_values(cov):
     with np.errstate(all="ignore"):
         outcome = _outcome(assert_spd, cov)
-        if np.isnan(cov).any():
+        if np.isnan(cov).any() or (abs(cov) > _HALF_MAX).any():
             # The reference accepts NaN entries, because every comparison
-            # with NaN is false; the check rejects any non-finite entry.
+            # with NaN is false, and entries above half the float maximum,
+            # whose symmetric part overflows to an infinite factor; the check
+            # rejects both.
             assert outcome is NotPositiveDefinite
             with pytest.raises(NotPositiveDefinite):
                 GaussianDensity(np.zeros(cov.shape[0]), cov)

@@ -2,28 +2,23 @@
 
 Each rule is validated through an independent route: pointwise proportionality
 against the exact pooled form, information-form algebra recomputed with plain
-numpy inverses, quadrature masses, a generalized least-squares oracle for the
-correlated case, and Monte Carlo calibration for the association gate.
+numpy inverses, and quadrature masses.
 """
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from hypothesis import given, settings, strategies as st
 
 from trackfuse import (
     FusionResult,
-    GateMatrixInvalid,
     GaussianDensity,
     GaussianMixture,
-    NotPositiveDefinite,
-    association_gate,
     fuse_amd,
     fuse_gmd,
     fuse_hmd,
     fuse_hmd_mixture,
     fuse_hmd_recursive,
     fuse_many,
-    fuse_ml_correlated,
     fuse_naive,
     fuse_pair,
     fuse_pcf,
@@ -32,9 +27,7 @@ from trackfuse import (
     moment_match,
 )
 from trackfuse.fusion import _mixture_product, _pair_quotient
-from trackfuse.pooling import geometric_norm_const
-
-from oracles import random_gaussian, random_spd
+from oracles import geometric_norm_const, random_gaussian
 
 
 def _paper_pair():
@@ -210,8 +203,8 @@ def test_hmd_scalar_pair_from_division_route():
 
 def test_hmd_endpoints_return_operands(rng):
     a, b = random_gaussian(rng, 2), random_gaussian(rng, 2)
-    assert fuse_hmd(a, b, 1.0).density is b
-    assert fuse_hmd(a, b, 0.0).density is a
+    assert fuse_hmd(a, b, 1.0).density is a
+    assert fuse_hmd(a, b, 0.0).density is b
     assert fuse_hmd(a, b, 1.0).diagnostics == {"endpoint": True}
 
 
@@ -223,7 +216,7 @@ def test_hmd_equals_product_divided_by_matched_pool(dim, rng):
     from trackfuse import gaussian_product
 
     product = gaussian_product(a, b).density
-    pool = moment_match(GaussianMixture(np.array([w, 1.0 - w]), (a, b)))
+    pool = moment_match(GaussianMixture(np.array([1.0 - w, w]), (a, b)))
     divided = gaussian_division(product, pool).density
     np.testing.assert_allclose(fused.mean, divided.mean, rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(fused.cov, divided.cov, rtol=1e-8)
@@ -284,7 +277,7 @@ def test_hmd_mixture_is_proportional_to_product_over_matched_pool(rng):
     fused = fuse_hmd_mixture(mix_a, mix_b, w)
     assert fused.n_components == 4
     pool = moment_match(GaussianMixture(
-        np.concatenate((w * mix_a.weights, (1.0 - w) * mix_b.weights)),
+        np.concatenate(((1.0 - w) * mix_a.weights, w * mix_b.weights)),
         mix_a.components + mix_b.components))
     pts = np.linspace(-6.0, 10.0, 50).reshape(-1, 1)
     spread = _log_ratio_spread(
@@ -306,8 +299,8 @@ def test_hmd_mixture_endpoints(rng):
     mix_a = GaussianMixture(np.array([0.5, 0.5]),
                             (random_gaussian(rng, 1), random_gaussian(rng, 1)))
     mix_b = GaussianMixture(np.array([1.0]), (random_gaussian(rng, 1),))
-    assert fuse_hmd_mixture(mix_a, mix_b, 0.0).components == mix_a.components
-    assert fuse_hmd_mixture(mix_a, mix_b, 1.0).components == mix_b.components
+    assert fuse_hmd_mixture(mix_a, mix_b, 1.0).components == mix_a.components
+    assert fuse_hmd_mixture(mix_a, mix_b, 0.0).components == mix_b.components
 
 
 def _degenerate_mixture_pair():
@@ -342,13 +335,13 @@ def test_pair_quotient_falls_back_to_local_pool():
     mix_a, mix_b = _degenerate_mixture_pair()
     w = 0.5
     pool = moment_match(GaussianMixture(
-        np.concatenate((w * mix_a.weights, (1.0 - w) * mix_b.weights)),
+        np.concatenate(((1.0 - w) * mix_a.weights, w * mix_b.weights)),
         mix_a.components + mix_b.components))
     wide_product = gaussian_product(mix_a.components[1], mix_b.components[1])
     # The global pool cannot divide this pair at all.
     assert pool.cov[0, 0] < wide_product.density.cov[0, 0]
     quot = _pair_quotient(wide_product.density, pool, mix_a, mix_b, 1, 1, w)
-    wa, wb = w * mix_a.weights[1], (1.0 - w) * mix_b.weights[1]
+    wa, wb = (1.0 - w) * mix_a.weights[1], w * mix_b.weights[1]
     local = moment_match(GaussianMixture(
         np.array([wa, wb]) / (wa + wb),
         (mix_a.components[1], mix_b.components[1])))
@@ -360,7 +353,7 @@ def test_pair_quotient_falls_back_to_local_pool():
 def test_recursive_fusion_with_two_inputs_matches_pair_rule(rng):
     a, b = random_gaussian(rng, 3), random_gaussian(rng, 3)
     nested = fuse_hmd_recursive([a, b], [0.6, 0.4])
-    direct = fuse_hmd(a, b, w=0.4).density
+    direct = fuse_hmd(a, b, w=0.6).density
     np.testing.assert_allclose(nested.density.mean, direct.mean, rtol=1e-12)
     np.testing.assert_allclose(nested.density.cov, direct.cov, rtol=1e-12)
     assert nested.diagnostics == {"steps": 1}
@@ -374,7 +367,7 @@ def test_recursive_fusion_chains_left_to_right(rng):
     running = weights[0]
     for k in range(1, 4):
         running += weights[k]
-        acc = fuse_hmd(acc, inputs[k], w=float(weights[k] / running)).density
+        acc = fuse_hmd(acc, inputs[k], w=float(1.0 - weights[k] / running)).density
     np.testing.assert_allclose(nested.mean, acc.mean, rtol=1e-12)
     np.testing.assert_allclose(nested.cov, acc.cov, rtol=1e-12)
 
@@ -387,120 +380,6 @@ def test_recursive_fusion_weight_validation(rng):
         fuse_hmd_recursive([a, b], [0.6, 0.6])
     with pytest.raises(ValueError, match="one positive weight"):
         fuse_hmd_recursive([a, b], [1.0])
-
-
-def test_ml_correlated_matches_least_squares_oracle():
-    a = GaussianDensity(np.array([1.0, 3.0]), 100.0 * np.eye(2))
-    b = GaussianDensity(np.array([7.0, 10.0]), 50.0 * np.eye(2))
-    cross = 0.5 * np.sqrt(100.0 * 50.0) * np.eye(2)
-    fused = fuse_ml_correlated(a, b, cross)
-
-    stack = np.vstack([np.eye(2), np.eye(2)])
-    joint = np.block([[a.cov, cross], [cross.T, b.cov]])
-    joint_inv = np.linalg.inv(joint)
-    cov = np.linalg.inv(stack.T @ joint_inv @ stack)
-    mean = cov @ stack.T @ joint_inv @ np.concatenate([a.mean, b.mean])
-    np.testing.assert_allclose(fused.mean, mean, rtol=1e-10)
-    np.testing.assert_allclose(fused.cov, cov, rtol=1e-10)
-
-
-def test_ml_correlated_random_pairs_match_oracle(rng):
-    for _ in range(10):
-        dim = int(rng.integers(1, 4))
-        a, b = random_gaussian(rng, dim), random_gaussian(rng, dim)
-        # A jointly valid cross term: X = rho sqrt(A) sqrt(B) with |rho| < 1.
-        from trackfuse.gaussians import spd_sqrt
-
-        rho = float(rng.uniform(-0.6, 0.6))
-        cross = rho * spd_sqrt(a.cov) @ spd_sqrt(b.cov)
-        fused = fuse_ml_correlated(a, b, cross)
-        stack = np.vstack([np.eye(dim), np.eye(dim)])
-        joint = np.block([[a.cov, cross], [cross.T, b.cov]])
-        joint_inv = np.linalg.inv(joint)
-        cov = np.linalg.inv(stack.T @ joint_inv @ stack)
-        mean = cov @ stack.T @ joint_inv @ np.concatenate([a.mean, b.mean])
-        np.testing.assert_allclose(fused.mean, mean, rtol=1e-7, atol=1e-9)
-        np.testing.assert_allclose(fused.cov, cov, rtol=1e-7, atol=1e-9)
-
-
-def test_ml_correlated_with_zero_cross_equals_naive(rng):
-    a, b = random_gaussian(rng, 2), random_gaussian(rng, 2)
-    fused = fuse_ml_correlated(a, b, np.zeros((2, 2)))
-    naive = fuse_naive(a, b)
-    np.testing.assert_allclose(fused.mean, naive.mean, rtol=1e-9)
-    np.testing.assert_allclose(fused.cov, naive.cov, rtol=1e-9)
-
-
-def test_ml_correlated_fully_redundant_pair_returns_operand(rng):
-    a = random_gaussian(rng, 2)
-    b = GaussianDensity(a.mean + 0.5, a.cov)
-    fused = fuse_ml_correlated(a, b, a.cov)
-    np.testing.assert_allclose(fused.mean, a.mean, rtol=1e-9)
-    np.testing.assert_allclose(fused.cov, a.cov, rtol=1e-9)
-
-
-def test_ml_correlated_rejects_indefinite_joint(rng):
-    a, b = random_gaussian(rng, 2), random_gaussian(rng, 2)
-    from trackfuse.gaussians import spd_sqrt
-
-    cross = 2.0 * spd_sqrt(a.cov) @ spd_sqrt(b.cov)
-    with pytest.raises(NotPositiveDefinite):
-        fuse_ml_correlated(a, b, cross)
-
-
-def test_association_gate_rejects_distant_pair():
-    a, b = _paper_pair()
-    # Statistic 80^2 / 30 is far beyond a gate of 9 (three sigma squared).
-    assert association_gate(a, b, gamma=9.0) is False
-    close = GaussianDensity(np.array([50.5]), np.array([[20.0]]))
-    assert association_gate(a, close, gamma=9.0) is True
-
-
-def test_association_gate_dimension_mismatch(rng):
-    with pytest.raises(ValueError, match="dimension"):
-        association_gate(random_gaussian(rng, 1), random_gaussian(rng, 2))
-
-
-@pytest.mark.parametrize("rho", [0.0, 0.5])
-def test_association_gate_acceptance_rate_is_calibrated(rho, rng):
-    """Same-origin pairs must pass the default gate about 95% of the time."""
-    from trackfuse.gaussians import spd_sqrt
-
-    dim = 2
-    cov_a = np.array([[4.0, 1.0], [1.0, 3.0]])
-    cov_b = np.array([[2.0, -0.5], [-0.5, 5.0]])
-    cross = rho * spd_sqrt(cov_a) @ spd_sqrt(cov_b)
-    joint = np.block([[cov_a, cross], [cross.T, cov_b]])
-    chol = np.linalg.cholesky(joint)
-    n_trials = 10_000
-    hits = 0
-    noise = rng.standard_normal((n_trials, 2 * dim)) @ chol.T
-    for k in range(n_trials):
-        a = GaussianDensity(noise[k, :dim], cov_a)
-        b = GaussianDensity(noise[k, dim:], cov_b)
-        hits += association_gate(a, b, rho=rho)
-    rate = hits / n_trials
-    # Binomial three-sigma band around the 95% design point.
-    assert abs(rate - 0.95) <= 3.0 * np.sqrt(0.95 * 0.05 / n_trials)
-
-
-def test_association_gate_default_threshold_is_chi_square_quantile(rng):
-    dim = 3
-    a = GaussianDensity(np.zeros(dim), np.eye(dim))
-    gamma = float(chi2.ppf(0.95, dim))
-    # A mean offset placing the statistic just inside/outside the quantile.
-    offset = np.sqrt(gamma * 2.0 - 1e-6) / np.sqrt(dim)
-    inside = GaussianDensity(np.full(dim, offset), np.eye(dim))
-    assert association_gate(a, inside) is True
-    outside = GaussianDensity(np.full(dim, offset * 1.01), np.eye(dim))
-    assert association_gate(a, outside) is False
-
-
-def test_association_gate_invalid_matrix():
-    a = GaussianDensity(np.zeros(2), np.eye(2))
-    b = GaussianDensity(np.ones(2), np.eye(2))
-    with pytest.raises(GateMatrixInvalid):
-        association_gate(a, b, rho=1.0)
 
 
 def test_fuse_pair_dispatch(rng):
@@ -518,6 +397,62 @@ def test_fuse_pair_dispatch(rng):
     assert fuse_pair(mix, b, "naive").n_components == 2
     assert fuse_pair(mix, b, "gmd").n_components == 2
     assert fuse_pair(mix, b, "hmd").n_components == 2
+
+
+def _operand(rng, dim: int, mixture: bool):
+    if not mixture:
+        return random_gaussian(rng, dim)
+    weights = rng.uniform(0.1, 1.0, 2)
+    return GaussianMixture(weights / weights.sum(),
+                           (random_gaussian(rng, dim), random_gaussian(rng, dim)),
+                           tags=("cv", "ca"))
+
+
+def _components(density) -> list:
+    """``(weight, mean, cov)`` of each component; a Gaussian is one component."""
+    if isinstance(density, GaussianDensity):
+        return [(1.0, density.mean, density.cov)]
+    return [(w, c.mean, c.cov) for w, c in zip(density.weights, density.components)]
+
+
+def _assert_same_up_to_order(left, right, rtol: float, atol: float) -> None:
+    """Equal weights, means and covariances, components matched in any order
+    (tags are not compared)."""
+    pending = _components(right)
+    assert len(_components(left)) == len(pending)
+    for weight, mean, cov in _components(left):
+        k = min(range(len(pending)), key=lambda k: np.abs(pending[k][1] - mean).max()
+                + np.abs(pending[k][2] - cov).max())
+        other_weight, other_mean, other_cov = pending.pop(k)
+        np.testing.assert_allclose(other_weight, weight, rtol=rtol, atol=atol)
+        np.testing.assert_allclose(other_mean, mean, rtol=rtol, atol=atol)
+        np.testing.assert_allclose(other_cov, cov, rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize("strategy", ["gmd", "amd", "pcf", "hmd"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       mixtures=st.tuples(st.booleans(), st.booleans()),
+       omega=st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.0, 1.0])))
+def test_swapping_the_operands_and_the_weights_gives_the_same_fusion(
+        strategy, seed, dim, mixtures, omega):
+    rng = np.random.default_rng(seed)
+    a, b = (_operand(rng, dim, m) for m in mixtures)
+    _assert_same_up_to_order(fuse_pair(a, b, strategy, omega),
+                             fuse_pair(b, a, strategy, 1.0 - omega),
+                             rtol=1e-9, atol=1e-11)
+
+
+@pytest.mark.parametrize("strategy, mean", [
+    ("gmd", 0.5), ("amd", 0.5), ("pcf", 0.5), ("hmd", 4.57)])
+def test_omega_pulls_the_fused_mean_toward_the_first_operand(strategy, mean):
+    a = GaussianDensity(np.array([0.0]), np.array([[1.0]]))
+    b = GaussianDensity(np.array([10.0]), np.array([[1.0]]))
+    fused = fuse_pair(a, b, strategy, 0.95)
+    if isinstance(fused, GaussianMixture):
+        fused = moment_match(fused)
+    assert fused.mean[0] < 5.0
+    assert fused.mean[0] == pytest.approx(mean, abs=0.01)
 
 
 def test_mixture_product_is_proportional_to_pointwise_product(rng):

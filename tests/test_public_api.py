@@ -1,0 +1,46 @@
+"""Every public name is used by the package itself.
+
+A public routine that only its own tests reach is code the studies, the CLI
+and the validation suite never run. This test requires each name in
+``trackfuse.__all__`` to be read, as a ``Name`` or an ``Attribute``, somewhere
+in the package's modules other than ``__init__.py``. Import statements and the
+``__all__`` strings do not count as uses.
+"""
+
+import ast
+from pathlib import Path
+
+import trackfuse
+
+PACKAGE = Path(trackfuse.__file__).resolve().parent
+
+# Public names that only tests reach, with the reason each one stays.
+ALLOWED_UNUSED = {
+    "fuse_many": "perfbench/tracer.py wraps it by name in every traced study, "
+                 "and the stacked fusion rules are tested against it",
+}
+
+
+def _used_names() -> set:
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_name_is_used_by_the_package():
+    unused = set(trackfuse.__all__) - _used_names() - set(ALLOWED_UNUSED)
+    assert sorted(unused) == []
+
+
+def test_every_allowed_exception_is_public_and_still_unused():
+    used = _used_names()
+    for name in ALLOWED_UNUSED:
+        assert name in trackfuse.__all__
+        assert name not in used, f"the package uses {name} now; drop its exception"

@@ -157,7 +157,6 @@ def test_scenario_config_step_count_and_defaults():
     assert cfg.omega == 0.5
     assert cfg.track_loss_m == 500.0
     assert cfg.nees_sided == 2
-    assert cfg.nees_marginal == "full"
 
 
 def test_scenario_config_validation():
@@ -165,5 +164,3 @@ def test_scenario_config_validation():
         _minimal_config(fusion_every=0)
     with pytest.raises(ValueError, match="nees_sided"):
         _minimal_config(nees_sided=3)
-    with pytest.raises(ValueError, match="nees_marginal"):
-        _minimal_config(nees_marginal="vel")

@@ -352,21 +352,21 @@ def test_rejects_imm_on_non_planar_scenario():
         run_scenario(cfg)
 
 
+def test_rejects_a_study_without_a_fusion_step():
+    with pytest.raises(ConfigError, match="no fusion step"):
+        run_scenario(_toy_config(["centralized", "naive"], duration_s=2.0,
+                                 fusion_every=3))
+
+
 def test_rejects_feedback_without_imm():
     with pytest.raises(ConfigError, match="feedback"):
         run_scenario(_toy_config(["naive"], feedback=True))
 
 
-def test_rejects_full_state_nees_with_imm():
-    cfg = _sine_imm_config(nees_marginal="full")
-    with pytest.raises(ConfigError, match="posvel"):
-        run_scenario(cfg)
-
-
 def test_rejects_mixture_fusion_with_three_sensors():
     three = _BEARING_SENSORS + (bearing_sensor([2000.0, -3000.0], 2e-3),)
     cfg = _toy_config(["hmd"], sensors=three, tracker=_imm_tracker(),
-                      duration_s=2.0, fusion_every=2, nees_marginal="posvel")
+                      duration_s=2.0, fusion_every=2)
     with pytest.raises(ConfigError, match="two sensors"):
         run_scenario(cfg)
 
@@ -390,7 +390,6 @@ def _sine_imm_config(**overrides):
         seed=7,
         fusion_every=2,
         track_loss_m=50000.0,
-        nees_marginal="posvel",
     )
     base.update(overrides)
     return ScenarioConfig(**base)

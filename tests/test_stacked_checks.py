@@ -84,15 +84,17 @@ def _check_like_the_2d_path(stack):
     with np.errstate(all="ignore"):
         refs = [_outcome(GaussianDensity, np.zeros(stack.shape[-1]), m) for m in members]
         new = _outcome(assert_spd, stack)
+    for member, ref in zip(members, refs):
+        if abs(member).max() > HALF_MAX:
+            assert ref is NotPositiveDefinite
     failed = [r for r in refs if isinstance(r, type)]
     if failed:
         assert new is failed[0]
         return
     assert _same_bits(new, np.stack([r.chol for r in refs]).reshape(stack.shape))
     for member, ref in zip(members, refs):
-        # The 2-D check factors an exactly symmetric member as it is, unless
-        # ``cov + cov.T`` would overflow.
-        if (member == member.T).all() and abs(member).max() <= HALF_MAX:
+        # The 2-D check factors an exactly symmetric member as it is.
+        if (member == member.T).all():
             assert _same_bits(ref.chol, np.linalg.cholesky(member))
 
 
@@ -118,6 +120,7 @@ def test_valid_stacks_return_each_members_factor(stack):
     (np.array([[1.0, 1e-6], [0.0, 1.0]]), NotSymmetric),
     (np.array([[1.0, 2.0], [2.0, 1.0]]), NotPositiveDefinite),
     (np.diag([1.0, 1e-13]), NotPositiveDefinite),
+    (np.diag([1.79e308, 1.7e308]), NotPositiveDefinite),
 ])
 @pytest.mark.parametrize("position", [0, 2, 4])
 def test_one_bad_member_raises_its_own_error(bad, error, position):
