@@ -31,7 +31,7 @@ from .errors import (
     SingularInnovation,
 )
 from .filters import _identity
-from .gaussians import _chol_inv, _mixture_moments, assert_spd, symmetrize
+from .gaussians import _chol_inv, _mixture_moments, _products, assert_spd, symmetrize
 from .models import MeasurementModel, MotionModel, wrap_angle
 
 _RULES = ("naive", "gmd", "amd", "hmd")
@@ -106,19 +106,8 @@ def update(track: GaussianStack, meas: MeasurementModel, z: np.ndarray) -> Gauss
     return density(mean, cov)
 
 
-def _product(a: GaussianStack, b: GaussianStack) -> GaussianStack:
-    """Density part of ``gaussians.gaussian_product``, scale term still checked."""
-    sum_cov = a.cov + b.cov
-    rhs = np.concatenate(((b.mean - a.mean)[..., None], b.cov), axis=-1)
-    gain = np.linalg.solve(sum_cov, rhs)
-    mean = a.mean + (a.cov @ gain[..., :1])[..., 0]
-    cov = symmetrize(a.cov @ gain[..., 1:])
-    assert_spd(sum_cov)
-    return density(mean, cov)
-
-
 def _moment_match(weights: np.ndarray, tracks: Sequence[GaussianStack]) -> GaussianStack:
-    """``gaussians._moment_match`` of every run over the components ``tracks``."""
+    """``gaussians.moment_match`` of every run over the components ``tracks``."""
     return density(*_mixture_moments(weights, np.stack([t.mean for t in tracks], axis=-2),
                                       np.stack([t.cov for t in tracks], axis=-3)))
 
@@ -157,7 +146,8 @@ def fuse(tracks: Sequence[GaussianStack], strategy: str) -> GaussianStack:
     if strategy == "naive":
         acc = tracks[0]
         for track in tracks[1:]:
-            acc = _product(acc, track)
+            mean, cov, chol, _ = _products(acc.mean, acc.cov, track.mean, track.cov)
+            acc = GaussianStack(mean, symmetrize(cov), chol)
         return acc
     if strategy == "gmd":
         lams = [t.precision for t in tracks]

@@ -19,8 +19,10 @@ from .errors import ModeLikelihoodDegenerate, NotPositiveDefinite, SingularInnov
 from .gaussians import (
     GaussianDensity,
     GaussianMixture,
-    _moment_match,
-    moment_match,
+    _group_moments,
+    _mixture_moments,
+    _stack,
+    assert_spd,
     symmetrize,
 )
 from .models import MeasurementModel, MotionModel, wrap_angle
@@ -204,14 +206,12 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
     cbar = trans.T @ mu
     cbar = np.maximum(cbar, np.finfo(float).tiny)
     top = state.max_dim
-    padded = [zero_pad(d, top, state.pad_var) for d in state.densities]
-    means = np.array([d.mean for d in padded])
-    covs = np.array([d.cov for d in padded])
+    means, covs = _stack([zero_pad(d, top, state.pad_var) for d in state.densities])
 
     new_densities = []
     logliks = np.empty(n)
     for j, model in enumerate(state.models):
-        mixed = _moment_match(trans[:, j] * mu / cbar[j], means, covs)
+        mixed = GaussianDensity(*_mixture_moments(trans[:, j] * mu / cbar[j], means, covs))
         mode_track = truncate_state(mixed, model.state_dim)
         predicted = ekf_predict(mode_track, model)
         updated, loglik = ekf_update_with_loglik(predicted, meas, z)
@@ -265,16 +265,15 @@ def route_feedback(state: ImmState, fed: GaussianMixture,
     Fused components carry a positional provenance tag with one field per
     operand ("i|j" for a pair hypothesis), naming the operand modes each
     component involves. For every local mode, the components involving that
-    mode are moment-matched into the mode's replacement; a mode involved in
-    no component keeps its current density and probability. The prepared
-    one-component-per-mode mixture is then applied with
-    :func:`apply_feedback`.
+    mode are moment-matched into the mode's replacement (all modes in one
+    stacked call per group size); a mode involved in no component keeps its
+    current density and probability. The prepared one-component-per-mode
+    mixture is then applied with :func:`apply_feedback`.
 
     A product-style fused mixture involves every recipient mode in several
     cross hypotheses, so each mode receives the full fused information. A
-    plain mixture of the operands (arithmetic pooling) contains each
-    operand's own modes unchanged, so routing hands every local its own
-    state back and the feedback carries no new information.
+    plain mixture of the operands (arithmetic pooling) hands every local its
+    own modes back unchanged: the feedback carries no new information.
     """
     if fed.tags is None:
         raise ValueError("feedback mixture must carry provenance tags")
@@ -285,19 +284,16 @@ def route_feedback(state: ImmState, fed: GaussianMixture,
             raise ValueError("provenance tag has no field for this operand")
         if fields[operand_idx]:
             groups.setdefault(fields[operand_idx], []).append(k)
-    keep_w, keep_c = [], []
-    for m, model in enumerate(state.models):
-        idx = groups.get(model.kind)
-        if idx:
-            group_w = fed.weights[idx]
-            group = GaussianMixture(group_w / np.sum(group_w),
-                                    tuple(fed.components[k] for k in idx))
-            keep_w.append(float(np.sum(group_w)))
-            keep_c.append(moment_match(group))
-        else:
-            keep_w.append(float(state.mode_probs[m]))
-            keep_c.append(zero_pad(state.densities[m], state.max_dim,
-                                   state.pad_var))
+    modes = [m for m, model in enumerate(state.models) if groups.get(model.kind)]
+    keep_w = [float(p) for p in state.mode_probs]
+    keep_c = [None if m in modes else zero_pad(dens, state.max_dim, state.pad_var)
+              for m, dens in enumerate(state.densities)]
+    if modes:
+        totals, mean, cov = _group_moments(fed.weights, *_stack(fed.components),
+                                           [groups[state.models[m].kind] for m in modes])
+        for m, total, dens in zip(modes, totals,
+                                  GaussianDensity._members(mean, cov, assert_spd(cov))):
+            keep_w[m], keep_c[m] = float(total), dens
     prepared = GaussianMixture(np.asarray(keep_w), tuple(keep_c),
                                tuple(m.kind for m in state.models)).normalized()
     return apply_feedback(state, prepared)

@@ -19,20 +19,33 @@ the moment-matched denominator ``(1-w) p_a + w p_b`` the first operand carries
 The harmonic rule's division step is always well posed for a pair of
 Gaussians: the moment-matched mixture covariance dominates the product
 covariance, so the difference of precisions stays positive definite.
+
+The mixture rules (naive, pcf, hmd) multiply every cross pair of operand
+components in one call of a stacked kernel, on the axis ``k = i J + j``, and
+mixture hmd divides all pairs in one more. The pairs whose gap to the global
+pool fails hmd's eigenvalue test form a mask; their own pools are matched together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NonPositiveDefiniteResult, NotPositiveDefinite, NotSymmetric
 from .gaussians import (
+    _TINY,
     GaussianDensity,
     GaussianMixture,
-    gaussian_division,
+    _factor_logpdf,
+    _group_moments,
+    _mixture_moments,
+    _products,
+    _quotients,
+    _stack,
+    assert_spd,
     gaussian_product,
     moment_match,
     scaled_power,
@@ -73,15 +86,6 @@ def _provenance(n_operands: int, position: int, model_tag: str) -> str:
     return "|".join(fields)
 
 
-def _pair_tag(mix_a: GaussianMixture, i: int,
-              mix_b: GaussianMixture, j: int) -> str | None:
-    if mix_a.tags is None and mix_b.tags is None:
-        return None
-    ta = mix_a.tags[i] if mix_a.tags is not None else ""
-    tb = mix_b.tags[j] if mix_b.tags is not None else ""
-    return f"{ta}|{tb}"
-
-
 @dataclass(frozen=True)
 class FusionResult:
     """A fused density plus the strategy name and optional diagnostics."""
@@ -114,10 +118,8 @@ def fuse_gmd(a: GaussianDensity, b: GaussianDensity, w: float = 0.5) -> Gaussian
     mean. ``w = 1`` returns ``a`` exactly, ``w = 0`` returns ``b``.
     """
     w = _check_weight(w)
-    if w == 1.0:
-        return a
-    if w == 0.0:
-        return b
+    if w in (0.0, 1.0):
+        return a if w else b
     lam_a, lam_b = a.precision, b.precision
     prec = w * lam_a + (1.0 - w) * lam_b
     cov = spd_inv(prec)
@@ -141,18 +143,13 @@ def fuse_amd(inputs: Sequence[GaussianDensity | GaussianMixture],
     out_w, out_c, out_t = [], [], []
     any_tags = False
     for pos, (wt, inp) in enumerate(zip(weights, inputs)):
-        if isinstance(inp, GaussianDensity):
-            out_w.append(wt)
-            out_c.append(inp)
-            out_t.append(_provenance(n_inputs, pos, ""))
-        else:
-            norm = inp.normalized()
-            for k in range(norm.n_components):
-                out_w.append(wt * norm.weights[k])
-                out_c.append(norm.components[k])
-                src = norm.tags[k] if norm.tags is not None else ""
-                out_t.append(_provenance(n_inputs, pos, src))
-                any_tags = any_tags or norm.tags is not None
+        norm = _as_mixture(inp)
+        for k in range(norm.n_components):
+            out_w.append(wt * norm.weights[k])
+            out_c.append(norm.components[k])
+            src = norm.tags[k] if norm.tags is not None else ""
+            out_t.append(_provenance(n_inputs, pos, src))
+            any_tags = any_tags or norm.tags is not None
     tags = tuple(out_t) if any_tags else None
     return GaussianMixture(np.asarray(out_w), tuple(out_c), tags)
 
@@ -163,20 +160,35 @@ def _as_mixture(d) -> GaussianMixture:
     return GaussianMixture(np.array([1.0]), (d,))
 
 
+def _cross_products(a: GaussianMixture, b: GaussianMixture, comps_a=None, comps_b=None):
+    """:func:`gaussians._products` of ``comps_a[i]`` and ``comps_b[j]`` on the cross axis
+    ``k = i J + j``, with the indices ``i``, ``j`` and tags ``"i|j"`` (or None)."""
+    ia = np.repeat(np.arange(a.n_components), b.n_components)
+    ib = np.tile(np.arange(b.n_components), a.n_components)
+    tags = None
+    if a.tags is not None or b.tags is not None:
+        ta, tb = a.tags or ("",) * a.n_components, b.tags or ("",) * b.n_components
+        tags = tuple(f"{ta[i]}|{tb[j]}" for i, j in zip(ia, ib))
+    (mean_a, cov_a), (mean_b, cov_b) = (_stack(comps_a or a.components),
+                                        _stack(comps_b or b.components))
+    return ia, ib, tags, _products(mean_a[ia], cov_a[ia], mean_b[ib], cov_b[ib])
+
+
+def _log_weight(weights: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(weights, _TINY))
+
+
+def _fused_mixture(log_w, mean, cov, chol, tags) -> GaussianMixture:
+    wts = np.exp(log_w - np.max(log_w))
+    return GaussianMixture(wts / np.sum(wts), tuple(GaussianDensity._members(mean, cov, chol)),
+                           tags)
+
+
 def _mixture_product(a: GaussianMixture, b: GaussianMixture) -> GaussianMixture:
     """Term-by-term normalized product of two mixtures (naive rule for mixtures)."""
-    log_w, comps, tags = [], [], []
-    for i in range(a.n_components):
-        for j in range(b.n_components):
-            prod = gaussian_product(a.components[i], b.components[j])
-            log_w.append(np.log(max(a.weights[i] * b.weights[j],
-                                    np.finfo(float).tiny)) + prod.log_scale)
-            comps.append(prod.density)
-            tags.append(_pair_tag(a, i, b, j))
-    log_w = np.asarray(log_w)
-    wts = np.exp(log_w - np.max(log_w))
-    return GaussianMixture(wts / np.sum(wts), tuple(comps),
-                           tuple(tags) if tags[0] is not None else None)
+    ia, ib, tags, (mean, cov, chol, log_s) = _cross_products(a, b)
+    return _fused_mixture(_log_weight(a.weights[ia] * b.weights[ib]) + log_s,
+                          mean, cov, chol, tags)
 
 
 def fuse_pcf(a, b, w: float = 0.5) -> GaussianMixture:
@@ -190,30 +202,15 @@ def fuse_pcf(a, b, w: float = 0.5) -> GaussianMixture:
     """
     w = _check_weight(w)
     mix_a, mix_b = _as_mixture(a), _as_mixture(b)
-    if w == 1.0:
-        return mix_a
-    if w == 0.0:
-        return mix_b
-
-    def powered(mix: GaussianMixture, p: float):
-        terms = [scaled_power(c, p) for c in mix.components]
-        log_w = [p * np.log(max(wt, np.finfo(float).tiny)) + t.log_scale
-                 for wt, t in zip(mix.weights, terms)]
-        return log_w, [t.density for t in terms]
-
-    lw_a, comp_a = powered(mix_a, w)
-    lw_b, comp_b = powered(mix_b, 1.0 - w)
-    log_w, comps, tags = [], [], []
-    for i in range(len(comp_a)):
-        for j in range(len(comp_b)):
-            prod = gaussian_product(comp_a[i], comp_b[j])
-            log_w.append(lw_a[i] + lw_b[j] + prod.log_scale)
-            comps.append(prod.density)
-            tags.append(_pair_tag(mix_a, i, mix_b, j))
-    log_w = np.asarray(log_w)
-    wts = np.exp(log_w - np.max(log_w))
-    return GaussianMixture(wts / np.sum(wts), tuple(comps),
-                           tuple(tags) if tags[0] is not None else None)
+    if w in (0.0, 1.0):
+        return mix_a if w else mix_b
+    pow_a = [scaled_power(c, w) for c in mix_a.components]
+    pow_b = [scaled_power(c, 1.0 - w) for c in mix_b.components]
+    lw_a = w * _log_weight(mix_a.weights) + np.array([t.log_scale for t in pow_a])
+    lw_b = (1.0 - w) * _log_weight(mix_b.weights) + np.array([t.log_scale for t in pow_b])
+    ia, ib, tags, (mean, cov, chol, log_s) = _cross_products(
+        mix_a, mix_b, [t.density for t in pow_a], [t.density for t in pow_b])
+    return _fused_mixture(lw_a[ia] + lw_b[ib] + log_s, mean, cov, chol, tags)
 
 
 def fuse_hmd(a: GaussianDensity, b: GaussianDensity, w: float = 0.5,
@@ -262,33 +259,13 @@ def _hmd_pair(a: GaussianDensity, b: GaussianDensity, v: float,
         cov_naive = spd_inv(symmetrize(lam_a + lam_b))
         diagnostics["pd_margin"] = float(
             np.min(np.linalg.eigvalsh(symmetrize(eq.cov - cov_naive))))
-        log_s = float(GaussianDensity(a.mean, a.cov + b.cov).logpdf(b.mean))
-        log_d = -float(GaussianDensity(mean, cov + eq.cov).logpdf(eq.mean))
+        log_s = float(_factor_logpdf(a.mean, assert_spd(a.cov + b.cov), b.mean[None])[0])
+        log_d = -float(_factor_logpdf(mean, assert_spd(cov + eq.cov), eq.mean[None])[0])
         diagnostics["norm_const"] = float(np.exp(log_s + log_d))
     return FusionResult(fused, "hmd", diagnostics)
 
 
 _PAIR_GAP_RTOL = 1e-6
-
-
-def _pair_quotient(num: GaussianDensity, eq: GaussianDensity,
-                   mix_a: GaussianMixture, mix_b: GaussianMixture,
-                   i: int, j: int, w: float):
-    """Divide one cross-product component by the pool, locally if degenerate.
-
-    The global pool serves whenever ``C_eq - C_num`` is comfortably positive
-    definite; otherwise the pair's own two-component pool takes its place
-    (always valid by the pairwise dominance argument).
-    """
-    gap_eigs = np.linalg.eigvalsh(symmetrize(eq.cov - num.cov))
-    if gap_eigs[0] > _PAIR_GAP_RTOL * gap_eigs[-1]:
-        return gaussian_division(num, eq)
-    wa = (1.0 - w) * float(mix_a.weights[i])
-    wb = w * float(mix_b.weights[j])
-    local = moment_match(GaussianMixture(
-        np.array([wa, wb]) / (wa + wb),
-        (mix_a.components[i], mix_b.components[j])))
-    return gaussian_division(num, local)
 
 
 def fuse_hmd_mixture(a, b, w: float = 0.5) -> GaussianMixture:
@@ -313,31 +290,27 @@ def fuse_hmd_mixture(a, b, w: float = 0.5) -> GaussianMixture:
     components can defeat it when the pool is dominated by much tighter
     components elsewhere (mixed-dimension tracks with small padded variances
     are the typical case), and near that boundary the pair's weight diverges.
-    Such pairs are divided by their own two-component pool instead, which the
-    pair-level guarantee always covers.
+    Such pairs are divided by their own two-component pool instead.
     """
     w = _check_weight(w)
     mix_a, mix_b = _as_mixture(a), _as_mixture(b)
-    if w == 1.0:
-        return mix_a
-    if w == 0.0:
-        return mix_b
+    if w in (0.0, 1.0):
+        return mix_a if w else mix_b
     pool_w = np.concatenate(((1.0 - w) * mix_a.weights, w * mix_b.weights))
-    eq = moment_match(GaussianMixture(pool_w, mix_a.components + mix_b.components))
-    log_w, comps, tags = [], [], []
-    for i in range(mix_a.n_components):
-        for j in range(mix_b.n_components):
-            prod = gaussian_product(mix_a.components[i], mix_b.components[j])
-            quot = _pair_quotient(prod.density, eq, mix_a, mix_b, i, j, w)
-            log_w.append(np.log(max(mix_a.weights[i] * mix_b.weights[j],
-                                    np.finfo(float).tiny))
-                         + prod.log_scale + quot.log_scale)
-            comps.append(quot.density)
-            tags.append(_pair_tag(mix_a, i, mix_b, j))
-    log_w = np.asarray(log_w)
-    wts = np.exp(log_w - np.max(log_w))
-    return GaussianMixture(wts / np.sum(wts), tuple(comps),
-                           tuple(tags) if tags[0] is not None else None)
+    pool_mean, pool_cov = _stack(mix_a.components + mix_b.components)
+    eq = GaussianDensity(*_mixture_moments(pool_w, pool_mean, pool_cov))
+    ia, ib, tags, (mean, cov, _, log_s) = _cross_products(mix_a, mix_b)
+    den_mean, den_cov = np.repeat(eq.mean[None], ia.size, 0), np.repeat(eq.cov[None], ia.size, 0)
+    # The gap test of every pair at once; the failing ones get their own pool.
+    gap_eigs = np.linalg.eigvalsh(symmetrize(eq.cov - cov))
+    local = ~(gap_eigs[:, 0] > _PAIR_GAP_RTOL * gap_eigs[:, -1])
+    if local.any():
+        pair = np.stack((ia[local], mix_a.n_components + ib[local]), axis=-1)
+        _, den_mean[local], den_cov[local] = _group_moments(pool_w, pool_mean, pool_cov, pair)
+        assert_spd(den_cov[local])
+    quot_mean, quot_cov, quot_chol, quot_s = _quotients(mean, cov, den_mean, den_cov)
+    return _fused_mixture(_log_weight(mix_a.weights[ia] * mix_b.weights[ib]) + log_s + quot_s,
+                          quot_mean, quot_cov, quot_chol, tags)
 
 
 def fuse_hmd_recursive(inputs: Sequence[GaussianDensity],
@@ -416,10 +389,7 @@ def fuse_many(densities: Sequence[GaussianDensity], strategy: str,
         weights = np.full(n, 1.0 / n)
     weights = np.asarray(weights, dtype=float)
     if strategy == "naive":
-        acc = densities[0]
-        for d in densities[1:]:
-            acc = fuse_naive(acc, d)
-        return acc
+        return reduce(fuse_naive, densities)
     if strategy == "gmd":
         lams = [d.precision for d in densities]
         lam = sum(w * L for w, L in zip(weights, lams))

@@ -8,12 +8,10 @@ every operation so that round-off never accumulates into asymmetry.
 
 Validation contract: a :class:`GaussianDensity` built through its constructor
 checks its covariance once with :func:`assert_spd` (finite entries of at most
-half the float maximum, symmetry, Cholesky factorization, pivot floor). It
-keeps the Cholesky factor that check computed, and every later use of the same
-matrix (``logpdf``, the log-determinant in :func:`scaled_power`, the cached
-``precision``) reuses that factor instead of validating or factoring again.
-The mean, covariance, factor and precision are read-only arrays (the mean and
-covariance are copies of the caller's), so the stored factor can never go
+half the float maximum, symmetry, Cholesky factorization, pivot floor) and
+keeps that check's factor for every later use of the matrix (``logpdf``,
+:func:`scaled_power`, ``precision``). Mean, covariance, factor and precision
+are read-only arrays (mean and covariance copied), so the factor never goes
 stale.
 
 Two kinds of density carry a factor derived from an already validated one
@@ -24,17 +22,18 @@ parent's factor, and a zero-padded state (``filters.zero_pad``) takes
 their covariances, and both still run :func:`assert_spd`'s pivot floor test on
 the derived pivots, so they are accepted or rejected as a fresh check would
 decide. OpenBLAS's unblocked factorization computes a leading block without
-looking at the rows below it, so for the matrix sizes of the presets (up to
-6) a derived factor has the same bits as a fresh one; a LAPACK that orders
-its operations differently agrees to round-off. Matrices that are not yet a
-density (a precision sum, a division gap, the covariance of a product or
-division scale term) still pass through the full check in :func:`assert_spd`
-or :func:`spd_inv`; a scale term's log density comes from that check's
-factor, without building a density.
+looking at the rows below it, so for the presets' sizes (up to 6) a derived
+factor has the same bits as a fresh one; a LAPACK that orders its operations
+differently agrees to round-off. Matrices that are not yet a density
+(a precision sum, a division gap, a product or division scale term's
+covariance) pass the full check in :func:`assert_spd` or :func:`spd_inv`; a
+scale term's log density comes from that check's factor.
 
-:func:`assert_spd` also validates a ``[..., d, d]`` stack, one matrix per
-Monte Carlo run of the batched EKF engine, and gives every member the
-verdict the 2-D check gives it.
+:func:`assert_spd` also validates a ``[..., d, d]`` stack (one matrix per
+Monte Carlo run of the batched EKF engine, or per cross pair of a mixture
+fusion) and gives every member the verdict the 2-D check gives it. Products
+and divisions run on such stacks and return the members of a checked stack
+with what the constructor would store, so each keeps the constructor's verdict.
 """
 
 from __future__ import annotations
@@ -172,16 +171,17 @@ def _chol_inv(chol: np.ndarray) -> np.ndarray:
     return symmetrize(inv_chol.swapaxes(-1, -2) @ inv_chol)
 
 
-def _chol_logdet(chol: np.ndarray) -> float:
-    """``log |L L^T|`` from the Cholesky factor ``L``."""
-    return 2.0 * np.log(chol.diagonal()).sum()
+def _chol_logdet(chol: np.ndarray) -> np.ndarray:
+    """``log |L L^T|`` from the Cholesky factor ``L`` (of each factor in a stack)."""
+    return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def _factor_logpdf(mean: np.ndarray, chol: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Log density of ``N(mean, L L^T)`` at the rows of ``pts``, from ``L``."""
-    dev = np.linalg.solve(chol, (pts - mean).T)
-    maha = (dev * dev).sum(axis=0)
-    return -0.5 * (mean.size * _LOG_2PI + _chol_logdet(chol) + maha)
+    """Log density of ``N(mean, L L^T)`` at the rows of ``pts``, from ``L``
+    (of each member of a stack, at its rows ``pts[..., n, d]``)."""
+    dev = np.linalg.solve(chol, (pts - mean[..., None, :]).swapaxes(-1, -2))
+    maha = (dev * dev).sum(axis=-2)
+    return -0.5 * (mean.shape[-1] * _LOG_2PI + _chol_logdet(chol)[..., None] + maha)
 
 
 def spd_inv(mat: np.ndarray) -> np.ndarray:
@@ -239,6 +239,16 @@ class GaussianDensity:
         density = object.__new__(cls)
         density._store(mean, cov, chol)
         return density
+
+    @classmethod
+    def _members(cls, means: np.ndarray, covs: np.ndarray,
+                 chols: np.ndarray) -> list["GaussianDensity"]:
+        """The densities of a stack whose covariances passed one stacked check,
+        storing what the constructor would: copied mean, symmetrized cov, factor."""
+        members = [object.__new__(cls) for _ in means]
+        for density, mean, cov, chol in zip(members, means.copy(), symmetrize(covs), chols):
+            density._store(mean, cov, chol)
+        return members
 
     def __reduce__(self):
         # Rebuild through the constructor, so a copy or an unpickled density
@@ -371,15 +381,8 @@ def gaussian_product(a: GaussianDensity, b: GaussianDensity) -> ScaledGaussian:
     """
     if a.dim != b.dim:
         raise ValueError("operands must share one dimension")
-    sum_cov = a.cov + b.cov
-    # C = A (A+B)^-1 B and c = a + A (A+B)^-1 (b - a): no explicit inverses.
-    gain = np.linalg.solve(sum_cov, np.column_stack((b.mean - a.mean, b.cov)))
-    mean = a.mean + a.cov @ gain[:, 0]
-    cov = symmetrize(a.cov @ gain[:, 1:])
-    # The scale's covariance is checked like a density's, but no density of
-    # it is built: the log density comes straight from the factor.
-    log_scale = float(_factor_logpdf(a.mean, assert_spd(sum_cov), b.mean[None])[0])
-    return ScaledGaussian(log_scale, GaussianDensity(mean, cov))
+    mean, cov, chol, log_s = _products(a.mean[None], a.cov[None], b.mean[None], b.cov[None])
+    return ScaledGaussian(float(log_s[0]), GaussianDensity._members(mean, cov, chol)[0])
 
 
 def gaussian_division(num: GaussianDensity, den: GaussianDensity) -> ScaledGaussian:
@@ -396,7 +399,31 @@ def gaussian_division(num: GaussianDensity, den: GaussianDensity) -> ScaledGauss
     """
     if num.dim != den.dim:
         raise ValueError("operands must share one dimension")
-    gap = symmetrize(den.cov - num.cov)
+    mean, cov, chol, log_s = _quotients(num.mean[None], num.cov[None],
+                                        den.mean[None], den.cov[None])
+    return ScaledGaussian(float(log_s[0]), GaussianDensity._members(mean, cov, chol)[0])
+
+
+def _products(a_means, a_covs, b_means, b_covs) -> tuple:
+    """:func:`gaussian_product` of each member pair of ``[K, d]`` means and
+    ``[K, d, d]`` covariances: the means, covariances, factors and log scales.
+    The scale-term covariances, then the products, pass one stacked check each."""
+    sum_cov = a_covs + b_covs
+    # C = A (A+B)^-1 B and c = a + A (A+B)^-1 (b - a): no explicit inverses.
+    gain = np.linalg.solve(sum_cov, np.concatenate(((b_means - a_means)[..., None], b_covs),
+                                                   axis=-1))
+    mean = a_means + (a_covs @ gain[..., :1])[..., 0]
+    cov = symmetrize(a_covs @ gain[..., 1:])
+    # The scale's covariance is checked like a density's, but no density of
+    # it is built: the log density comes straight from the factor.
+    log_scale = _factor_logpdf(a_means, assert_spd(sum_cov), b_means[..., None, :])[..., 0]
+    return mean, cov, assert_spd(cov), log_scale
+
+
+def _quotients(num_means, num_covs, den_means, den_covs) -> tuple:
+    """:func:`gaussian_division` of each member pair, as :func:`_products`;
+    the gaps ``M - N`` are checked first."""
+    gap = symmetrize(den_covs - num_covs)
     try:
         assert_spd(gap)
     except (NotSymmetric, NotPositiveDefinite) as exc:
@@ -404,11 +431,12 @@ def gaussian_division(num: GaussianDensity, den: GaussianDensity) -> ScaledGauss
             "division requires the numerator precision to exceed the denominator's"
         ) from exc
     # F = N + N (M - N)^-1 N stays SPD by construction.
-    cov = symmetrize(num.cov + num.cov @ np.linalg.solve(gap, num.cov))
-    info_mean = np.linalg.solve(num.cov, num.mean) - np.linalg.solve(den.cov, den.mean)
-    mean = cov @ info_mean
-    log_scale = -float(_factor_logpdf(mean, assert_spd(cov + den.cov), den.mean[None])[0])
-    return ScaledGaussian(log_scale, GaussianDensity(mean, cov))
+    cov = symmetrize(num_covs + num_covs @ np.linalg.solve(gap, num_covs))
+    info_mean = (np.linalg.solve(num_covs, num_means[..., None])
+                 - np.linalg.solve(den_covs, den_means[..., None]))
+    mean = (cov @ info_mean)[..., 0]
+    log_scale = -_factor_logpdf(mean, assert_spd(cov + den_covs), den_means[..., None, :])[..., 0]
+    return mean, cov, assert_spd(cov), log_scale
 
 
 def scaled_power(d: GaussianDensity, w: float) -> ScaledGaussian:
@@ -433,37 +461,55 @@ def moment_match(mixture: GaussianMixture) -> GaussianDensity:
     spread-of-means term, so it always dominates the weighted average of the
     component covariances.
     """
-    comps = mixture.components
-    return _moment_match(mixture.weights, np.array([c.mean for c in comps]),
-                         np.array([c.cov for c in comps]))
+    return GaussianDensity(*_mixture_moments(mixture.weights, *_stack(mixture.components)))
 
 
-def _moment_match(weights: np.ndarray, means: np.ndarray,
-                  covs: np.ndarray) -> GaussianDensity:
-    """Moment matching over stacked components ``means[M, d]``, ``covs[M, d, d]``."""
-    return GaussianDensity(*_mixture_moments(weights, means, covs))
+def _stack(components) -> tuple[np.ndarray, np.ndarray]:
+    """The means ``[M, d]`` and covariances ``[M, d, d]`` of ``components``."""
+    return np.array([c.mean for c in components]), np.array([c.cov for c in components])
 
 
 def _mixture_moments(weights: np.ndarray, means: np.ndarray,
                      covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of the mixture of ``means[..., M, d]``,
-    ``covs[..., M, d, d]`` (of each mixture in a stack sharing ``weights``).
+    ``covs[..., M, d, d]`` (of each mixture in a stack, under shared weights
+    ``[M]`` or per-member weights ``[..., M]``).
 
-    ``weights`` must be finite and nonnegative; they are normalized here. The
-    spread terms are formed by broadcasting and summed in component order, so
-    the result equals the per-component ``np.outer`` loop bit for bit.
+    ``weights`` must be nonnegative; they are normalized here (a total that
+    is not positive raises ``ValueError``). The spread terms are formed by
+    broadcasting and summed in component order, so the result equals the
+    per-component ``np.outer`` loop bit for bit.
     """
-    total = float(weights.sum())
-    if total <= 0.0:
+    total = weights.sum(axis=-1, keepdims=True)
+    if not (total > 0.0).all():
         raise ValueError("cannot normalize a mixture with zero total weight")
     weights = weights / total
-    mean = weights @ means
+    mean = (weights[..., None, :] @ means)[..., 0, :]
     dev = means - mean[..., None, :]
-    terms = weights[:, None, None] * (covs + dev[..., :, None] * dev[..., None, :])
-    cov = np.zeros(covs.shape[:-3] + covs.shape[-2:])
-    for m in range(weights.size):
+    terms = weights[..., None, None] * (covs + dev[..., :, None] * dev[..., None, :])
+    cov = np.zeros(terms.shape[:-3] + terms.shape[-2:])
+    for m in range(weights.shape[-1]):
         cov += terms[..., m, :, :]
     return mean, symmetrize(cov)
+
+
+def _group_moments(weights: np.ndarray, means: np.ndarray, covs: np.ndarray,
+                   groups) -> tuple:
+    """Total weight, mean and covariance of each component group, in the
+    order of ``groups``: group ``g`` is the mixture of the components
+    ``means[groups[g]]``, ``covs[groups[g]]`` under their normalized weights,
+    matched as :func:`moment_match` matches it (zero total weight raises).
+    Groups of one size are matched in one stacked call."""
+    sizes = [len(group) for group in groups]
+    totals, mean, cov = (np.empty((len(groups),) + x.shape[1:]) for x in (weights, means, covs))
+    for size in dict.fromkeys(sizes):
+        rows = [g for g, n in enumerate(sizes) if n == size]
+        idx = [groups[g] for g in rows]
+        group_w = weights[idx]
+        total = group_w.sum(axis=-1, keepdims=True)
+        totals[rows] = total[:, 0]
+        mean[rows], cov[rows] = _mixture_moments(group_w / total, means[idx], covs[idx])
+    return totals, mean, cov
 
 
 def density_to_dict(density) -> dict:

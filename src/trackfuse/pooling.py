@@ -36,11 +36,10 @@ _DEFAULT_SPAN = 7.0
 def _axis_bounds(densities: Sequence, span: float) -> tuple[np.ndarray, np.ndarray]:
     los, his = [], []
     for d in densities:
-        sig = np.sqrt(np.diag(d.cov)) if isinstance(d, GaussianDensity) else \
-            np.sqrt(np.diag(moment_match(d).cov))
-        mean = d.mean if isinstance(d, GaussianDensity) else moment_match(d).mean
-        los.append(mean - span * sig)
-        his.append(mean + span * sig)
+        gauss = d if isinstance(d, GaussianDensity) else moment_match(d)
+        sig = np.sqrt(np.diag(gauss.cov))
+        los.append(gauss.mean - span * sig)
+        his.append(gauss.mean + span * sig)
     return np.min(los, axis=0), np.max(his, axis=0)
 
 

@@ -143,16 +143,9 @@ class MetricsReport:
         for i, step in enumerate(self.steps):
             for name in self.strategies:
                 m = self.metrics[name]
-                lines.append(",".join([
-                    str(int(step)),
-                    _fmt(self.times[i]),
-                    name,
-                    _fmt(m.rmse_pos[i]),
-                    _fmt(m.rmse_vel[i]),
-                    _fmt(m.nees[i]),
-                    _fmt(m.nees_lo),
-                    _fmt(m.nees_hi),
-                ]))
+                fields = (m.rmse_pos[i], m.rmse_vel[i], m.nees[i], m.nees_lo, m.nees_hi)
+                lines.append(",".join([str(int(step)), _fmt(self.times[i]), name]
+                                      + [_fmt(v) for v in fields]))
         return "\n".join(lines) + "\n"
 
     def summary_dict(self, include_timing: bool = True) -> dict:
@@ -270,8 +263,6 @@ def _run_ekf_batch(cfg: ScenarioConfig, runs: Sequence[int]) -> list:
     order is raised.
     """
     n_runs = len(runs)
-    if not n_runs:
-        return []
     dims = cfg.sensors[0].spatial_dims
     model = MotionModel("ncv", cfg.dt_s, cfg.tracker.q, dims)
     dim = model.state_dim
@@ -342,8 +333,7 @@ def _run_single(cfg: ScenarioConfig, run_idx: int) -> dict:
     def init_locals():
         locals_ = []
         for pert in perturbations:
-            full_mean = np.concatenate((truth0, np.zeros(nca.state_dim - truth0.size)))
-            full_mean = full_mean + pert
+            full_mean = _central_mean(truth0, pert, nca.state_dim)
             dens = (GaussianDensity(full_mean[: ncv.state_dim], cov_ncv),
                     GaussianDensity(full_mean, cov_nca))
             locals_.append(ImmState(dens, np.full(2, 0.5), (ncv, nca),
@@ -432,18 +422,28 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     Raises
     ------
     ConfigError
-        For inconsistent configurations (no sensors, no strategies, fewer
-        steps than ``fusion_every``, or a mixture fusion setup with other
-        than two sensors).
+        For a configuration no study can run: no sensors, strategies or
+        runs, a bad ``dt_s``, ``prune_to`` or ``omega``, no fusion step, or a
+        mixture fusion setup with other than two sensors.
     """
     if not cfg.sensors:
         raise ConfigError("at least one sensor required")
     if not cfg.strategies:
         raise ConfigError("at least one fusion strategy required")
+    if cfg.runs < 1 or cfg.prune_to < 1:
+        raise ConfigError(f"runs and prune_to must be at least 1, got {cfg.runs} "
+                          f"and {cfg.prune_to}")
+    if not (cfg.dt_s > 0.0 and np.isfinite(cfg.dt_s)):
+        raise ConfigError(f"dt_s must be positive and finite, got {cfg.dt_s}")
+    imm = isinstance(cfg.tracker, ImmTracker)
+    if not imm and cfg.omega != 0.5:
+        raise ConfigError("EKF studies fuse their operands with equal weights 1/n; "
+                          f"omega must be 0.5, got {cfg.omega}")
+    if not 0.0 <= cfg.omega <= 1.0:
+        raise ConfigError(f"omega must lie in [0, 1], got {cfg.omega}")
     if cfg.n_steps < cfg.fusion_every:
         raise ConfigError(f"{cfg.n_steps} steps hold no fusion step at "
                           f"fusion_every = {cfg.fusion_every}")
-    imm = isinstance(cfg.tracker, ImmTracker)
     if imm and not isinstance(cfg.truth, SineTruth):
         if cfg.sensors[0].spatial_dims != 2:
             raise ConfigError("the IMM tracker is built for planar scenarios")
@@ -493,9 +493,7 @@ def _report(cfg: ScenarioConfig, per_run: list) -> MetricsReport:
             nees = np.mean([r["nees"] for r in kept], axis=0)
             lo, hi = nees_bounds(len(kept), nees_dim, cfg.nees_sided)
         else:
-            pos = np.full(fusion_steps.size, np.nan)
-            vel = np.full(fusion_steps.size, np.nan)
-            nees = np.full(fusion_steps.size, np.nan)
+            pos = vel = nees = np.full(fusion_steps.size, np.nan)
             lo, hi = np.nan, np.nan
         calls = sum(r["fuse_calls"] for r in runs)
         timing[name] = (sum(r["fuse_seconds"] for r in runs) / calls

@@ -19,8 +19,12 @@ from trackfuse import (
     ModeLikelihoodDegenerate,
     MotionModel,
     NcvTruth,
+    NonPositiveDefiniteResult,
     NotPositiveDefinite,
     NotSymmetric,
+    ScaledGaussian,
+    apply_feedback,
+    assert_spd,
     compute_nees,
     ekf_predict,
     ekf_update,
@@ -28,7 +32,9 @@ from trackfuse import (
     moment_match,
     ncv_truth_states,
     sine_truth_states,
+    symmetrize,
     wrap_angle,
+    zero_pad,
 )
 from trackfuse.pooling import integrate
 from trackfuse.simulation import _report
@@ -428,3 +434,180 @@ def ref_ekf_run(cfg, run_idx):
 def ref_ekf_study(cfg):
     """The report of an EKF study run one run at a time."""
     return _report(cfg, [ref_ekf_run(cfg, r) for r in range(cfg.runs)])
+
+
+# Reference copies of the mixture rules and feedback routing as they stood
+# before every cross pair of a fusion went through one stacked kernel: each
+# pair is multiplied, gap-tested and divided on its own, each result density
+# goes through the public constructor, and moment matching is the old
+# per-component loop. The package's rules must reproduce them bit for bit.
+
+def _ref_factor_logpdf(mean, chol, pts):
+    dev = np.linalg.solve(chol, (pts - mean).T)
+    maha = (dev * dev).sum(axis=0)
+    return -0.5 * (mean.size * math.log(2.0 * math.pi)
+                   + 2.0 * np.log(chol.diagonal()).sum() + maha)
+
+
+def _ref_match(mixture):
+    return GaussianDensity(*ref_moment_match(
+        mixture.weights, [c.mean for c in mixture.components],
+        [c.cov for c in mixture.components]))
+
+
+def ref_gaussian_product(a, b):
+    if a.dim != b.dim:
+        raise ValueError("operands must share one dimension")
+    sum_cov = a.cov + b.cov
+    gain = np.linalg.solve(sum_cov, np.column_stack((b.mean - a.mean, b.cov)))
+    mean = a.mean + a.cov @ gain[:, 0]
+    cov = symmetrize(a.cov @ gain[:, 1:])
+    log_scale = float(_ref_factor_logpdf(a.mean, assert_spd(sum_cov), b.mean[None])[0])
+    return ScaledGaussian(log_scale, GaussianDensity(mean, cov))
+
+
+def ref_gaussian_division(num, den):
+    if num.dim != den.dim:
+        raise ValueError("operands must share one dimension")
+    gap = symmetrize(den.cov - num.cov)
+    try:
+        assert_spd(gap)
+    except (NotSymmetric, NotPositiveDefinite) as exc:
+        raise NonPositiveDefiniteResult(
+            "division requires the numerator precision to exceed the denominator's"
+        ) from exc
+    cov = symmetrize(num.cov + num.cov @ np.linalg.solve(gap, num.cov))
+    info_mean = np.linalg.solve(num.cov, num.mean) - np.linalg.solve(den.cov, den.mean)
+    mean = cov @ info_mean
+    log_scale = -float(_ref_factor_logpdf(mean, assert_spd(cov + den.cov), den.mean[None])[0])
+    return ScaledGaussian(log_scale, GaussianDensity(mean, cov))
+
+
+def _ref_pair_tag(mix_a, i, mix_b, j):
+    if mix_a.tags is None and mix_b.tags is None:
+        return None
+    ta = mix_a.tags[i] if mix_a.tags is not None else ""
+    tb = mix_b.tags[j] if mix_b.tags is not None else ""
+    return f"{ta}|{tb}"
+
+
+def _ref_as_mixture(d):
+    if isinstance(d, GaussianMixture):
+        return d.normalized()
+    return GaussianMixture(np.array([1.0]), (d,))
+
+
+def _ref_weighted(log_w, comps, tags):
+    log_w = np.asarray(log_w)
+    wts = np.exp(log_w - np.max(log_w))
+    return GaussianMixture(wts / np.sum(wts), tuple(comps),
+                           tuple(tags) if tags[0] is not None else None)
+
+
+def ref_mixture_product(a, b):
+    log_w, comps, tags = [], [], []
+    for i in range(a.n_components):
+        for j in range(b.n_components):
+            prod = ref_gaussian_product(a.components[i], b.components[j])
+            log_w.append(np.log(max(a.weights[i] * b.weights[j],
+                                    np.finfo(float).tiny)) + prod.log_scale)
+            comps.append(prod.density)
+            tags.append(_ref_pair_tag(a, i, b, j))
+    return _ref_weighted(log_w, comps, tags)
+
+
+def ref_fuse_pcf(a, b, w=0.5):
+    mix_a, mix_b = _ref_as_mixture(a), _ref_as_mixture(b)
+    if w == 1.0:
+        return mix_a
+    if w == 0.0:
+        return mix_b
+
+    def powered(mix, p):
+        log_w, comps = [], []
+        for wt, c in zip(mix.weights, mix.components):
+            log_w.append(p * np.log(max(wt, np.finfo(float).tiny))
+                         + ref_scaled_power_log_scale(c.cov, p))
+            comps.append(GaussianDensity(c.mean, c.cov / p))
+        return log_w, comps
+
+    lw_a, comp_a = powered(mix_a, w)
+    lw_b, comp_b = powered(mix_b, 1.0 - w)
+    log_w, comps, tags = [], [], []
+    for i in range(len(comp_a)):
+        for j in range(len(comp_b)):
+            prod = ref_gaussian_product(comp_a[i], comp_b[j])
+            log_w.append(lw_a[i] + lw_b[j] + prod.log_scale)
+            comps.append(prod.density)
+            tags.append(_ref_pair_tag(mix_a, i, mix_b, j))
+    return _ref_weighted(log_w, comps, tags)
+
+
+REF_PAIR_GAP_RTOL = 1e-6
+
+
+def ref_pair_quotient(num, eq, mix_a, mix_b, i, j, w):
+    """Divide one cross product by the pool, or by the pair's own pool when
+    the gap ``C_eq - C_num`` fails the eigenvalue test; returns the quotient
+    and whether the pair's own pool served."""
+    gap_eigs = np.linalg.eigvalsh(symmetrize(eq.cov - num.cov))
+    if gap_eigs[0] > REF_PAIR_GAP_RTOL * gap_eigs[-1]:
+        return ref_gaussian_division(num, eq), False
+    wa = (1.0 - w) * float(mix_a.weights[i])
+    wb = w * float(mix_b.weights[j])
+    local = _ref_match(GaussianMixture(
+        np.array([wa, wb]) / (wa + wb),
+        (mix_a.components[i], mix_b.components[j])))
+    return ref_gaussian_division(num, local), True
+
+
+def ref_fuse_hmd_mixture(a, b, w=0.5, fallbacks=None):
+    """Old ``fuse_hmd_mixture``; appends each pair's fallback flag to
+    ``fallbacks`` when given."""
+    mix_a, mix_b = _ref_as_mixture(a), _ref_as_mixture(b)
+    if w == 1.0:
+        return mix_a
+    if w == 0.0:
+        return mix_b
+    pool_w = np.concatenate(((1.0 - w) * mix_a.weights, w * mix_b.weights))
+    eq = _ref_match(GaussianMixture(pool_w, mix_a.components + mix_b.components))
+    log_w, comps, tags = [], [], []
+    for i in range(mix_a.n_components):
+        for j in range(mix_b.n_components):
+            prod = ref_gaussian_product(mix_a.components[i], mix_b.components[j])
+            quot, fell_back = ref_pair_quotient(prod.density, eq, mix_a, mix_b, i, j, w)
+            if fallbacks is not None:
+                fallbacks.append(fell_back)
+            log_w.append(np.log(max(mix_a.weights[i] * mix_b.weights[j],
+                                    np.finfo(float).tiny))
+                         + prod.log_scale + quot.log_scale)
+            comps.append(quot.density)
+            tags.append(_ref_pair_tag(mix_a, i, mix_b, j))
+    return _ref_weighted(log_w, comps, tags)
+
+
+def ref_route_feedback(state, fed, operand_idx):
+    if fed.tags is None:
+        raise ValueError("feedback mixture must carry provenance tags")
+    groups = {}
+    for k, tag in enumerate(fed.tags):
+        fields = tag.split("|")
+        if operand_idx >= len(fields):
+            raise ValueError("provenance tag has no field for this operand")
+        if fields[operand_idx]:
+            groups.setdefault(fields[operand_idx], []).append(k)
+    keep_w, keep_c = [], []
+    for m, model in enumerate(state.models):
+        idx = groups.get(model.kind)
+        if idx:
+            group_w = fed.weights[idx]
+            group = GaussianMixture(group_w / np.sum(group_w),
+                                    tuple(fed.components[k] for k in idx))
+            keep_w.append(float(np.sum(group_w)))
+            keep_c.append(_ref_match(group))
+        else:
+            keep_w.append(float(state.mode_probs[m]))
+            keep_c.append(zero_pad(state.densities[m], state.max_dim, state.pad_var))
+    prepared = GaussianMixture(np.asarray(keep_w), tuple(keep_c),
+                               tuple(m.kind for m in state.models)).normalized()
+    return apply_feedback(state, prepared)

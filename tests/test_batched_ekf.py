@@ -154,7 +154,10 @@ def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch
     scalar = []
 
     def record_scalar(cov):
-        scalar[-1].append(np.array(cov))
+        cov = np.array(cov)
+        # The pair rules check one-member stacks; each counts as its member.
+        assert cov.ndim == 2 or cov.shape[:-2] == (1,)
+        scalar[-1].append(cov.reshape(cov.shape[-2:]))
         return check(cov)
 
     monkeypatch.setattr(gaussians, "assert_spd", record_scalar)
@@ -168,7 +171,10 @@ def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch
         stacked.append(np.array(cov))
         return check(cov)
 
+    # The engine checks through both modules: its own densities and the
+    # product kernel it shares with the pair rules.
     monkeypatch.setattr(_stacked, "assert_spd", record_stack)
+    monkeypatch.setattr(gaussians, "assert_spd", record_stack)
     run_scenario(cfg)
     assert len(stacked) > 0
     for r, checked in enumerate(scalar):

@@ -26,8 +26,8 @@ from trackfuse import (
     hmd_norm_const,
     moment_match,
 )
-from trackfuse.fusion import _mixture_product, _pair_quotient
-from oracles import geometric_norm_const, random_gaussian
+from trackfuse.fusion import _mixture_product
+from oracles import geometric_norm_const, random_gaussian, ref_fuse_hmd_mixture
 
 
 def _paper_pair():
@@ -340,14 +340,19 @@ def test_pair_quotient_falls_back_to_local_pool():
     wide_product = gaussian_product(mix_a.components[1], mix_b.components[1])
     # The global pool cannot divide this pair at all.
     assert pool.cov[0, 0] < wide_product.density.cov[0, 0]
-    quot = _pair_quotient(wide_product.density, pool, mix_a, mix_b, 1, 1, w)
+    # The per-pair reference takes the pair's own pool for this pair ...
+    fallbacks = []
+    ref_fuse_hmd_mixture(mix_a, mix_b, w, fallbacks)
+    assert fallbacks[3]
+    # ... and so does the rule: its (1, 1) component is the division by it.
+    quot = fuse_hmd_mixture(mix_a, mix_b, w).components[3]
     wa, wb = (1.0 - w) * mix_a.weights[1], w * mix_b.weights[1]
     local = moment_match(GaussianMixture(
         np.array([wa, wb]) / (wa + wb),
         (mix_a.components[1], mix_b.components[1])))
     expected = gaussian_division(wide_product.density, local)
-    np.testing.assert_allclose(quot.density.mean, expected.density.mean, rtol=1e-10)
-    np.testing.assert_allclose(quot.density.cov, expected.density.cov, rtol=1e-10)
+    np.testing.assert_allclose(quot.mean, expected.density.mean, rtol=1e-10)
+    np.testing.assert_allclose(quot.cov, expected.density.cov, rtol=1e-10)
 
 
 def test_recursive_fusion_with_two_inputs_matches_pair_rule(rng):

@@ -30,8 +30,10 @@ from trackfuse import (
     range_az_el_sensor,
     run_scenario,
     track_loss_rate,
+    load_preset,
     wrap_angle,
 )
+from trackfuse import simulation
 from trackfuse.simulation import CSV_HEADER
 
 
@@ -369,6 +371,43 @@ def test_rejects_mixture_fusion_with_three_sensors():
                       duration_s=2.0, fusion_every=2)
     with pytest.raises(ConfigError, match="two sensors"):
         run_scenario(cfg)
+
+
+@pytest.fixture
+def no_run_starts(monkeypatch):
+    """Fail the test if ``run_scenario`` gets as far as starting a run."""
+    def started(*args):
+        raise AssertionError("a run started before the configuration was rejected")
+    monkeypatch.setattr(simulation, "_run_block", started)
+
+
+def test_rejects_a_study_without_runs(no_run_starts):
+    with pytest.raises(ConfigError, match="runs and prune_to must be at least 1"):
+        run_scenario(load_preset("scenario1", runs=0))
+
+
+@pytest.mark.parametrize("dt_s", [0.0, -1.0, float("inf"), float("nan")])
+def test_rejects_a_time_step_that_is_not_positive_and_finite(no_run_starts, dt_s):
+    with pytest.raises(ConfigError, match="dt_s must be positive and finite"):
+        run_scenario(load_preset("scenario2", runs=1, dt_s=dt_s))
+
+
+def test_rejects_prune_to_below_one(no_run_starts):
+    with pytest.raises(ConfigError, match="runs and prune_to must be at least 1"):
+        run_scenario(load_preset("scenario2", runs=1, feedback=False, prune_to=0))
+
+
+@pytest.mark.parametrize("omega", [-0.1, 1.5, float("nan")])
+def test_rejects_omega_outside_the_unit_interval(no_run_starts, omega):
+    with pytest.raises(ConfigError, match=r"omega must lie in \[0, 1\]"):
+        run_scenario(load_preset("scenario2", runs=1, omega=omega))
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.3, 1.5])
+def test_rejects_an_ekf_omega_the_equal_weight_rule_ignores(no_run_starts, omega):
+    # EKF studies fuse every operand with weight 1/n, whatever omega says.
+    with pytest.raises(ConfigError, match="equal weights 1/n"):
+        run_scenario(load_preset("scenario1", runs=1, omega=omega))
 
 
 # ---------------------------------------------------------------------------
