@@ -119,10 +119,20 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _positive_ints(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated integers of at least 1."""
+    return tuple(_positive_int(v) for v in text.split(","))
+
+
 def _cmd_bench(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
-    counts = tuple(int(c) for c in args.counts.split(","))
-    rows = bench_fusion(dims=dims, counts=counts, repeats=args.repeats,
+    rows = bench_fusion(dims=args.dims, counts=args.counts, repeats=args.repeats,
                         seed=args.seed)
     text = bench_csv_text(rows)
     if args.csv:
@@ -190,11 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     bench = sub.add_parser("bench", help="time the fusion rules")
-    bench.add_argument("--dims", default="2,4,6,9",
+    bench.add_argument("--dims", type=_positive_ints, default="2,4,6,9",
                        help="comma-separated state dimensions")
-    bench.add_argument("--counts", default="1,2,4,8",
+    bench.add_argument("--counts", type=_positive_ints, default="1,2,4,8",
                        help="comma-separated mixture component counts")
-    bench.add_argument("--repeats", type=int, default=200)
+    bench.add_argument("--repeats", type=_positive_int, default=200)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--csv", default=None, help="write CSV here instead of stdout")
     bench.set_defaults(func=_cmd_bench)

@@ -1,8 +1,9 @@
 """Extended Kalman filtering and interacting multiple-model tracking.
 
 The EKF update uses the Joseph-form covariance and wraps angular innovation
-components. The IMM keeps one density per motion model; models of different
-state dimension interact by zero-padding the shorter states up to the longest
+components. The EKF steps also step each member of a stacked density (one
+per Monte Carlo run, each with its own measurement) as it would step alone.
+The IMM keeps one density per motion model; models of different state dimension interact by zero-padding the shorter states up to the longest
 one (padded entries get a configured variance) wherever cross-mode moments
 are formed, and truncating back afterwards.
 """
@@ -19,8 +20,11 @@ from .errors import ModeLikelihoodDegenerate, NotPositiveDefinite, SingularInnov
 from .gaussians import (
     GaussianDensity,
     GaussianMixture,
+    _chol_logdet,
     _group_moments,
+    _matvec,
     _mixture_moments,
+    _scalar,
     _stack,
     assert_spd,
     symmetrize,
@@ -52,41 +56,54 @@ def _identity(dim: int) -> np.ndarray:
 
 
 def ekf_predict(track: GaussianDensity, motion: MotionModel) -> GaussianDensity:
-    """One motion-model prediction step."""
+    """One motion-model prediction step (of each member of a stack)."""
     f = motion.transition
-    return GaussianDensity(f @ track.mean,
+    return GaussianDensity(_matvec(f, track.mean),
                            symmetrize(f @ track.cov @ f.T + motion.noise))
 
 
-def ekf_update_with_loglik(track: GaussianDensity, meas: MeasurementModel,
-                           z: np.ndarray) -> tuple[GaussianDensity, float]:
-    """Joseph-form measurement update, returning the innovation log-likelihood."""
+def _joseph_update(track: GaussianDensity, meas: MeasurementModel, z) -> tuple:
+    """The updated density, the innovation covariance's factor and the
+    innovation, for ``z[..., m]`` (one measurement per member)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    jac = meas.jacobian(track.mean, track.dim)
-    innov = z - meas.measure(track.mean)
+    dim = track.dim
+    if track.mean.ndim == 1:
+        jac, predicted = meas.jacobian(track.mean, dim), meas.measure(track.mean)
+    else:  # A stack: the sensor model is evaluated member by member.
+        members, lead = track.mean.reshape(-1, dim), track.mean.shape[:-1]
+        jac = np.array([meas.jacobian(m, dim) for m in members]).reshape(lead + (-1, dim))
+        predicted = np.array([meas.measure(m) for m in members]).reshape(lead + (-1,))
+    innov = z - predicted
     for idx in meas.angle_indices:
-        innov[idx] = wrap_angle(innov[idx])
+        innov[..., idx] = wrap_angle(innov[..., idx])
     jac_cov = jac @ track.cov
-    s = symmetrize(jac_cov @ jac.T + meas.noise_cov)
+    s = symmetrize(jac_cov @ jac.swapaxes(-1, -2) + meas.noise_cov)
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation("innovation covariance is singular") from exc
-    gain = np.linalg.solve(s, jac_cov).T
-    mean = track.mean + gain @ innov
-    imkh = _identity(track.dim) - gain @ jac
-    cov = symmetrize(imkh @ track.cov @ imkh.T + gain @ meas.noise_cov @ gain.T)
-    white = np.linalg.solve(chol, innov)
-    loglik = -0.5 * (z.size * _LOG_2PI
-                     + 2.0 * float(np.sum(np.log(np.diag(chol))))
-                     + float(white @ white))
-    return GaussianDensity(mean, cov), loglik
+    gain = np.linalg.solve(s, jac_cov).swapaxes(-1, -2)
+    mean = track.mean + _matvec(gain, innov)
+    imkh = _identity(dim) - gain @ jac
+    cov = symmetrize(imkh @ track.cov @ imkh.swapaxes(-1, -2)
+                     + gain @ meas.noise_cov @ gain.swapaxes(-1, -2))
+    return GaussianDensity(mean, cov), chol, innov
+
+
+def ekf_update_with_loglik(track: GaussianDensity, meas: MeasurementModel,
+                           z: np.ndarray) -> tuple[GaussianDensity, float]:
+    """Joseph-form measurement update and the innovation log-likelihood(s)."""
+    updated, chol, innov = _joseph_update(track, meas, z)
+    white = np.linalg.solve(chol, innov[..., None])[..., 0]
+    loglik = -0.5 * (innov.shape[-1] * _LOG_2PI + _chol_logdet(chol)
+                     + (white[..., None, :] @ white[..., :, None])[..., 0, 0])
+    return updated, _scalar(loglik)
 
 
 def ekf_update(track: GaussianDensity, meas: MeasurementModel,
                z: np.ndarray) -> GaussianDensity:
-    """One measurement update step."""
-    return ekf_update_with_loglik(track, meas, z)[0]
+    """One measurement update step (of each member of a stack)."""
+    return _joseph_update(track, meas, z)[0]
 
 
 def zero_pad(track: GaussianDensity, target_dim: int, pad_var: float) -> GaussianDensity:

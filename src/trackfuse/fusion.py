@@ -20,6 +20,11 @@ The harmonic rule's division step is always well posed for a pair of
 Gaussians: the moment-matched mixture covariance dominates the product
 covariance, so the difference of precisions stays positive definite.
 
+The Gaussian rules (:func:`fuse_naive`, :func:`fuse_gmd`, :func:`fuse_amd`,
+:func:`fuse_hmd` and the multi-operand :func:`fuse_many`) also take stacked
+densities, one member per Monte Carlo run, and fuse each member as it would
+fuse alone; the batched EKF engine fuses all runs of a study in one call.
+
 The mixture rules (naive, pcf, hmd) multiply every cross pair of operand
 components in one call of a stacked kernel, on the axis ``k = i J + j``, and
 mixture hmd divides all pairs in one more. The pairs whose gap to the global
@@ -41,6 +46,7 @@ from .gaussians import (
     GaussianMixture,
     _factor_logpdf,
     _group_moments,
+    _matvec,
     _mixture_moments,
     _products,
     _quotients,
@@ -120,11 +126,7 @@ def fuse_gmd(a: GaussianDensity, b: GaussianDensity, w: float = 0.5) -> Gaussian
     w = _check_weight(w)
     if w in (0.0, 1.0):
         return a if w else b
-    lam_a, lam_b = a.precision, b.precision
-    prec = w * lam_a + (1.0 - w) * lam_b
-    cov = spd_inv(prec)
-    mean = cov @ (w * (lam_a @ a.mean) + (1.0 - w) * (lam_b @ b.mean))
-    return GaussianDensity(mean, cov)
+    return fuse_many((a, b), "gmd", (w, 1.0 - w))
 
 
 def fuse_amd(inputs: Sequence[GaussianDensity | GaussianMixture],
@@ -252,7 +254,8 @@ def _hmd_pair(a: GaussianDensity, b: GaussianDensity, v: float,
     except (NotPositiveDefinite, NotSymmetric) as exc:
         raise NonPositiveDefiniteResult(
             "harmonic fusion produced a non-positive-definite covariance") from exc
-    mean = cov @ (lam_a @ a.mean + lam_b @ b.mean - lam_eq @ eq.mean)
+    mean = _matvec(cov, _matvec(lam_a, a.mean) + _matvec(lam_b, b.mean)
+                   - _matvec(lam_eq, eq.mean))
     fused = GaussianDensity(mean, cov)
     diagnostics: dict = {}
     if with_diagnostics:
@@ -379,7 +382,8 @@ def fuse_pair(a, b, strategy: str, omega: float = 0.5):
 
 def fuse_many(densities: Sequence[GaussianDensity], strategy: str,
               weights: Sequence[float] | None = None):
-    """Fuse several Gaussian estimates with equal weights by default."""
+    """Fuse several Gaussian estimates (or stacks of one shape) with equal
+    weights by default; amd returns the mixture of the operands."""
     n = len(densities)
     if n == 0:
         raise ValueError("nothing to fuse")
@@ -393,9 +397,9 @@ def fuse_many(densities: Sequence[GaussianDensity], strategy: str,
     if strategy == "gmd":
         lams = [d.precision for d in densities]
         lam = sum(w * L for w, L in zip(weights, lams))
-        info = sum(w * (L @ d.mean) for w, L, d in zip(weights, lams, densities))
+        info = sum(w * _matvec(L, d.mean) for w, L, d in zip(weights, lams, densities))
         cov = spd_inv(symmetrize(lam))
-        return GaussianDensity(cov @ info, cov)
+        return GaussianDensity(_matvec(cov, info), cov)
     if strategy == "amd":
         return fuse_amd(list(densities), weights)
     if strategy == "hmd":

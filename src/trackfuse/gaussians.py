@@ -6,6 +6,13 @@ and divisions of Gaussians (with their scalar normalization factors), fractional
 powers, and moment matching of mixtures. Covariances are re-symmetrized after
 every operation so that round-off never accumulates into asymmetry.
 
+A :class:`GaussianDensity` is one Gaussian or a stack of them over leading
+axes, e.g. one member per Monte Carlo run. The filter steps, the Gaussian
+fusion rules, products, divisions, moment matching and NEES are written once
+on ``[..., d]`` arrays; each member goes through the BLAS/LAPACK routines of
+a density on its own, on the same operand layouts (:func:`_matvec`), so its
+numbers equal the one-density result bit for bit.
+
 Validation contract: a :class:`GaussianDensity` built through its constructor
 checks its covariance once with :func:`assert_spd` (finite entries of at most
 half the float maximum, symmetry, Cholesky factorization, pivot floor) and
@@ -29,11 +36,10 @@ differently agrees to round-off. Matrices that are not yet a density
 covariance) pass the full check in :func:`assert_spd` or :func:`spd_inv`; a
 scale term's log density comes from that check's factor.
 
-:func:`assert_spd` also validates a ``[..., d, d]`` stack (one matrix per
-Monte Carlo run of the batched EKF engine, or per cross pair of a mixture
-fusion) and gives every member the verdict the 2-D check gives it. Products
-and divisions run on such stacks and return the members of a checked stack
-with what the constructor would store, so each keeps the constructor's verdict.
+:func:`assert_spd` also validates a ``[..., d, d]`` stack (the covariances of
+a stacked density, or one matrix per cross pair of a mixture fusion) and
+gives every member the verdict the 2-D check gives it; if members fail, the
+first failing one raises.
 """
 
 from __future__ import annotations
@@ -164,6 +170,16 @@ def _check_pivot_floor(chol: np.ndarray, cov: np.ndarray) -> None:
         raise NotPositiveDefinite("covariance is numerically singular")
 
 
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``mat @ vec`` per member, ``vec[..., d]`` a column as a 1-D operand is."""
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _scalar(value: np.ndarray):
+    """A Python float for one density's scalar result; a stack's array as is."""
+    return value if value.ndim else float(value)
+
+
 def _chol_inv(chol: np.ndarray) -> np.ndarray:
     """Symmetrized inverse of ``L L^T`` from its Cholesky factor ``L`` (of
     each factor in a stack)."""
@@ -191,10 +207,13 @@ def spd_inv(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianDensity:
-    """A multivariate Gaussian with validated mean and covariance.
+    """A multivariate Gaussian with validated mean and covariance, or a stack
+    of them over leading axes, each member checked as a density of its own.
 
-    ``chol`` is the lower Cholesky factor of ``cov`` that validation computed;
-    ``mean``, ``cov`` and ``chol`` are read-only arrays.
+    ``mean[..., d]``, ``cov[..., d, d]`` and ``chol``, the lower Cholesky
+    factor of ``cov`` that validation computed, are read-only arrays.
+    ``logpdf``/``pdf``, ``marginal`` and JSON are for one density only and
+    raise ``ValueError`` for a stack.
     """
 
     mean: np.ndarray
@@ -203,25 +222,21 @@ class GaussianDensity:
 
     def __post_init__(self):
         mean, cov = self.mean, self.cov
-        if type(mean) is not np.ndarray or mean.dtype is not _FLOAT or mean.ndim != 1:
+        if type(mean) is not np.ndarray or mean.dtype is not _FLOAT or mean.ndim == 0:
             mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        if type(cov) is not np.ndarray or cov.dtype is not _FLOAT or cov.ndim != 2:
+        if type(cov) is not np.ndarray or cov.dtype is not _FLOAT or cov.ndim < 2:
             cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
-        if cov.shape != (mean.size, mean.size):
+        if cov.shape != mean.shape + mean.shape[-1:]:
             raise ValueError(
-                f"covariance shape {cov.shape} does not match state dimension {mean.size}"
-            )
+                f"covariance shape {cov.shape} does not match mean shape {mean.shape}: "
+                "a mean vector [d], or a stack of them [..., d], needs covariances [..., d, d]")
         chol = assert_spd(cov)
         self._store(mean.copy(), symmetrize(cov), chol)
 
     def _store(self, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> None:
         for arr in (mean, cov, chol):
             arr.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "chol", chol)
+        self.__dict__.update(mean=mean, cov=cov, chol=chol)
 
     @classmethod
     def _derived(cls, mean: np.ndarray, cov: np.ndarray,
@@ -257,7 +272,11 @@ class GaussianDensity:
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
+
+    def _single(self, what: str) -> None:
+        if self.mean.ndim != 1:
+            raise ValueError(f"{what} is defined for one density, not a stack")
 
     @cached_property
     def precision(self) -> np.ndarray:
@@ -268,6 +287,7 @@ class GaussianDensity:
 
     def logpdf(self, x) -> np.ndarray:
         """Log density at ``x`` (shape ``(d,)`` or ``(n, d)``; ``(n,)`` if d=1)."""
+        self._single("logpdf")
         pts = _as_points(x, self.dim)
         out = _factor_logpdf(self.mean, self.chol, pts)
         return out[0] if np.ndim(x) <= 1 and pts.shape[0] == 1 else out
@@ -277,6 +297,7 @@ class GaussianDensity:
 
     def marginal(self, idx) -> "GaussianDensity":
         """Marginal over the state indices ``idx``."""
+        self._single("marginal")
         idx = np.asarray(idx, dtype=int)
         if idx.ndim == 1 and 0 < idx.size <= self.dim and (idx == np.arange(idx.size)).all():
             return self._leading(idx.size)
@@ -308,7 +329,7 @@ class GaussianMixture:
 
     Tags identify the motion model a component originated from and survive
     fusion, which is what lets a fusion center route feedback back to the
-    matching local filter mode.
+    matching local filter mode. Components may be stacks of one shape.
     """
 
     weights: np.ndarray
@@ -324,9 +345,8 @@ class GaussianMixture:
             raise ValueError("mixture must have at least one component")
         if (weights < -1e-15).any() or not np.isfinite(weights).all():
             raise ValueError("mixture weights must be finite and nonnegative")
-        dims = {c.dim for c in components}
-        if len(dims) != 1:
-            raise ValueError("mixture components must share one dimension")
+        if len({c.mean.shape for c in components}) != 1:
+            raise ValueError("mixture components must share one dimension and stack shape")
         if self.tags is not None and len(self.tags) != len(components):
             raise ValueError("one tag per component required")
         object.__setattr__(self, "weights", np.maximum(weights, 0.0))
@@ -377,12 +397,10 @@ def gaussian_product(a: GaussianDensity, b: GaussianDensity) -> ScaledGaussian:
 
     ``N(x; a, A) N(x; b, B) = s N(x; c, C)`` with ``C = (A^-1 + B^-1)^-1``,
     ``c = C (A^-1 a + B^-1 b)`` and scale ``s = N(b; a, A + B)``. The scale is
-    the normalization constant of the product and is returned in log space.
+    the normalization constant of the product and is returned in log space
+    (an array of them for stacked operands).
     """
-    if a.dim != b.dim:
-        raise ValueError("operands must share one dimension")
-    mean, cov, chol, log_s = _products(a.mean[None], a.cov[None], b.mean[None], b.cov[None])
-    return ScaledGaussian(float(log_s[0]), GaussianDensity._members(mean, cov, chol)[0])
+    return _scaled(_products, a, b)
 
 
 def gaussian_division(num: GaussianDensity, den: GaussianDensity) -> ScaledGaussian:
@@ -397,16 +415,24 @@ def gaussian_division(num: GaussianDensity, den: GaussianDensity) -> ScaledGauss
     NonPositiveDefiniteResult
         If ``den.cov - num.cov`` is not positive definite.
     """
-    if num.dim != den.dim:
+    return _scaled(_quotients, num, den)
+
+
+def _scaled(kernel, a: GaussianDensity, b: GaussianDensity) -> ScaledGaussian:
+    """``kernel`` (:func:`_products` or :func:`_quotients`) of two densities or
+    stacks; the result density stores what the constructor would store for
+    the covariance the kernel checked: copied mean, symmetrized cov, factor."""
+    if a.dim != b.dim:
         raise ValueError("operands must share one dimension")
-    mean, cov, chol, log_s = _quotients(num.mean[None], num.cov[None],
-                                        den.mean[None], den.cov[None])
-    return ScaledGaussian(float(log_s[0]), GaussianDensity._members(mean, cov, chol)[0])
+    mean, cov, chol, log_s = kernel(a.mean, a.cov, b.mean, b.cov)
+    density = object.__new__(GaussianDensity)
+    density._store(mean.copy(), symmetrize(cov), chol)
+    return ScaledGaussian(_scalar(log_s), density)
 
 
 def _products(a_means, a_covs, b_means, b_covs) -> tuple:
-    """:func:`gaussian_product` of each member pair of ``[K, d]`` means and
-    ``[K, d, d]`` covariances: the means, covariances, factors and log scales.
+    """:func:`gaussian_product` of each member pair of ``[..., d]`` means and
+    ``[..., d, d]`` covariances: the means, covariances, factors and log scales.
     The scale-term covariances, then the products, pass one stacked check each."""
     sum_cov = a_covs + b_covs
     # C = A (A+B)^-1 B and c = a + A (A+B)^-1 (b - a): no explicit inverses.
@@ -459,9 +485,12 @@ def moment_match(mixture: GaussianMixture) -> GaussianDensity:
 
     The covariance is the weighted within-component covariance plus the
     spread-of-means term, so it always dominates the weighted average of the
-    component covariances.
+    component covariances. Stacked components give the stack of matches.
     """
-    return GaussianDensity(*_mixture_moments(mixture.weights, *_stack(mixture.components)))
+    comps = mixture.components
+    return GaussianDensity(*_mixture_moments(mixture.weights,
+                                             np.stack([c.mean for c in comps], axis=-2),
+                                             np.stack([c.cov for c in comps], axis=-3)))
 
 
 def _stack(components) -> tuple[np.ndarray, np.ndarray]:
@@ -515,6 +544,7 @@ def _group_moments(weights: np.ndarray, means: np.ndarray, covs: np.ndarray,
 def density_to_dict(density) -> dict:
     """JSON-ready dict for a Gaussian ({"mean","cov"}) or mixture ({"weights","components"})."""
     if isinstance(density, GaussianDensity):
+        density._single("JSON")
         return {"mean": density.mean.tolist(), "cov": density.cov.tolist()}
     if isinstance(density, GaussianMixture):
         out = {
@@ -532,8 +562,10 @@ def density_from_dict(data: dict):
     if not isinstance(data, dict):
         raise ValueError("density must be a JSON object")
     if "mean" in data and "cov" in data:
-        return GaussianDensity(np.asarray(data["mean"], dtype=float),
-                               np.asarray(data["cov"], dtype=float))
+        mean = np.atleast_1d(np.asarray(data["mean"], dtype=float))
+        if mean.ndim != 1 or not np.isfinite(mean).all():
+            raise ValueError("mean must be a vector of finite numbers")
+        return GaussianDensity(mean, np.asarray(data["cov"], dtype=float))
     if "weights" in data and "components" in data:
         comps = tuple(density_from_dict(c) for c in data["components"])
         if not all(isinstance(c, GaussianDensity) for c in comps):

@@ -8,10 +8,11 @@ strategy comparisons tight). Runs are seeded from a master seed through
 
 The tracker kind picks the engine. A study with EKF locals steps all its runs
 together: every bank (the locals, the centralized track, each strategy's
-fusion centre) is held as arrays stacked over the runs, and the stacked
-kernels in :mod:`trackfuse._stacked` repeat the scalar filter, fusion and
-scoring arithmetic per run, so the report is byte-identical to stepping each
-run through the scalar API. A study with IMM locals runs one run at a time.
+fusion centre) is one :class:`~trackfuse.gaussians.GaussianDensity` stacked
+over the runs, passed through the same public filter, fusion and scoring
+functions a single run uses, which treat each member as they treat one
+density, so the report is byte-identical to stepping each run on its own.
+A study with IMM locals runs one run at a time.
 ``TRACKFUSE_THREADS`` splits the runs into contiguous blocks, one batch per
 worker process for EKF studies, without changing the report.
 
@@ -33,7 +34,6 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import chi2
 
-from . import _stacked
 from .errors import ConfigError
 from .filters import (
     ImmState,
@@ -44,8 +44,8 @@ from .filters import (
     prune_mixture,
     route_feedback,
 )
-from .fusion import fuse_pair
-from .gaussians import GaussianDensity, GaussianMixture, moment_match
+from .fusion import fuse_many, fuse_pair
+from .gaussians import GaussianDensity, GaussianMixture, _scalar, moment_match
 from .models import MotionModel, wrap_angle
 from .scenarios import (
     EkfTracker,
@@ -97,15 +97,15 @@ def track_loss_rate(final_errors, tau: float) -> float:
 
 def compute_nees(density, truth_state: np.ndarray,
                  indices: np.ndarray | None = None) -> float:
-    """NEES of an estimate against the true state (mixtures moment-matched)."""
+    """NEES of an estimate against the true state (mixtures moment-matched);
+    for a stacked density, one value per member against ``truth_state[..., :]``."""
     gauss = moment_match(density) if isinstance(density, GaussianMixture) else density
-    if indices is not None:
-        gauss = gauss.marginal(indices)
-        truth = np.asarray(truth_state, dtype=float)[indices]
+    if indices is None:
+        indices = slice(gauss.dim)
     else:
-        truth = np.asarray(truth_state, dtype=float)[: gauss.dim]
-    err = gauss.mean - truth
-    return float(err @ np.linalg.solve(gauss.cov, err))
+        gauss = gauss.marginal(indices)
+    err = gauss.mean - np.asarray(truth_state, dtype=float)[..., indices]
+    return _scalar((err[..., None, :] @ np.linalg.solve(gauss.cov, err[..., None]))[..., 0, 0])
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,8 @@ def _run_ekf_batch(cfg: ScenarioConfig, runs: Sequence[int]) -> list:
     """All ``runs`` of an EKF study, stepped together as stacked arrays.
 
     Each bank (the locals, the centralized track, each strategy's fusion
-    centre) is one :class:`~trackfuse._stacked.GaussianStack` over the runs.
+    centre) is one :class:`~trackfuse.gaussians.GaussianDensity` stacked
+    over the runs.
     The fusion centre keeps its own fused track between fusion instants and
     folds the predicted track in as one more operand: the previous fused
     estimate carries the locals' history, so re-fusing the current locals
@@ -279,23 +280,23 @@ def _run_ekf_batch(cfg: ScenarioConfig, runs: Sequence[int]) -> list:
 
     strategies = list(dict.fromkeys(cfg.strategies))
     # The centralized tracks, and each fusion centre's last fused track.
-    tracks = {name: (_stacked.density(_central_mean(truth0, central_pert, dim), cov0)
+    tracks = {name: (GaussianDensity(_central_mean(truth0, central_pert, dim), cov0)
                      if name in _CENTRAL else None) for name in strategies}
     # The locals do not depend on the strategy (EKF studies have no
     # feedback), so one bank serves every distributed strategy.
-    bank = ([_stacked.density(truth0[:, :dim] + perts[:, s, :dim], cov0)
+    bank = ([GaussianDensity(truth0[:, :dim] + perts[:, s, :dim], cov0)
              for s in range(len(cfg.sensors))]
             if any(name not in _CENTRAL for name in strategies) else [])
     scores = {name: np.full((3, n_runs, n_fuse), np.nan) for name in strategies}
     fuse_seconds = dict.fromkeys(strategies, 0.0)
     for k in range(1, cfg.n_steps + 1):
-        bank = [_stacked.update(_stacked.predict(loc, model), sensor, z[:, k - 1])
+        bank = [ekf_update(ekf_predict(loc, model), sensor, z[:, k - 1])
                 for loc, sensor, z in zip(bank, cfg.sensors, meas)]
         for name in strategies:
             if name in _CENTRAL:
-                track = _stacked.predict(tracks[name], model)
+                track = ekf_predict(tracks[name], model)
                 for sensor, z in zip(cfg.sensors, meas):
-                    track = _stacked.update(track, sensor, z[:, k - 1])
+                    track = ekf_update(track, sensor, z[:, k - 1])
                 tracks[name] = track
         if k % cfg.fusion_every:
             continue
@@ -306,13 +307,17 @@ def _run_ekf_batch(cfg: ScenarioConfig, runs: Sequence[int]) -> list:
                 operands = bank
                 if track is not None:
                     for _ in range(cfg.fusion_every):
-                        track = _stacked.predict(track, model)
+                        track = ekf_predict(track, model)
                     operands = [track] + bank
                 tic = time.perf_counter()
-                track = tracks[name] = _stacked.fuse(operands, name)
+                track = fuse_many(operands, name)
+                # amd's mixture is scored and carried forward moment-matched.
+                if isinstance(track, GaussianMixture):
+                    track = moment_match(track)
+                tracks[name] = track
                 fuse_seconds[name] += time.perf_counter() - tic
             pos_sq, vel_sq = _sq_errors(track.mean, states[:, k], dims)
-            scores[name][:, :, slot] = pos_sq, vel_sq, _stacked.nees(track, states[:, k, :dim])
+            scores[name][:, :, slot] = pos_sq, vel_sq, compute_nees(track, states[:, k])
 
     return [{name: _run_result(*scores[name][:, r], fuse_seconds[name] / n_runs,
                                0 if name in _CENTRAL else n_fuse)
@@ -423,8 +428,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     ------
     ConfigError
         For a configuration no study can run: no sensors, strategies or
-        runs, a bad ``dt_s``, ``prune_to`` or ``omega``, no fusion step, or a
-        mixture fusion setup with other than two sensors.
+        runs, a bad ``dt_s``, ``track_loss_m``, ``prune_to`` or ``omega``, no
+        fusion step, or a mixture fusion setup with other than two sensors.
     """
     if not cfg.sensors:
         raise ConfigError("at least one sensor required")
@@ -433,8 +438,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     if cfg.runs < 1 or cfg.prune_to < 1:
         raise ConfigError(f"runs and prune_to must be at least 1, got {cfg.runs} "
                           f"and {cfg.prune_to}")
-    if not (cfg.dt_s > 0.0 and np.isfinite(cfg.dt_s)):
-        raise ConfigError(f"dt_s must be positive and finite, got {cfg.dt_s}")
+    for key in ("dt_s", "track_loss_m"):
+        value = getattr(cfg, key)
+        if not (value > 0.0 and np.isfinite(value)):
+            raise ConfigError(f"{key} must be positive and finite, got {value}")
     imm = isinstance(cfg.tracker, ImmTracker)
     if not imm and cfg.omega != 0.5:
         raise ConfigError("EKF studies fuse their operands with equal weights 1/n; "

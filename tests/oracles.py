@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from trackfuse import (
+    FusionResult,
     GaussianDensity,
     GaussianMixture,
     ModeLikelihoodDegenerate,
@@ -25,13 +27,10 @@ from trackfuse import (
     ScaledGaussian,
     apply_feedback,
     assert_spd,
-    compute_nees,
-    ekf_predict,
-    ekf_update,
-    fuse_many,
-    moment_match,
+    fuse_amd,
     ncv_truth_states,
     sine_truth_states,
+    spd_inv,
     symmetrize,
     wrap_angle,
     zero_pad,
@@ -342,12 +341,113 @@ def ref_imm_step(state, meas, z):
     return tuple(densities), new_mu
 
 
+# Reference copies of the one-density EKF prediction, Gaussian fusion rules
+# and NEES as they stood before a density could be a stack over runs: plain
+# ``@`` on 1-D operands, the per-pair product and per-component moment match
+# above. The package's routines must reproduce them bit for bit, for one
+# density and for each member of a stack.
+
+def ref_ekf_predict(track, motion):
+    f = motion.transition
+    return GaussianDensity(f @ track.mean,
+                           _ref_symmetrize(f @ track.cov @ f.T + motion.noise))
+
+
+def ref_fuse_gmd(a, b, w=0.5):
+    w = float(w)
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"fusion weight must lie in [0, 1], got {w}")
+    if w in (0.0, 1.0):
+        return a if w else b
+    lam_a, lam_b = a.precision, b.precision
+    prec = w * lam_a + (1.0 - w) * lam_b
+    cov = spd_inv(prec)
+    mean = cov @ (w * (lam_a @ a.mean) + (1.0 - w) * (lam_b @ b.mean))
+    return GaussianDensity(mean, cov)
+
+
+def ref_hmd_pair(a, b, v, with_diagnostics=False):
+    if v == 1.0:
+        return FusionResult(b, "hmd", {"endpoint": True})
+    if v == 0.0:
+        return FusionResult(a, "hmd", {"endpoint": True})
+    eq = _ref_match(GaussianMixture(np.array([v, 1.0 - v]), (a, b)))
+    lam_a, lam_b, lam_eq = a.precision, b.precision, eq.precision
+    prec = symmetrize(lam_a + lam_b - lam_eq)
+    try:
+        cov = spd_inv(prec)
+    except (NotPositiveDefinite, NotSymmetric) as exc:
+        raise NonPositiveDefiniteResult(
+            "harmonic fusion produced a non-positive-definite covariance") from exc
+    mean = cov @ (lam_a @ a.mean + lam_b @ b.mean - lam_eq @ eq.mean)
+    fused = GaussianDensity(mean, cov)
+    diagnostics = {}
+    if with_diagnostics:
+        cov_naive = spd_inv(symmetrize(lam_a + lam_b))
+        diagnostics["pd_margin"] = float(
+            np.min(np.linalg.eigvalsh(symmetrize(eq.cov - cov_naive))))
+        log_s = float(_ref_factor_logpdf(a.mean, assert_spd(a.cov + b.cov), b.mean[None])[0])
+        log_d = -float(_ref_factor_logpdf(mean, assert_spd(cov + eq.cov), eq.mean[None])[0])
+        diagnostics["norm_const"] = float(np.exp(log_s + log_d))
+    return FusionResult(fused, "hmd", diagnostics)
+
+
+def ref_fuse_hmd_recursive(inputs, weights):
+    weights = np.asarray(weights, dtype=float)
+    if len(inputs) != weights.size or weights.size == 0:
+        raise ValueError("one positive weight per input required")
+    if np.any(weights <= 0.0):
+        raise ValueError("recursive fusion weights must be positive")
+    if abs(float(np.sum(weights)) - 1.0) > 1e-12:
+        raise ValueError("input weights must sum to 1")
+    acc = inputs[0]
+    running = float(weights[0])
+    for k in range(1, weights.size):
+        running += float(weights[k])
+        acc = ref_hmd_pair(acc, inputs[k], float(weights[k]) / running).density
+    return FusionResult(acc, "hmd", {"steps": int(weights.size) - 1})
+
+
+def ref_fuse_many(densities, strategy, weights=None):
+    n = len(densities)
+    if n == 0:
+        raise ValueError("nothing to fuse")
+    if n == 1:
+        return densities[0]
+    if weights is None:
+        weights = np.full(n, 1.0 / n)
+    weights = np.asarray(weights, dtype=float)
+    if strategy == "naive":
+        return reduce(lambda a, b: ref_gaussian_product(a, b).density, densities)
+    if strategy == "gmd":
+        lams = [d.precision for d in densities]
+        lam = sum(w * L for w, L in zip(weights, lams))
+        info = sum(w * (L @ d.mean) for w, L, d in zip(weights, lams, densities))
+        cov = spd_inv(symmetrize(lam))
+        return GaussianDensity(cov @ info, cov)
+    if strategy == "amd":
+        return fuse_amd(list(densities), weights)
+    if strategy == "hmd":
+        return ref_fuse_hmd_recursive(list(densities), weights).density
+    raise ValueError(f"unknown fusion strategy: {strategy!r}")
+
+
+def ref_compute_nees(density, truth_state, indices=None):
+    gauss = _ref_match(density) if isinstance(density, GaussianMixture) else density
+    if indices is not None:
+        gauss = gauss.marginal(indices)
+        truth = np.asarray(truth_state, dtype=float)[indices]
+    else:
+        truth = np.asarray(truth_state, dtype=float)[: gauss.dim]
+    err = gauss.mean - truth
+    return float(err @ np.linalg.solve(gauss.cov, err))
+
+
 # Reference copy of the simulation's EKF path as it stood before the runs of a
 # study were stepped together: each run draws its randomness and goes through
-# the public scalar API one density at a time (``ekf_predict``/``ekf_update``,
-# ``fuse_many``, ``moment_match``, ``compute_nees``). Only the aggregation into
-# a report is shared with the package. The batched engine must reproduce the
-# report byte for byte.
+# the one-density reference copies above one density at a time. Only the
+# aggregation into a report is shared with the package. The batched engine
+# must reproduce the report byte for byte.
 
 _CENTRAL = {"centralized", "centralized_cv", "centralized_ca"}
 
@@ -385,7 +485,7 @@ def ref_ekf_run(cfg, run_idx):
         current = [GaussianDensity(truth0[:dim] + pert[:dim], init_cov)
                    for pert in perturbations]
         for k in range(1, cfg.n_steps + 1):
-            current = [ekf_update(ekf_predict(loc, model), sensor, z)
+            current = [ref_ekf_update_with_loglik(ref_ekf_predict(loc, model), sensor, z)[0]
                        for loc, sensor, z in zip(current, cfg.sensors, meas[k - 1])]
             locals_by_step.append(current)
 
@@ -401,24 +501,24 @@ def ref_ekf_run(cfg, run_idx):
             track = GaussianDensity(mean0[:dim] + central_pert[:dim], init_cov)
         for k in range(1, cfg.n_steps + 1):
             if strategy in _CENTRAL:
-                track = ekf_predict(track, model)
+                track = ref_ekf_predict(track, model)
                 for sensor, z in zip(cfg.sensors, meas[k - 1]):
-                    track = ekf_update(track, sensor, z)
+                    track = ref_ekf_update_with_loglik(track, sensor, z)[0]
             if k % cfg.fusion_every:
                 continue
             if strategy not in _CENTRAL:
                 outputs = list(locals_by_step[k - 1])
                 if center is not None:
                     for _ in range(cfg.fusion_every):
-                        center = ekf_predict(center, model)
+                        center = ref_ekf_predict(center, model)
                     outputs = [center] + outputs
-                fused = fuse_many(outputs, strategy)
-                track = center = (moment_match(fused)
+                fused = ref_fuse_many(outputs, strategy)
+                track = center = (_ref_match(fused)
                                   if isinstance(fused, GaussianMixture) else fused)
             pos_sq[slot] = float(np.sum((track.mean[:dims] - states[k][:dims]) ** 2))
             vel_sq[slot] = float(np.sum(
                 (track.mean[dims:2 * dims] - states[k][dims:2 * dims]) ** 2))
-            nees[slot] = compute_nees(track, states[k])
+            nees[slot] = ref_compute_nees(track, states[k])
             slot += 1
         results[strategy] = {
             "pos_sq": pos_sq,

@@ -1,12 +1,12 @@
 """The batched EKF engine against the scalar path, byte for byte.
 
-``run_scenario`` steps every run of an EKF study together on stacked arrays.
-``oracles.ref_ekf_study`` runs the same study one run at a time through the
-public scalar API, as the simulation did before. The CSV text and the
-timing-free summary must be equal as strings. This holds on any platform,
-not only the one the golden digests were recorded on: per run, the stacked
-kernels call the same BLAS/LAPACK routines on the same operand layouts as
-the scalar code.
+``run_scenario`` steps every run of an EKF study together as stacked
+densities. ``oracles.ref_ekf_study`` runs the same study one run at a time
+through reference copies of the one-density filter, fusion and NEES code, as
+the simulation did before. The CSV text and the timing-free summary must be
+equal as strings. This holds on any platform, not only the one the golden
+digests were recorded on: per run, the stacked routines call the same
+BLAS/LAPACK routines on the same operand layouts as the one-density code.
 """
 
 import json
@@ -29,9 +29,17 @@ from trackfuse import (
     moment_match,
     run_scenario,
 )
-from trackfuse import _stacked, gaussians
+from trackfuse import gaussians
 
-from oracles import LinearSensor, random_gaussian, ref_ekf_run, ref_ekf_study
+import oracles
+from oracles import (
+    LinearSensor,
+    random_gaussian,
+    ref_ekf_run,
+    ref_ekf_study,
+    ref_fuse_many,
+    ref_moment_match,
+)
 
 STRATEGIES = ("centralized", "naive", "gmd", "amd", "hmd")
 
@@ -155,12 +163,15 @@ def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch
 
     def record_scalar(cov):
         cov = np.array(cov)
-        # The pair rules check one-member stacks; each counts as its member.
-        assert cov.ndim == 2 or cov.shape[:-2] == (1,)
-        scalar[-1].append(cov.reshape(cov.shape[-2:]))
+        # The scalar path checks one density at a time.
+        assert cov.ndim == 2
+        scalar[-1].append(cov)
         return check(cov)
 
+    # The oracle checks through the package (density constructor, spd_inv)
+    # and through its own binding (the product's scale term).
     monkeypatch.setattr(gaussians, "assert_spd", record_scalar)
+    monkeypatch.setattr(oracles, "assert_spd", record_scalar)
     for r in range(cfg.runs):
         scalar.append([])
         ref_ekf_run(cfg, r)
@@ -168,12 +179,12 @@ def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch
     stacked = []
 
     def record_stack(cov):
-        stacked.append(np.array(cov))
+        cov = np.array(cov)
+        # Every bank is a stack over the runs.
+        assert cov.shape[:-2] == (cfg.runs,)
+        stacked.append(cov)
         return check(cov)
 
-    # The engine checks through both modules: its own densities and the
-    # product kernel it shares with the pair rules.
-    monkeypatch.setattr(_stacked, "assert_spd", record_stack)
     monkeypatch.setattr(gaussians, "assert_spd", record_stack)
     run_scenario(cfg)
     assert len(stacked) > 0
@@ -183,21 +194,26 @@ def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch
 
 
 def _stack(densities):
-    return _stacked.density(np.stack([d.mean for d in densities]),
-                            np.stack([d.cov for d in densities]))
+    return GaussianDensity(np.stack([d.mean for d in densities]),
+                           np.stack([d.cov for d in densities]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5),
        st.sampled_from(["naive", "gmd", "amd", "hmd"]), st.integers(0, 2**32 - 1))
 def test_stacked_fusion_equals_fuse_many_per_run(dim, runs, n_operands, strategy, seed):
+    """``fuse_many`` of stacks fuses each run as the reference copy fuses it
+    alone (amd's mixture moment-matched, as the engine carries it)."""
     rng = np.random.default_rng(seed)
     operands = [[random_gaussian(rng, dim) for _ in range(runs)] for _ in range(n_operands)]
-    fused = _stacked.fuse([_stack(op) for op in operands], strategy)
+    fused = fuse_many([_stack(op) for op in operands], strategy)
+    if isinstance(fused, GaussianMixture):
+        fused = moment_match(fused)
     for r in range(runs):
-        ref = fuse_many([op[r] for op in operands], strategy)
+        ref = ref_fuse_many([op[r] for op in operands], strategy)
         if isinstance(ref, GaussianMixture):
-            ref = moment_match(ref)
+            ref = GaussianDensity(*ref_moment_match(ref.weights, [c.mean for c in ref.components],
+                                                    [c.cov for c in ref.components]))
         for got, want in ((fused.mean[r], ref.mean), (fused.cov[r], ref.cov),
                           (fused.chol[r], ref.chol)):
             assert got.tobytes() == np.ascontiguousarray(want).tobytes()
@@ -209,4 +225,4 @@ def test_singular_innovation_is_raised_like_the_scalar_update():
     with pytest.raises(SingularInnovation):
         ekf_update(track, blind, np.zeros(1))
     with pytest.raises(SingularInnovation):
-        _stacked.update(_stack([track, track]), blind, np.zeros((2, 1)))
+        ekf_update(_stack([track, track]), blind, np.zeros((2, 1)))

@@ -107,6 +107,22 @@ def test_fuse_rejects_malformed_json(tmp_path, density_files, capsys):
     assert "invalid density input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mean", [[float("nan"), 0.0], [0.0, float("inf")], [[1.0, 0.0]]])
+@pytest.mark.parametrize("mixture", [False, True])
+def test_fuse_rejects_a_mean_that_is_not_a_finite_vector(tmp_path, density_files,
+                                                         capsys, mean, mixture):
+    cov = [[[1.0, 0.0], [0.0, 1.0]]] if np.ndim(mean) == 2 else [[1.0, 0.0], [0.0, 1.0]]
+    data = {"mean": mean, "cov": cov}
+    if mixture:
+        data = {"weights": [0.5, 0.5],
+                "components": [data, {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["fuse", str(bad), density_files[1], "--strategy", "gmd"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid density input" in err and "mean must be a vector of finite numbers" in err
+
+
 def test_fuse_rejects_missing_file(tmp_path, density_files):
     assert main(["fuse", str(tmp_path / "absent.json"), density_files[1]]) == 2
 
@@ -239,6 +255,16 @@ def test_bench_prints_to_stdout_without_csv(capsys):
                  "--repeats", "2"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("case,strategy,size,mean_s,repeats")
+
+
+@pytest.mark.parametrize("args", [["--repeats", "0"], ["--dims", "a"], ["--dims", "0"],
+                                  ["--counts", "2,-1"], ["--dims", ""]])
+def test_bench_rejects_bad_arguments_as_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--dims", "2", "--counts", "1", "--repeats", "2"] + args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and args[0] in err
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,7 @@ import trackfuse
 PACKAGE = Path(trackfuse.__file__).resolve().parent
 
 # Public names that only tests reach, with the reason each one stays.
-ALLOWED_UNUSED = {
-    "fuse_many": "perfbench/tracer.py wraps it by name in every traced study, "
-                 "and the stacked fusion rules are tested against it",
-}
+ALLOWED_UNUSED: dict = {}
 
 
 def _used_names() -> set:

@@ -392,6 +392,15 @@ def test_rejects_a_time_step_that_is_not_positive_and_finite(no_run_starts, dt_s
         run_scenario(load_preset("scenario2", runs=1, dt_s=dt_s))
 
 
+@pytest.mark.parametrize("track_loss_m", [0.0, float("nan")])
+def test_rejects_a_track_loss_threshold_that_is_not_positive_and_finite(
+        no_run_starts, track_loss_m):
+    # 0 used to run the whole study before track_loss_rate raised; NaN gave a
+    # report of NaN metrics with 0 % track loss.
+    with pytest.raises(ConfigError, match="track_loss_m must be positive and finite"):
+        run_scenario(load_preset("scenario1", runs=2, track_loss_m=track_loss_m))
+
+
 def test_rejects_prune_to_below_one(no_run_starts):
     with pytest.raises(ConfigError, match="runs and prune_to must be at least 1"):
         run_scenario(load_preset("scenario2", runs=1, feedback=False, prune_to=0))
