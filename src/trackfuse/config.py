@@ -88,18 +88,21 @@ def parse_config_text(text: str) -> dict:
 
 
 class _Section:
-    """Typed access to one section with required/default key handling."""
+    """Typed access to one section with required/default key handling; a value
+    its ``cast`` rejects is a :class:`ConfigError` naming section and key."""
 
     def __init__(self, name: str, data: dict):
         self.name = name
         self.data = dict(data)
 
-    def get(self, key, default=None, required=False):
-        if key in self.data:
-            return self.data.pop(key)
-        if required:
+    def get(self, key, default=None, required=False, cast=lambda value: value):
+        if required and key not in self.data:
             raise ConfigError(f"[{self.name}] is missing required key {key!r}")
-        return default
+        value = self.data.pop(key, default)
+        try:
+            return cast(value)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"[{self.name}] {key} = {value!r} is invalid: {exc}") from None
 
     def finish(self):
         if self.data:
@@ -107,33 +110,36 @@ class _Section:
             raise ConfigError(f"[{self.name}] has unknown keys: {extra}")
 
 
-def _as_array(value, length=None):
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if length is not None and arr.size == 1:
-        arr = np.full(length, float(arr[0]))
-    if length is not None and arr.size != length:
-        raise ConfigError(f"expected {length} values, got {arr.size}")
-    return arr
+def _vector(length: int):
+    """A cast to ``length`` floats, repeating a single value."""
+    def cast(value):
+        arr = np.atleast_1d(np.asarray(value, dtype=float))
+        if arr.size == 1:
+            arr = np.full(length, float(arr[0]))
+        if arr.size != length:
+            raise ValueError(f"expected {length} values, got {arr.size}")
+        return arr
+    return cast
 
 
 def _build_truth(sec: _Section):
     kind = sec.get("kind", required=True)
     if kind == "ncv3d":
         truth = NcvTruth(
-            q=_as_array(sec.get("q", required=True), 3),
-            initial_position=_as_array(sec.get("initial_position_m", [0.0, 0.0, 2000.0]), 3),
-            initial_velocity=_as_array(sec.get("initial_velocity_mps", [100.0, 100.0, 0.0]), 3),
+            q=sec.get("q", required=True, cast=_vector(3)),
+            initial_position=sec.get("initial_position_m", [0.0, 0.0, 2000.0], cast=_vector(3)),
+            initial_velocity=sec.get("initial_velocity_mps", [100.0, 100.0, 0.0],
+                                     cast=_vector(3)),
         )
     elif kind == "sine2d":
-        speed = sec.get("speed_mps")
-        if speed is None:
-            speed = float(sec.get("speed_knots", required=True)) * KNOT_MPS
+        speed = (sec.get("speed_mps", cast=float) if "speed_mps" in sec.data
+                 else sec.get("speed_knots", required=True, cast=float) * KNOT_MPS)
         truth = SineTruth(
-            start=_as_array(sec.get("start_m", [150.0, 150.0]), 2),
-            speed_mps=float(speed),
-            amplitude_m=float(sec.get("amplitude_m", 200.0)),
-            wavelength_m=float(sec.get("wavelength_m", 1500.0)),
-            rotation_rad=math.radians(float(sec.get("rotation_deg", 45.0))),
+            start=sec.get("start_m", [150.0, 150.0], cast=_vector(2)),
+            speed_mps=speed,
+            amplitude_m=sec.get("amplitude_m", 200.0, cast=float),
+            wavelength_m=sec.get("wavelength_m", 1500.0, cast=float),
+            rotation_rad=math.radians(sec.get("rotation_deg", 45.0, cast=float)),
         )
     else:
         raise ConfigError(f"unknown truth kind {kind!r}")
@@ -145,19 +151,20 @@ def _build_tracker(sec: _Section, spatial_dims: int):
     kind = sec.get("kind", required=True)
     if kind == "ekf":
         tracker = EkfTracker(
-            q=_as_array(sec.get("q", required=True), spatial_dims),
-            init_pos_std=float(sec.get("init_pos_std_m", 100.0)),
-            init_vel_std=float(sec.get("init_vel_std_mps", 10.0)),
+            q=sec.get("q", required=True, cast=_vector(spatial_dims)),
+            init_pos_std=sec.get("init_pos_std_m", 100.0, cast=float),
+            init_vel_std=sec.get("init_vel_std_mps", 10.0, cast=float),
         )
     elif kind == "imm":
         tracker = ImmTracker(
-            q_ncv=float(sec.get("q_ncv", required=True)),
-            q_nca=float(sec.get("q_nca", required=True)),
-            transition=np.asarray(sec.get("transition", required=True), dtype=float),
-            pad_var=float(sec.get("pad_var", 1.0)),
-            init_pos_std=float(sec.get("init_pos_std_m", 100.0)),
-            init_vel_std=float(sec.get("init_vel_std_mps", 10.0)),
-            init_acc_std=float(sec.get("init_acc_std_mps2", 1.0)),
+            q_ncv=sec.get("q_ncv", required=True, cast=float),
+            q_nca=sec.get("q_nca", required=True, cast=float),
+            transition=sec.get("transition", required=True,
+                               cast=lambda v: np.asarray(v, dtype=float)),
+            pad_var=sec.get("pad_var", 1.0, cast=float),
+            init_pos_std=sec.get("init_pos_std_m", 100.0, cast=float),
+            init_vel_std=sec.get("init_vel_std_mps", 10.0, cast=float),
+            init_acc_std=sec.get("init_acc_std_mps2", 1.0, cast=float),
         )
     else:
         raise ConfigError(f"unknown tracker kind {kind!r}")
@@ -168,18 +175,17 @@ def _build_tracker(sec: _Section, spatial_dims: int):
 def _build_sensor(sec: _Section):
     kind = sec.get("kind", required=True)
     if kind == "range_az_el":
-        sigma_az = math.radians(float(sec.get("sigma_az_deg", required=True)))
-        sigma_el = sec.get("sigma_el_deg")
+        sigma_az = sec.get("sigma_az_deg", required=True, cast=float)
         sensor = range_az_el_sensor(
-            _as_array(sec.get("position_m", required=True), 3),
-            float(sec.get("sigma_range_m", required=True)),
-            sigma_az,
-            math.radians(float(sigma_el)) if sigma_el is not None else sigma_az,
+            sec.get("position_m", required=True, cast=_vector(3)),
+            sec.get("sigma_range_m", required=True, cast=float),
+            math.radians(sigma_az),
+            math.radians(sec.get("sigma_el_deg", sigma_az, cast=float)),
         )
     elif kind == "bearing":
         sensor = bearing_sensor(
-            _as_array(sec.get("position_m", required=True), 2),
-            math.radians(float(sec.get("sigma_bearing_deg", required=True))),
+            sec.get("position_m", required=True, cast=_vector(2)),
+            math.radians(sec.get("sigma_bearing_deg", required=True, cast=float)),
         )
     else:
         raise ConfigError(f"unknown sensor kind {kind!r}")
@@ -220,20 +226,20 @@ def build_scenario(sections: dict) -> ScenarioConfig:
     tracker = _build_tracker(tracker_sec, sensors[0].spatial_dims)
     config = ScenarioConfig(
         name=str(scen.get("name", "scenario")),
-        duration_s=float(scen.get("duration_s", required=True)),
-        dt_s=float(scen.get("dt_s", required=True)),
+        duration_s=scen.get("duration_s", required=True, cast=float),
+        dt_s=scen.get("dt_s", required=True, cast=float),
         truth=truth,
         sensors=sensors,
         tracker=tracker,
         strategies=_strategy_list(fusion_sec.get("strategies", required=True)),
-        runs=int(mc_sec.get("runs", required=True)),
-        seed=int(mc_sec.get("seed", 0)),
-        fusion_every=int(scen.get("fusion_every", 2)),
+        runs=mc_sec.get("runs", required=True, cast=int),
+        seed=mc_sec.get("seed", 0, cast=int),
+        fusion_every=scen.get("fusion_every", 2, cast=int),
         feedback=bool(scen.get("feedback", False)),
-        omega=float(fusion_sec.get("omega", 0.5)),
-        prune_to=int(fusion_sec.get("prune_to", 2)),
-        track_loss_m=float(scen.get("track_loss_m", 500.0)),
-        nees_sided=int(scen.get("nees_sided", 2)),
+        omega=fusion_sec.get("omega", 0.5, cast=float),
+        prune_to=fusion_sec.get("prune_to", 2, cast=int),
+        track_loss_m=scen.get("track_loss_m", 500.0, cast=float),
+        nees_sided=scen.get("nees_sided", 2, cast=int),
     )
     for sec in (scen, fusion_sec, mc_sec):
         sec.finish()

@@ -17,7 +17,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import QuadratureError
 from .gaussians import GaussianDensity, GaussianMixture, moment_match
@@ -71,6 +70,10 @@ def grid_points(densities: Sequence, points_per_axis: int,
 def _sobol_integrate(fn: Callable, densities: Sequence, n_points: int = 1 << 20,
                      seed: int = 7) -> float:
     """Importance-sampled integral for dimensions >= 3 (quasi-random proposal)."""
+    # scipy.stats is imported here, not at module level: it takes most of the
+    # package's import time, and only this fallback needs it.
+    from scipy.stats import norm, qmc
+
     match = moment_match(GaussianMixture(
         np.full(len(densities), 1.0 / len(densities)),
         tuple(d if isinstance(d, GaussianDensity) else moment_match(d)
@@ -79,7 +82,6 @@ def _sobol_integrate(fn: Callable, densities: Sequence, n_points: int = 1 << 20,
     sampler = qmc.Sobol(d=match.dim, scramble=True, seed=seed)
     u = sampler.random(n_points)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    from scipy.stats import norm
     pts = proposal.mean + norm.ppf(u) @ proposal.chol.T
     ratio = fn(pts) / proposal.pdf(pts)
     return float(np.mean(ratio))

@@ -121,10 +121,6 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        if self.fusion_every < 1:
-            raise ValueError("fusion_every must be a positive step count")
-        if self.nees_sided not in (1, 2):
-            raise ValueError("nees_sided must be 1 or 2")
 
     @property
     def n_steps(self) -> int:

@@ -6,15 +6,16 @@ requested strategies on that shared randomness (common random numbers keep
 strategy comparisons tight). Runs are seeded from a master seed through
 ``numpy`` seed-sequence spawning, so results do not depend on execution order.
 
-The tracker kind picks the engine. A study with EKF locals steps all its runs
-together: every bank (the locals, the centralized track, each strategy's
-fusion centre) is one :class:`~trackfuse.gaussians.GaussianDensity` stacked
-over the runs, passed through the same public filter, fusion and scoring
-functions a single run uses, which treat each member as they treat one
-density, so the report is byte-identical to stepping each run on its own.
-A study with IMM locals runs one run at a time.
-``TRACKFUSE_THREADS`` splits the runs into contiguous blocks, one batch per
-worker process for EKF studies, without changing the report.
+The tracker kind picks the engine. Both take the configuration and a block
+of run indices, advance step by step (the locals, then the centralized
+tracks, then each strategy's fusion) holding only the current banks, and
+return each strategy's scores as ``[3, runs, fusion steps]`` arrays. The EKF
+engine steps all its runs together: every bank is one stacked
+:class:`~trackfuse.gaussians.GaussianDensity` passed through the same public
+functions a single run uses, so the report is byte-identical to stepping each
+run on its own. The IMM engine steps its runs one after another.
+``TRACKFUSE_THREADS`` splits the runs into contiguous blocks over worker
+processes without changing the report.
 
 Estimation quality is reported at fusion instants: position/velocity RMSE
 across runs and the average normalized estimation error squared (NEES) with
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .errors import ConfigError
 from .filters import (
@@ -48,7 +49,6 @@ from .fusion import fuse_many, fuse_pair
 from .gaussians import GaussianDensity, GaussianMixture, _scalar, moment_match
 from .models import MotionModel, wrap_angle
 from .scenarios import (
-    EkfTracker,
     ImmTracker,
     NcvTruth,
     ScenarioConfig,
@@ -69,16 +69,21 @@ __all__ = [
 CSV_HEADER = "step,time_s,strategy,rmse_pos_m,rmse_vel_mps,nees,nees_lo,nees_hi"
 
 _CENTRAL = {"centralized", "centralized_cv", "centralized_ca"}
+# The strategies each engine runs: the EKF engine fuses stacked Gaussians
+# through ``fuse_many`` and runs every centralized track with NCV; the IMM
+# engine fuses mixtures through ``fuse_pair``.
+_EKF_STRATEGIES = ("centralized", "centralized_cv", "naive", "gmd", "amd", "hmd")
+_IMM_STRATEGIES = _EKF_STRATEGIES + ("centralized_ca", "pcf")
 
 
 def nees_bounds(n_runs: int, dim: int, sided: int = 2,
                 alpha: float = 0.05) -> tuple[float, float]:
     """Chi-square bounds for the run-averaged NEES of a consistent estimator."""
-    dof = n_runs * dim
-    if sided == 2:
-        return (float(chi2.ppf(alpha / 2.0, dof)) / n_runs,
-                float(chi2.ppf(1.0 - alpha / 2.0, dof)) / n_runs)
-    return 0.0, float(chi2.ppf(1.0 - alpha, dof)) / n_runs
+    # chi2.ppf's own formula, 2 gammaincinv(dof / 2, q), without importing
+    # scipy.stats (most of the package's import time).
+    q = (alpha / 2.0, 1.0 - alpha / 2.0) if sided == 2 else (0.0, 1.0 - alpha)
+    lo, hi = 2 * gammaincinv(n_runs * dim / 2, q) / n_runs
+    return float(lo), float(hi)
 
 
 def track_loss_rate(final_errors, tau: float) -> float:
@@ -193,16 +198,15 @@ def _truth_states(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
 
 def _draw_measurements(cfg: ScenarioConfig, states: np.ndarray,
                        rng: np.random.Generator) -> list:
+    """One ``[n_steps, meas_dim]`` array per sensor, drawn step by step and
+    sensor by sensor."""
     chols = [np.linalg.cholesky(s.noise_cov) for s in cfg.sensors]
-    out = []
+    out = [np.empty((cfg.n_steps, s.meas_dim)) for s in cfg.sensors]
     for k in range(1, cfg.n_steps + 1):
-        row = []
-        for sensor, chol in zip(cfg.sensors, chols):
-            z = sensor.measure(states[k]) + chol @ rng.standard_normal(sensor.meas_dim)
+        for sensor, chol, z in zip(cfg.sensors, chols, out):
+            z[k - 1] = sensor.measure(states[k]) + chol @ rng.standard_normal(sensor.meas_dim)
             for idx in sensor.angle_indices:
-                z[idx] = wrap_angle(z[idx])
-            row.append(z)
-        out.append(row)
+                z[k - 1, idx] = wrap_angle(z[k - 1, idx])
     return out
 
 
@@ -227,25 +231,16 @@ def _central_mean(truth0: np.ndarray, pert: np.ndarray, state_dim: int) -> np.nd
     return np.concatenate((truth0, pad), axis=-1)[..., :state_dim] + pert[..., :state_dim]
 
 
-def _sq_errors(mean: np.ndarray, truth: np.ndarray, dims: int) -> tuple:
-    """Squared position and velocity errors (per run for stacked inputs)."""
-    pos = np.sum((mean[..., :dims] - truth[..., :dims]) ** 2, axis=-1)
-    vel = np.sum((mean[..., dims:2 * dims] - truth[..., dims:2 * dims]) ** 2, axis=-1)
-    return pos, vel
+def _score(track: GaussianDensity, truth: np.ndarray, dims: int,
+           nees_idx: np.ndarray | None = None) -> tuple:
+    """Squared position and velocity errors and the NEES of ``track`` (per
+    run for stacked inputs)."""
+    pos = np.sum((track.mean[..., :dims] - truth[..., :dims]) ** 2, axis=-1)
+    vel = np.sum((track.mean[..., dims:2 * dims] - truth[..., dims:2 * dims]) ** 2, axis=-1)
+    return pos, vel, compute_nees(track, truth, nees_idx)
 
 
-def _run_result(pos_sq, vel_sq, nees, fuse_seconds: float, fuse_calls: int) -> dict:
-    return {
-        "pos_sq": pos_sq,
-        "vel_sq": vel_sq,
-        "nees": nees,
-        "final_pos_err": float(np.sqrt(pos_sq[-1])),
-        "fuse_seconds": fuse_seconds,
-        "fuse_calls": fuse_calls,
-    }
-
-
-def _run_ekf_batch(cfg: ScenarioConfig, runs: Sequence[int]) -> list:
+def _run_ekf_batch(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
     """All ``runs`` of an EKF study, stepped together as stacked arrays.
 
     Each bank (the locals, the centralized track, each strategy's fusion
@@ -261,7 +256,8 @@ def _run_ekf_batch(cfg: ScenarioConfig, runs: Sequence[int]) -> list:
     Runs and strategies advance step by step together, so only the current
     banks are held. Each strategy's arithmetic is that of a run on its own;
     if several runs or strategies would fail, the first failure in step
-    order is raised.
+    order is raised. Returns, per strategy, the scores, the seconds spent
+    fusing and the fusion calls (one per run and fusion step).
     """
     n_runs = len(runs)
     dims = cfg.sensors[0].spatial_dims
@@ -273,8 +269,7 @@ def _run_ekf_batch(cfg: ScenarioConfig, runs: Sequence[int]) -> list:
     perts = np.stack(perts)
     central_pert = np.stack(central_pert)
     # One [R, n_steps, meas_dim] array per sensor.
-    meas = [np.stack([[row[s] for row in run_meas] for run_meas in meas])
-            for s in range(len(cfg.sensors))]
+    meas = [np.stack(z) for z in zip(*meas)]
     cov0 = np.broadcast_to(_init_cov(cfg, dim, dims), (n_runs, dim, dim))
     n_fuse = cfg.n_steps // cfg.fusion_every
 
@@ -316,109 +311,88 @@ def _run_ekf_batch(cfg: ScenarioConfig, runs: Sequence[int]) -> list:
                     track = moment_match(track)
                 tracks[name] = track
                 fuse_seconds[name] += time.perf_counter() - tic
-            pos_sq, vel_sq = _sq_errors(track.mean, states[:, k], dims)
-            scores[name][:, :, slot] = pos_sq, vel_sq, compute_nees(track, states[:, k])
+            scores[name][:, :, slot] = _score(track, states[:, k], dims)
 
-    return [{name: _run_result(*scores[name][:, r], fuse_seconds[name] / n_runs,
-                               0 if name in _CENTRAL else n_fuse)
-             for name in cfg.strategies}
-            for r in range(n_runs)]
+    return {name: (scores[name], fuse_seconds[name],
+                   0 if name in _CENTRAL else n_runs * n_fuse)
+            for name in strategies}
 
 
-def _run_single(cfg: ScenarioConfig, run_idx: int) -> dict:
-    """One run of an IMM study."""
+def _run_imm(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
+    """All ``runs`` of an IMM study, one after another, each stepped like
+    the EKF batch; returns what :func:`_run_ekf_batch` returns.
+
+    Without feedback one bank of locals serves every distributed strategy;
+    with feedback each routes its fused mixture back into a bank of its own.
+    At a fusion step each strategy fuses, then routes or prunes, and scores
+    the moment-matched fusion on its position-velocity marginal.
+    """
     dims = cfg.sensors[0].spatial_dims
-    ncv = MotionModel("ncv", cfg.dt_s, cfg.tracker.q_ncv, dims)
-    nca = MotionModel("nca", cfg.dt_s, cfg.tracker.q_nca, dims)
-    states, perturbations, central_pert, meas = _draws(cfg, run_idx, nca.state_dim)
-    truth0 = states[0]
-    cov_nca = _init_cov(cfg, nca.state_dim, dims)
-    cov_ncv = cov_nca[: ncv.state_dim, : ncv.state_dim]
-
-    def init_locals():
-        locals_ = []
-        for pert in perturbations:
-            full_mean = _central_mean(truth0, pert, nca.state_dim)
-            dens = (GaussianDensity(full_mean[: ncv.state_dim], cov_ncv),
-                    GaussianDensity(full_mean, cov_nca))
-            locals_.append(ImmState(dens, np.full(2, 0.5), (ncv, nca),
-                                    cfg.tracker.transition, cfg.tracker.pad_var))
-        return locals_
-
-    def step_locals(locals_, k):
-        return [imm_step(loc, sensor, z)
-                for loc, sensor, z in zip(locals_, cfg.sensors, meas[k - 1])]
-
+    ncv, nca = _imm_models(cfg)
     n_fuse = cfg.n_steps // cfg.fusion_every
     nees_idx = np.arange(2 * dims)
-
-    # Without feedback the local banks do not depend on the strategy, so the
-    # filtering pass is shared across strategies.
-    locals_by_step = None
-    if any(s not in _CENTRAL for s in cfg.strategies) and not cfg.feedback:
-        locals_by_step = []
-        current = init_locals()
+    strategies = list(dict.fromkeys(cfg.strategies))
+    central = {name: nca if name == "centralized_ca" else ncv
+               for name in strategies if name in _CENTRAL}
+    distributed = [name for name in strategies if name not in _CENTRAL]
+    bank_of = {name: name if cfg.feedback else distributed[0] for name in distributed}
+    scores = {name: np.full((3, len(runs), n_fuse), np.nan) for name in strategies}
+    fuse_seconds = dict.fromkeys(strategies, 0.0)
+    for r, run_idx in enumerate(runs):
+        states, perts, central_pert, meas = _draws(cfg, run_idx, nca.state_dim)
+        prior = [_imm_prior(cfg, (ncv, nca), _central_mean(states[0], pert, nca.state_dim))
+                 for pert in perts]
+        banks = dict.fromkeys(bank_of.values(), prior)
+        tracks = {name: GaussianDensity(
+            _central_mean(states[0], central_pert, model.state_dim),
+            _init_cov(cfg, model.state_dim, dims)) for name, model in central.items()}
         for k in range(1, cfg.n_steps + 1):
-            current = step_locals(current, k)
-            locals_by_step.append(current)
-
-    results = {}
-    for strategy in cfg.strategies:
-        pos_sq = np.full(n_fuse, np.nan)
-        vel_sq = np.full(n_fuse, np.nan)
-        nees = np.full(n_fuse, np.nan)
-        fuse_seconds = 0.0
-        fuse_calls = 0
-        central = strategy in _CENTRAL
-        if central:
-            model = nca if strategy == "centralized_ca" else ncv
-            track = GaussianDensity(_central_mean(truth0, central_pert, model.state_dim),
-                                    _init_cov(cfg, model.state_dim, dims))
-        elif locals_by_step is None:
-            locals_ = init_locals()
-        slot = 0
-        for k in range(1, cfg.n_steps + 1):
-            if central:
-                track = ekf_predict(track, model)
-                for sensor, z in zip(cfg.sensors, meas[k - 1]):
+            zs = [z[k - 1] for z in meas]
+            for key, bank in banks.items():
+                banks[key] = [imm_step(loc, sensor, z)
+                              for loc, sensor, z in zip(bank, cfg.sensors, zs)]
+            for name, model in central.items():
+                track = ekf_predict(tracks[name], model)
+                for sensor, z in zip(cfg.sensors, zs):
                     track = ekf_update(track, sensor, z)
-            elif locals_by_step is not None:
-                locals_ = locals_by_step[k - 1]
-            else:
-                locals_ = step_locals(locals_, k)
+                tracks[name] = track
             if k % cfg.fusion_every:
                 continue
-            if not central:
-                outputs = [imm_output(loc) for loc in locals_]
-                tic = time.perf_counter()
-                fused = fuse_pair(outputs[0], outputs[1], strategy, cfg.omega)
-                fuse_seconds += time.perf_counter() - tic
-                fuse_calls += 1
-                if cfg.feedback:
-                    locals_ = [route_feedback(loc, fused, idx)
-                               for idx, loc in enumerate(locals_)]
-                elif fused.n_components > cfg.prune_to:
-                    fused = prune_mixture(fused, cfg.prune_to)
-                track = moment_match(fused)
-            pos_sq[slot], vel_sq[slot] = _sq_errors(track.mean, states[k], dims)
-            nees[slot] = compute_nees(track, states[k], nees_idx)
-            slot += 1
+            slot = k // cfg.fusion_every - 1
+            outputs = {key: [imm_output(loc) for loc in bank] for key, bank in banks.items()}
+            for name in strategies:
+                if name not in _CENTRAL:
+                    a, b = outputs[bank_of[name]]
+                    tic = time.perf_counter()
+                    fused = fuse_pair(a, b, name, cfg.omega)
+                    fuse_seconds[name] += time.perf_counter() - tic
+                    if cfg.feedback:
+                        banks[name] = [route_feedback(loc, fused, idx)
+                                       for idx, loc in enumerate(banks[name])]
+                    elif fused.n_components > cfg.prune_to:
+                        fused = prune_mixture(fused, cfg.prune_to)
+                    tracks[name] = moment_match(fused)
+                scores[name][:, r, slot] = _score(tracks[name], states[k], dims, nees_idx)
 
-        results[strategy] = _run_result(pos_sq, vel_sq, nees, fuse_seconds, fuse_calls)
-    return results
-
-
-def _run_block(cfg: ScenarioConfig, runs: Sequence[int]) -> list:
-    """Per-run results of ``runs``: EKF studies step them as one batch, IMM
-    studies run them one at a time."""
-    if isinstance(cfg.tracker, EkfTracker):
-        return _run_ekf_batch(cfg, runs)
-    return [_run_single(cfg, r) for r in runs]
+    return {name: (scores[name], fuse_seconds[name],
+                   0 if name in _CENTRAL else len(runs) * n_fuse)
+            for name in strategies}
 
 
-def _worker(args):
-    cfg, runs = args
-    return _run_block(cfg, runs)
+def _imm_models(cfg: ScenarioConfig) -> tuple[MotionModel, MotionModel]:
+    dims = cfg.sensors[0].spatial_dims
+    return (MotionModel("ncv", cfg.dt_s, cfg.tracker.q_ncv, dims),
+            MotionModel("nca", cfg.dt_s, cfg.tracker.q_nca, dims))
+
+
+def _imm_prior(cfg: ScenarioConfig, models: tuple, mean: np.ndarray) -> ImmState:
+    """A local IMM tracker at ``mean`` (NCA state) with equal mode probabilities."""
+    dims = cfg.sensors[0].spatial_dims
+    cov = _init_cov(cfg, models[1].state_dim, dims)
+    dens = tuple(GaussianDensity(mean[:m.state_dim], cov[:m.state_dim, :m.state_dim])
+                 for m in models)
+    return ImmState(dens, np.full(2, 0.5), models, cfg.tracker.transition,
+                    cfg.tracker.pad_var)
 
 
 def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
@@ -427,22 +401,35 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     Raises
     ------
     ConfigError
-        For a configuration no study can run: no sensors, strategies or
-        runs, a bad ``dt_s``, ``track_loss_m``, ``prune_to`` or ``omega``, no
-        fusion step, or a mixture fusion setup with other than two sensors.
+        Before any run starts, for a configuration no study can run: no
+        sensors, strategies or runs, a strategy the tracker kind does not
+        run, a bad ``dt_s``, ``track_loss_m``, ``prune_to``, ``omega``,
+        ``fusion_every``, ``nees_sided`` or IMM ``transition``, no fusion
+        step, or a mixture fusion setup with other than two sensors.
     """
     if not cfg.sensors:
         raise ConfigError("at least one sensor required")
     if not cfg.strategies:
         raise ConfigError("at least one fusion strategy required")
+    imm = isinstance(cfg.tracker, ImmTracker)
+    known = _IMM_STRATEGIES if imm else _EKF_STRATEGIES
+    unknown = [name for name in cfg.strategies if name not in known]
+    if unknown:
+        raise ConfigError(f"unknown fusion strategy for an {'IMM' if imm else 'EKF'} "
+                          f"study: {', '.join(map(repr, unknown))}; choose from "
+                          f"{', '.join(known)}")
     if cfg.runs < 1 or cfg.prune_to < 1:
         raise ConfigError(f"runs and prune_to must be at least 1, got {cfg.runs} "
                           f"and {cfg.prune_to}")
+    if cfg.fusion_every < 1:
+        raise ConfigError(f"fusion_every must be a positive step count, got "
+                          f"{cfg.fusion_every}")
+    if cfg.nees_sided not in (1, 2):
+        raise ConfigError(f"nees_sided must be 1 or 2, got {cfg.nees_sided}")
     for key in ("dt_s", "track_loss_m"):
         value = getattr(cfg, key)
         if not (value > 0.0 and np.isfinite(value)):
             raise ConfigError(f"{key} must be positive and finite, got {value}")
-    imm = isinstance(cfg.tracker, ImmTracker)
     if not imm and cfg.omega != 0.5:
         raise ConfigError("EKF studies fuse their operands with equal weights 1/n; "
                           f"omega must be 0.5, got {cfg.omega}")
@@ -458,25 +445,31 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         raise ConfigError("feedback routing is defined for the IMM tracker only")
     if imm and len(cfg.sensors) != 2 and any(s not in _CENTRAL for s in cfg.strategies):
         raise ConfigError("mixture fusion supports exactly two sensors")
+    if imm:
+        try:  # the checks every local IMM tracker gets, on a trial prior
+            _imm_prior(cfg, _imm_models(cfg), np.zeros(3 * cfg.sensors[0].spatial_dims))
+        except ValueError as exc:
+            raise ConfigError(f"IMM tracker: {exc}") from None
 
+    engine = _run_imm if imm else _run_ekf_batch
     workers = int(os.environ.get("TRACKFUSE_THREADS", "1") or "1")
     workers = max(1, min(workers, cfg.runs))
     if workers > 1:
         # An EKF worker batches one contiguous block of runs; IMM runs are
         # handed out in smaller blocks for load balance.
-        size = (-(-cfg.runs // workers) if isinstance(cfg.tracker, EkfTracker)
-                else max(1, cfg.runs // (4 * workers)))
+        size = (max(1, cfg.runs // (4 * workers)) if imm
+                else -(-cfg.runs // workers))
         blocks = [range(a, min(a + size, cfg.runs)) for a in range(0, cfg.runs, size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_run = [res for block in pool.map(_worker, [(cfg, b) for b in blocks])
-                       for res in block]
+            results = list(pool.map(engine, [cfg] * len(blocks), blocks))
     else:
-        per_run = _run_block(cfg, range(cfg.runs))
-    return _report(cfg, per_run)
+        results = [engine(cfg, range(cfg.runs))]
+    return _report(cfg, results)
 
 
-def _report(cfg: ScenarioConfig, per_run: list) -> MetricsReport:
-    """Aggregate per-run results (in run order) into the study's report."""
+def _report(cfg: ScenarioConfig, results: list) -> MetricsReport:
+    """Aggregate the engines' results for consecutive blocks of runs into the
+    study's report."""
     fusion_steps = np.array([k for k in range(1, cfg.n_steps + 1)
                              if k % cfg.fusion_every == 0])
     times = fusion_steps * cfg.dt_s
@@ -488,22 +481,21 @@ def _report(cfg: ScenarioConfig, per_run: list) -> MetricsReport:
     metrics = {}
     timing = {}
     for name in cfg.strategies:
-        runs = [r[name] for r in per_run]
-        loss_rate = track_loss_rate([r["final_pos_err"] for r in runs],
-                                    cfg.track_loss_m)
-        kept = [r for r in runs if r["final_pos_err"] < cfg.track_loss_m]
-        n_lost = len(runs) - len(kept)
-        excluded = np.full(fusion_steps.size, n_lost, dtype=int)
-        if kept:
-            pos = np.sqrt(np.mean([r["pos_sq"] for r in kept], axis=0))
-            vel = np.sqrt(np.mean([r["vel_sq"] for r in kept], axis=0))
-            nees = np.mean([r["nees"] for r in kept], axis=0)
-            lo, hi = nees_bounds(len(kept), nees_dim, cfg.nees_sided)
+        pos_sq, vel_sq, nees = np.concatenate([res[name][0] for res in results], axis=1)
+        final_pos_err = np.sqrt(pos_sq[:, -1])
+        loss_rate = track_loss_rate(final_pos_err, cfg.track_loss_m)
+        kept = final_pos_err < cfg.track_loss_m
+        excluded = np.full(fusion_steps.size, np.count_nonzero(~kept), dtype=int)
+        if kept.any():
+            pos = np.sqrt(np.mean(pos_sq[kept], axis=0))
+            vel = np.sqrt(np.mean(vel_sq[kept], axis=0))
+            nees = np.mean(nees[kept], axis=0)
+            lo, hi = nees_bounds(np.count_nonzero(kept), nees_dim, cfg.nees_sided)
         else:
             pos = vel = nees = np.full(fusion_steps.size, np.nan)
             lo, hi = np.nan, np.nan
-        calls = sum(r["fuse_calls"] for r in runs)
-        timing[name] = (sum(r["fuse_seconds"] for r in runs) / calls
+        calls = sum(res[name][2] for res in results)
+        timing[name] = (sum(res[name][1] for res in results) / calls
                         if calls else None)
         metrics[name] = StrategyMetrics(pos, vel, nees, lo, hi, loss_rate,
                                         excluded)

@@ -9,6 +9,7 @@ two-route check rather than the same code evaluated twice.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import reduce
 
@@ -18,6 +19,8 @@ from trackfuse import (
     FusionResult,
     GaussianDensity,
     GaussianMixture,
+    ImmState,
+    MetricsReport,
     ModeLikelihoodDegenerate,
     MotionModel,
     NcvTruth,
@@ -25,18 +28,29 @@ from trackfuse import (
     NotPositiveDefinite,
     NotSymmetric,
     ScaledGaussian,
+    StrategyMetrics,
     apply_feedback,
     assert_spd,
+    compute_nees,
+    ekf_predict,
+    ekf_update,
     fuse_amd,
+    fuse_pair,
+    imm_output,
+    imm_step,
+    moment_match,
     ncv_truth_states,
+    nees_bounds,
+    prune_mixture,
+    route_feedback,
     sine_truth_states,
     spd_inv,
     symmetrize,
+    track_loss_rate,
     wrap_angle,
     zero_pad,
 )
 from trackfuse.pooling import integrate
-from trackfuse.simulation import _report
 
 
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 4.0) -> np.ndarray:
@@ -533,7 +547,194 @@ def ref_ekf_run(cfg, run_idx):
 
 def ref_ekf_study(cfg):
     """The report of an EKF study run one run at a time."""
-    return _report(cfg, [ref_ekf_run(cfg, r) for r in range(cfg.runs)])
+    return ref_report(cfg, [ref_ekf_run(cfg, r) for r in range(cfg.runs)])
+
+
+# Reference copy of the simulation's IMM path and report aggregation as they
+# stood before the IMM engine went step-major and the report was built from
+# score arrays: each run walks strategy by strategy over a shared pass of the
+# locals (or its own pass with feedback) and returns per-run dicts, which the
+# report stacks. The package's engine must reproduce the report byte for byte.
+
+def _ref_init_cov(cfg, state_dim, dims):
+    tr = cfg.tracker
+    stds = [tr.init_pos_std] * dims + [tr.init_vel_std] * dims
+    if state_dim == 3 * dims:
+        stds += [tr.init_acc_std] * dims
+    return np.diag(np.square(stds[:state_dim]).astype(float))
+
+
+def _ref_draws(cfg, run_idx, state_dim):
+    """One run's randomness in the documented order: truth, per-sensor initial
+    perturbations, the central perturbation, then measurement noise step by
+    step; measurements come as one row of per-sensor vectors per step."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(run_idx,)))
+    dims = cfg.sensors[0].spatial_dims
+    if isinstance(cfg.truth, NcvTruth):
+        states = ncv_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s, rng)
+    else:
+        states = sine_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s)
+    init_chol = np.linalg.cholesky(_ref_init_cov(cfg, state_dim, dims))
+    perturbations = [init_chol @ rng.standard_normal(state_dim)
+                     for _ in cfg.sensors]
+    central_pert = init_chol @ rng.standard_normal(state_dim)
+    chols = [np.linalg.cholesky(s.noise_cov) for s in cfg.sensors]
+    meas = []
+    for k in range(1, cfg.n_steps + 1):
+        row = []
+        for sensor, chol in zip(cfg.sensors, chols):
+            z = sensor.measure(states[k]) + chol @ rng.standard_normal(sensor.meas_dim)
+            for idx in sensor.angle_indices:
+                z[idx] = wrap_angle(z[idx])
+            row.append(z)
+        meas.append(row)
+    return states, perturbations, central_pert, meas
+
+
+def _ref_central_mean(truth0, pert, state_dim):
+    pad = np.zeros(truth0.shape[:-1] + (max(0, state_dim - truth0.shape[-1]),))
+    return np.concatenate((truth0, pad), axis=-1)[..., :state_dim] + pert[..., :state_dim]
+
+
+def _ref_sq_errors(mean, truth, dims):
+    pos = np.sum((mean[..., :dims] - truth[..., :dims]) ** 2, axis=-1)
+    vel = np.sum((mean[..., dims:2 * dims] - truth[..., dims:2 * dims]) ** 2, axis=-1)
+    return pos, vel
+
+
+def _ref_run_result(pos_sq, vel_sq, nees, fuse_seconds, fuse_calls):
+    return {
+        "pos_sq": pos_sq,
+        "vel_sq": vel_sq,
+        "nees": nees,
+        "final_pos_err": float(np.sqrt(pos_sq[-1])),
+        "fuse_seconds": fuse_seconds,
+        "fuse_calls": fuse_calls,
+    }
+
+
+def ref_imm_run(cfg, run_idx):
+    """One run of an IMM study; returns the per-strategy result dicts."""
+    dims = cfg.sensors[0].spatial_dims
+    ncv = MotionModel("ncv", cfg.dt_s, cfg.tracker.q_ncv, dims)
+    nca = MotionModel("nca", cfg.dt_s, cfg.tracker.q_nca, dims)
+    states, perturbations, central_pert, meas = _ref_draws(cfg, run_idx, nca.state_dim)
+    truth0 = states[0]
+    cov_nca = _ref_init_cov(cfg, nca.state_dim, dims)
+    cov_ncv = cov_nca[: ncv.state_dim, : ncv.state_dim]
+
+    def init_locals():
+        locals_ = []
+        for pert in perturbations:
+            full_mean = _ref_central_mean(truth0, pert, nca.state_dim)
+            dens = (GaussianDensity(full_mean[: ncv.state_dim], cov_ncv),
+                    GaussianDensity(full_mean, cov_nca))
+            locals_.append(ImmState(dens, np.full(2, 0.5), (ncv, nca),
+                                    cfg.tracker.transition, cfg.tracker.pad_var))
+        return locals_
+
+    def step_locals(locals_, k):
+        return [imm_step(loc, sensor, z)
+                for loc, sensor, z in zip(locals_, cfg.sensors, meas[k - 1])]
+
+    n_fuse = cfg.n_steps // cfg.fusion_every
+    nees_idx = np.arange(2 * dims)
+
+    # Without feedback the local banks do not depend on the strategy, so the
+    # filtering pass is shared across strategies.
+    locals_by_step = None
+    if any(s not in _CENTRAL for s in cfg.strategies) and not cfg.feedback:
+        locals_by_step = []
+        current = init_locals()
+        for k in range(1, cfg.n_steps + 1):
+            current = step_locals(current, k)
+            locals_by_step.append(current)
+
+    results = {}
+    for strategy in cfg.strategies:
+        pos_sq = np.full(n_fuse, np.nan)
+        vel_sq = np.full(n_fuse, np.nan)
+        nees = np.full(n_fuse, np.nan)
+        fuse_seconds = 0.0
+        fuse_calls = 0
+        central = strategy in _CENTRAL
+        if central:
+            model = nca if strategy == "centralized_ca" else ncv
+            track = GaussianDensity(_ref_central_mean(truth0, central_pert, model.state_dim),
+                                    _ref_init_cov(cfg, model.state_dim, dims))
+        elif locals_by_step is None:
+            locals_ = init_locals()
+        slot = 0
+        for k in range(1, cfg.n_steps + 1):
+            if central:
+                track = ekf_predict(track, model)
+                for sensor, z in zip(cfg.sensors, meas[k - 1]):
+                    track = ekf_update(track, sensor, z)
+            elif locals_by_step is not None:
+                locals_ = locals_by_step[k - 1]
+            else:
+                locals_ = step_locals(locals_, k)
+            if k % cfg.fusion_every:
+                continue
+            if not central:
+                outputs = [imm_output(loc) for loc in locals_]
+                tic = time.perf_counter()
+                fused = fuse_pair(outputs[0], outputs[1], strategy, cfg.omega)
+                fuse_seconds += time.perf_counter() - tic
+                fuse_calls += 1
+                if cfg.feedback:
+                    locals_ = [route_feedback(loc, fused, idx)
+                               for idx, loc in enumerate(locals_)]
+                elif fused.n_components > cfg.prune_to:
+                    fused = prune_mixture(fused, cfg.prune_to)
+                track = moment_match(fused)
+            pos_sq[slot], vel_sq[slot] = _ref_sq_errors(track.mean, states[k], dims)
+            nees[slot] = compute_nees(track, states[k], nees_idx)
+            slot += 1
+
+        results[strategy] = _ref_run_result(pos_sq, vel_sq, nees, fuse_seconds, fuse_calls)
+    return results
+
+
+def ref_imm_study(cfg):
+    """The report of an IMM study run one run at a time."""
+    return ref_report(cfg, [ref_imm_run(cfg, r) for r in range(cfg.runs)])
+
+
+def ref_report(cfg, per_run):
+    """Aggregate per-run results (in run order) into the study's report."""
+    fusion_steps = np.array([k for k in range(1, cfg.n_steps + 1)
+                             if k % cfg.fusion_every == 0])
+    times = fusion_steps * cfg.dt_s
+    dims = cfg.sensors[0].spatial_dims
+    # NEES scores position and velocity: the whole state of an EKF track and
+    # the leading marginal of an IMM estimate.
+    nees_dim = 2 * dims
+
+    metrics = {}
+    timing = {}
+    for name in cfg.strategies:
+        runs = [r[name] for r in per_run]
+        loss_rate = track_loss_rate([r["final_pos_err"] for r in runs],
+                                    cfg.track_loss_m)
+        kept = [r for r in runs if r["final_pos_err"] < cfg.track_loss_m]
+        n_lost = len(runs) - len(kept)
+        excluded = np.full(fusion_steps.size, n_lost, dtype=int)
+        if kept:
+            pos = np.sqrt(np.mean([r["pos_sq"] for r in kept], axis=0))
+            vel = np.sqrt(np.mean([r["vel_sq"] for r in kept], axis=0))
+            nees = np.mean([r["nees"] for r in kept], axis=0)
+            lo, hi = nees_bounds(len(kept), nees_dim, cfg.nees_sided)
+        else:
+            pos = vel = nees = np.full(fusion_steps.size, np.nan)
+            lo, hi = np.nan, np.nan
+        calls = sum(r["fuse_calls"] for r in runs)
+        timing[name] = (sum(r["fuse_seconds"] for r in runs) / calls
+                        if calls else None)
+        metrics[name] = StrategyMetrics(pos, vel, nees, lo, hi, loss_rate,
+                                        excluded)
+    return MetricsReport(cfg.name, cfg.runs, fusion_steps, times,
+                         cfg.strategies, metrics, timing)
 
 
 # Reference copies of the mixture rules and feedback routing as they stood

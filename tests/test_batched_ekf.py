@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trackfuse import (
+    ConfigError,
     EkfTracker,
     GaussianDensity,
     GaussianMixture,
@@ -136,20 +137,23 @@ def test_timing_is_batched_fusion_seconds_per_run_and_call():
 
 @pytest.mark.parametrize("cfg", [_radar(runs=2, strategies=("pcf",)),
                                  _bearing_toy(strategies=("naive", "ci"))])
-def test_rules_fuse_many_lacks_raise_value_error_like_the_scalar_path(cfg):
+def test_rules_fuse_many_lacks_raise_config_error_before_any_run(cfg):
+    # The scalar path fails at the first fusion step; the engine's gate
+    # rejects the study before its first run.
     with pytest.raises(ValueError, match="unknown fusion strategy"):
         ref_ekf_study(cfg)
-    with pytest.raises(ValueError, match="unknown fusion strategy"):
+    with pytest.raises(ConfigError, match="unknown fusion strategy for an EKF study"):
         run_scenario(cfg)
 
 
 def test_single_operand_fusion_passes_any_name_through_like_the_scalar_path():
     # With one sensor, the first fusion has one operand, which fuse_many
-    # returns as is whatever the rule; with one fusion step there is no other.
+    # returns as is whatever the rule (amd would otherwise return a mixture);
+    # with one fusion step there is no other.
     cfg = _bearing_toy(sensors=(bearing_sensor([0.0, 0.0], 2e-3),),
-                       strategies=("pcf",), duration_s=3.0)
+                       strategies=("amd",), duration_s=3.0)
     report = _assert_same_report(cfg)
-    assert np.isfinite(report.metrics["pcf"].rmse_pos).all()
+    assert np.isfinite(report.metrics["amd"].rmse_pos).all()
 
 
 def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch):

@@ -229,6 +229,52 @@ def test_simulate_inconsistent_config_exits_two(tmp_path, capsys):
     assert "feedback" in capsys.readouterr().err
 
 
+IMM_TRACKER = """[tracker]
+kind = imm
+q_ncv = 0.01
+q_nca = 0.001
+transition = 0.8, 0.2; 0.8, 0.2
+"""
+
+
+def _assert_one_error_line(capsys, fragment):
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and fragment in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args,fragment", [
+    (["--preset", "scenario2", "--strategies", "hmd,bogus"], "'bogus'"),
+    (["--preset", "scenario1", "--strategies", "naive,pcf"], "'pcf'"),
+    (["--preset", "scenario1", "--strategies", "centralized_ca"], "'centralized_ca'"),
+])
+def test_simulate_strategy_the_engine_does_not_run_exits_two(args, fragment, capsys):
+    assert main(["simulate", "--runs", "1"] + args) == 2
+    _assert_one_error_line(capsys, fragment)
+
+
+@pytest.mark.parametrize("mutate,fragment", [
+    (lambda t: t.replace("dt_s = 1", "dt_s = 1\nfusion_every = 0"), "fusion_every"),
+    (lambda t: t.replace("dt_s = 1", "dt_s = 1\nnees_sided = 3"), "nees_sided"),
+    (lambda t: t.replace("[tracker]\nkind = ekf\nq = 0.5, 0.5\n",
+                         IMM_TRACKER.replace("0.8, 0.2; 0.8", "0.8, 0.3; 0.8")),
+     "IMM tracker: transition rows must sum to 1"),
+    (lambda t: t.replace("runs = 2", "runs = many"), "[monte_carlo] runs = 'many'"),
+    (lambda t: t.replace("[tracker]\nkind = ekf\nq = 0.5, 0.5\n",
+                         IMM_TRACKER.replace("q_ncv = 0.01", "q_ncv = abc")),
+     "[tracker] q_ncv = 'abc'"),
+])
+def test_simulate_config_rejected_at_the_boundary_exits_two(mutate, fragment,
+                                                           tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(mutate(FAST_CONFIG), encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    _assert_one_error_line(capsys, fragment)
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_unknown_preset_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--preset", "nonexistent"])

@@ -168,6 +168,29 @@ def test_build_scenario_structural_errors(mutate, message):
         loads_config(mutate(MINIMAL))
 
 
+@pytest.mark.parametrize("mutate,message", [
+    (lambda t: t.replace("runs = 3", "runs = many"), r"\[monte_carlo\] runs = 'many'"),
+    (lambda t: t.replace("q_ncv = 0.01", "q_ncv = abc"), r"\[tracker\] q_ncv = 'abc'"),
+    (lambda t: t.replace("position_m = 0, 0", "position_m = 0, x"),
+     r"\[sensor.1\] position_m = \[0, 'x'\]"),
+    (lambda t: t.replace("position_m = 0, 0", "position_m = 0, 0, 0"),
+     r"\[sensor.1\] position_m .*expected 2 values, got 3"),
+    (lambda t: t.replace("transition = 0.8, 0.2; 0.8, 0.2", "transition = 0.8, 0.2; 1"),
+     r"\[tracker\] transition"),
+    (lambda t: t.replace("dt_s = 2", "dt_s = 2, 3"), r"\[scenario\] dt_s = \[2, 3\]"),
+])
+def test_a_value_that_cannot_be_coerced_names_its_section_and_key(mutate, message):
+    with pytest.raises(ConfigError, match=message):
+        loads_config(mutate(MINIMAL))
+
+
+def test_a_json_value_of_the_wrong_type_names_its_section_and_key():
+    sections = parse_config_text(MINIMAL)
+    sections["monte_carlo"]["runs"] = [1, 2]
+    with pytest.raises(ConfigError, match=r"\[monte_carlo\] runs = \[1, 2\]"):
+        loads_config(json.dumps(sections))
+
+
 def test_build_scenario_requires_a_sensor():
     text = "\n".join(line for line in MINIMAL.splitlines()
                      if not line.startswith(("kind = bearing",

@@ -5,6 +5,7 @@ import pytest
 
 from trackfuse import (
     KNOT_MPS,
+    ConfigError,
     EkfTracker,
     ImmTracker,
     NcvTruth,
@@ -12,6 +13,7 @@ from trackfuse import (
     SineTruth,
     bearing_sensor,
     ncv_truth_states,
+    run_scenario,
     sine_truth_states,
 )
 
@@ -160,7 +162,9 @@ def test_scenario_config_step_count_and_defaults():
 
 
 def test_scenario_config_validation():
-    with pytest.raises(ValueError, match="fusion_every"):
-        _minimal_config(fusion_every=0)
-    with pytest.raises(ValueError, match="nees_sided"):
-        _minimal_config(nees_sided=3)
+    # A ScenarioConfig only holds values; run_scenario checks them, with the
+    # rest of the study, before any run starts.
+    with pytest.raises(ConfigError, match="fusion_every must be a positive step count"):
+        run_scenario(_minimal_config(fusion_every=0))
+    with pytest.raises(ConfigError, match="nees_sided must be 1 or 2"):
+        run_scenario(_minimal_config(nees_sided=3))

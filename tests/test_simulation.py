@@ -7,6 +7,10 @@ pipeline from textbook equations, so a report mismatch points at the
 orchestration rather than at the primitives tested elsewhere.
 """
 
+import dataclasses
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -60,6 +64,27 @@ def test_nees_bounds_tighten_with_more_runs():
     lo_few, hi_few = nees_bounds(10, 4)
     lo_many, hi_many = nees_bounds(1000, 4)
     assert lo_few < lo_many < 4 < hi_many < hi_few
+
+
+def test_nees_bounds_equal_chi2_ppf_exactly():
+    # nees_bounds evaluates the chi-square quantile by scipy.stats' own
+    # formula without importing scipy.stats; the bounds must keep their bits.
+    for n_runs in (1, 2, 7, 50, 100, 200):
+        for dim in (1, 2, 4, 6):
+            dof = n_runs * dim
+            for alpha in (0.01, 0.05, 0.1, 0.5):
+                assert nees_bounds(n_runs, dim, 2, alpha) == (
+                    float(chi2.ppf(alpha / 2.0, dof)) / n_runs,
+                    float(chi2.ppf(1.0 - alpha / 2.0, dof)) / n_runs)
+                assert nees_bounds(n_runs, dim, 1, alpha) == (
+                    0.0, float(chi2.ppf(1.0 - alpha, dof)) / n_runs)
+
+
+def test_importing_the_package_does_not_import_scipy_stats():
+    code = "import sys, trackfuse; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +403,8 @@ def no_run_starts(monkeypatch):
     """Fail the test if ``run_scenario`` gets as far as starting a run."""
     def started(*args):
         raise AssertionError("a run started before the configuration was rejected")
-    monkeypatch.setattr(simulation, "_run_block", started)
+    # Every run draws its randomness first.
+    monkeypatch.setattr(simulation, "_draws", started)
 
 
 def test_rejects_a_study_without_runs(no_run_starts):
@@ -417,6 +443,47 @@ def test_rejects_an_ekf_omega_the_equal_weight_rule_ignores(no_run_starts, omega
     # EKF studies fuse every operand with weight 1/n, whatever omega says.
     with pytest.raises(ConfigError, match="equal weights 1/n"):
         run_scenario(load_preset("scenario1", runs=1, omega=omega))
+
+
+@pytest.mark.parametrize("preset,strategies,message", [
+    ("scenario2", ("hmd", "bogus"), "unknown fusion strategy for an IMM study: 'bogus'"),
+    ("scenario1", ("hmd", "ci"), "unknown fusion strategy for an EKF study: 'ci'"),
+    # The EKF engine fuses with fuse_many, which has no pcf rule, and runs
+    # every centralized track with NCV.
+    ("scenario1", ("naive", "pcf"), "EKF study: 'pcf'"),
+    ("scenario1", ("centralized_ca",), "EKF study: 'centralized_ca'"),
+])
+def test_rejects_a_strategy_the_engine_does_not_run(no_run_starts, preset,
+                                                    strategies, message):
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(load_preset(preset, runs=1, strategies=strategies))
+
+
+@pytest.mark.parametrize("preset", ["scenario1", "scenario2"])
+@pytest.mark.parametrize("fusion_every", [0, -2])
+def test_rejects_a_fusion_interval_below_one(no_run_starts, preset, fusion_every):
+    with pytest.raises(ConfigError, match="fusion_every must be a positive step count"):
+        run_scenario(load_preset(preset, runs=1, fusion_every=fusion_every))
+
+
+@pytest.mark.parametrize("nees_sided", [0, 3])
+def test_rejects_nees_sides_other_than_one_or_two(no_run_starts, nees_sided):
+    with pytest.raises(ConfigError, match="nees_sided must be 1 or 2"):
+        run_scenario(load_preset("scenario1", runs=1, nees_sided=nees_sided))
+
+
+@pytest.mark.parametrize("transition,message", [
+    ([[0.8, 0.3], [0.8, 0.2]], "rows must sum to 1"),
+    ([[1.2, -0.2], [0.8, 0.2]], "finite and nonnegative"),
+    ([[np.nan, 0.2], [0.8, 0.2]], "finite and nonnegative"),
+    (np.full((3, 3), 1 / 3), "disagree"),
+])
+def test_rejects_an_imm_transition_the_tracker_rejects(no_run_starts, transition, message):
+    cfg = load_preset("scenario2", runs=1)
+    cfg = dataclasses.replace(cfg, tracker=dataclasses.replace(
+        cfg.tracker, transition=transition))
+    with pytest.raises(ConfigError, match=f"IMM tracker: .*{message}"):
+        run_scenario(cfg)
 
 
 # ---------------------------------------------------------------------------
