@@ -110,6 +110,18 @@ class _Section:
             raise ConfigError(f"[{self.name}] has unknown keys: {extra}")
 
 
+def _count(value) -> int:
+    """A whole number (JSON's ``2.0`` included) as an int; a fraction or a
+    boolean raises ``ValueError``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("expected a whole number")
+    return int(value)
+
+
+# The counts an API override may set; they are cast like file values.
+_COUNT_KEYS = ("runs", "seed", "fusion_every", "prune_to", "nees_sided")
+
+
 def _vector(length: int):
     """A cast to ``length`` floats, repeating a single value."""
     def cast(value):
@@ -232,14 +244,14 @@ def build_scenario(sections: dict) -> ScenarioConfig:
         sensors=sensors,
         tracker=tracker,
         strategies=_strategy_list(fusion_sec.get("strategies", required=True)),
-        runs=mc_sec.get("runs", required=True, cast=int),
-        seed=mc_sec.get("seed", 0, cast=int),
-        fusion_every=scen.get("fusion_every", 2, cast=int),
+        runs=mc_sec.get("runs", required=True, cast=_count),
+        seed=mc_sec.get("seed", 0, cast=_count),
+        fusion_every=scen.get("fusion_every", 2, cast=_count),
         feedback=bool(scen.get("feedback", False)),
         omega=fusion_sec.get("omega", 0.5, cast=float),
-        prune_to=fusion_sec.get("prune_to", 2, cast=int),
+        prune_to=fusion_sec.get("prune_to", 2, cast=_count),
         track_loss_m=scen.get("track_loss_m", 500.0, cast=float),
-        nees_sided=scen.get("nees_sided", 2, cast=int),
+        nees_sided=scen.get("nees_sided", 2, cast=_count),
     )
     for sec in (scen, fusion_sec, mc_sec):
         sec.finish()
@@ -279,6 +291,10 @@ def _apply_overrides(config: ScenarioConfig, overrides: dict) -> ScenarioConfig:
     from dataclasses import replace
 
     clean = {k: v for k, v in overrides.items() if v is not None}
+    section = _Section("overrides", clean)
+    for key in _COUNT_KEYS:
+        if key in clean:
+            clean[key] = section.get(key, cast=_count)
     if "strategies" in clean:
         clean["strategies"] = _strategy_list(clean["strategies"])
     return replace(config, **clean) if clean else config

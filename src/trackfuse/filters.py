@@ -135,13 +135,11 @@ def zero_pad(track: GaussianDensity, target_dim: int, pad_var: float) -> Gaussia
 
 
 def truncate_state(track: GaussianDensity, dim: int) -> GaussianDensity:
-    """Marginal over the leading ``dim`` state entries (``track`` itself when
-    ``dim`` is its whole dimension); its factor is the leading block of
-    ``track.chol``."""
+    """Marginal over the leading ``dim`` state entries (of each member of a
+    stack; ``track`` itself when ``dim`` is its whole dimension); its factor
+    is the leading block of ``track.chol``."""
     if dim > track.dim:
         raise ValueError("cannot truncate to a larger dimension")
-    if dim == track.dim:
-        return track
     return track._leading(dim)
 
 
@@ -284,8 +282,10 @@ def route_feedback(state: ImmState, fed: GaussianMixture,
     component involves. For every local mode, the components involving that
     mode are moment-matched into the mode's replacement (all modes in one
     stacked call per group size); a mode involved in no component keeps its
-    current density and probability. The prepared one-component-per-mode
-    mixture is then applied with :func:`apply_feedback`.
+    current density and probability, and a mode whose components all have
+    weight 0 (their fused weights underflowed) keeps its current density with
+    weight 0. The prepared one-component-per-mode mixture is then applied
+    with :func:`apply_feedback`.
 
     A product-style fused mixture involves every recipient mode in several
     cross hypotheses, so each mode receives the full fused information. A
@@ -301,8 +301,10 @@ def route_feedback(state: ImmState, fed: GaussianMixture,
             raise ValueError("provenance tag has no field for this operand")
         if fields[operand_idx]:
             groups.setdefault(fields[operand_idx], []).append(k)
-    modes = [m for m, model in enumerate(state.models) if groups.get(model.kind)]
-    keep_w = [float(p) for p in state.mode_probs]
+    modes = [m for m, model in enumerate(state.models)
+             if fed.weights[groups.get(model.kind, [])].any()]
+    keep_w = [0.0 if model.kind in groups else float(p)
+              for model, p in zip(state.models, state.mode_probs)]
     keep_c = [None if m in modes else zero_pad(dens, state.max_dim, state.pad_var)
               for m, dens in enumerate(state.densities)]
     if modes:

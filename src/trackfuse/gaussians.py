@@ -24,13 +24,14 @@ stale.
 Two kinds of density carry a factor derived from an already validated one
 instead of a fresh factorization: a leading marginal (``marginal`` over the
 leading indices, ``filters.truncate_state``) takes the leading block of the
-parent's factor, and a zero-padded state (``filters.zero_pad``) takes
-``blockdiag(parent factor, sqrt(pad_var) I)``. Both are Cholesky factors of
-their covariances, and both still run :func:`assert_spd`'s pivot floor test on
-the derived pivots, so they are accepted or rejected as a fresh check would
-decide. OpenBLAS's unblocked factorization computes a leading block without
-looking at the rows below it, so for the presets' sizes (up to 6) a derived
-factor has the same bits as a fresh one; a LAPACK that orders its operations
+parent's factor (of each member's, for a stack), and a zero-padded state
+(``filters.zero_pad``) takes ``blockdiag(parent factor, sqrt(pad_var) I)``.
+Both are Cholesky factors of their covariances, and both still run
+:func:`assert_spd`'s pivot floor test on the derived pivots (per member), so
+they are accepted or rejected as a fresh check would decide. OpenBLAS's
+unblocked factorization computes a leading block without looking at the rows
+below it, so for the presets' sizes (up to 6) a derived factor has the same
+bits as a fresh one; a LAPACK that orders its operations
 differently agrees to round-off. Matrices that are not yet a density
 (a precision sum, a division gap, a product or division scale term's
 covariance) pass the full check in :func:`assert_spd` or :func:`spd_inv`; a
@@ -104,8 +105,11 @@ def assert_spd(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2]:
         raise NotPositiveDefinite(f"expected a square matrix, got shape {cov.shape}")
+    shape = cov.shape
     if cov.ndim > 2:
-        return _assert_spd_stack(cov)
+        if cov.size != shape[-1] ** 2:
+            return _assert_spd_stack(cov)
+        cov = cov.reshape(shape[-2:])  # one member: the 2-D check costs less
     peak = float(abs(cov).max())
     # The maximum propagates NaN, so one comparison catches NaN, infinity and
     # entries whose symmetric part ``(cov + cov.T) / 2`` would overflow.
@@ -122,7 +126,7 @@ def assert_spd(cov: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("covariance is not positive definite") from exc
     _check_pivot_floor(chol, cov)
-    return chol
+    return chol.reshape(shape)
 
 
 def _assert_spd_stack(cov: np.ndarray) -> np.ndarray:
@@ -153,20 +157,24 @@ def _passing_stack_factor(cov: np.ndarray) -> np.ndarray | None:
     sym = cov if exact.all() else np.where(exact[..., None, None], cov, symmetrize(cov))
     try:
         chol = np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        return None
-    pivots = chol.diagonal(axis1=-2, axis2=-1)
-    floor = _EIG_FLOOR * np.maximum(cov.diagonal(axis1=-2, axis2=-1).max(axis=-1), _TINY)
-    if ((pivots * pivots).min(axis=-1) <= floor).any():
+        _check_pivot_floor(chol, cov)
+    except (np.linalg.LinAlgError, NotPositiveDefinite):
         return None
     return chol
 
 
 def _check_pivot_floor(chol: np.ndarray, cov: np.ndarray) -> None:
-    """Reject ``cov`` as numerically singular if a squared pivot of its factor
-    ``chol`` is at most ``1e-12 * max(diag(cov))``."""
-    pivots = chol.diagonal()
-    if (pivots * pivots).min() <= _EIG_FLOOR * max(cov.diagonal().max(), _TINY):
+    """Reject ``cov`` (or a stack with such a member) as numerically singular
+    if a squared pivot of its factor ``chol`` is at most
+    ``1e-12 * max(diag(cov))``."""
+    if chol.ndim == 2:  # one matrix, without the stacked reductions' overhead
+        pivots = chol.diagonal()
+        singular = (pivots * pivots).min() <= _EIG_FLOOR * max(cov.diagonal().max(), _TINY)
+    else:
+        pivots = chol.diagonal(axis1=-2, axis2=-1)
+        floor = _EIG_FLOOR * np.maximum(cov.diagonal(axis1=-2, axis2=-1).max(axis=-1), _TINY)
+        singular = ((pivots * pivots).min(axis=-1) <= floor).any()
+    if singular:
         raise NotPositiveDefinite("covariance is numerically singular")
 
 
@@ -212,8 +220,8 @@ class GaussianDensity:
 
     ``mean[..., d]``, ``cov[..., d, d]`` and ``chol``, the lower Cholesky
     factor of ``cov`` that validation computed, are read-only arrays.
-    ``logpdf``/``pdf``, ``marginal`` and JSON are for one density only and
-    raise ``ValueError`` for a stack.
+    ``logpdf``/``pdf``, ``marginal`` over other than the leading indices and
+    JSON are for one density only and raise ``ValueError`` for a stack.
     """
 
     mean: np.ndarray
@@ -296,18 +304,22 @@ class GaussianDensity:
         return np.exp(self.logpdf(x))
 
     def marginal(self, idx) -> "GaussianDensity":
-        """Marginal over the state indices ``idx``."""
-        self._single("marginal")
+        """Marginal over the state indices ``idx`` (of each member of a stack,
+        if ``idx`` are the leading indices)."""
         idx = np.asarray(idx, dtype=int)
         if idx.ndim == 1 and 0 < idx.size <= self.dim and (idx == np.arange(idx.size)).all():
             return self._leading(idx.size)
+        self._single("a marginal over other than the leading indices")
         return GaussianDensity(self.mean[idx], self.cov[np.ix_(idx, idx)])
 
     def _leading(self, dim: int) -> "GaussianDensity":
-        """Marginal over the leading ``dim`` entries, with the leading block of
-        this density's factor as its factor."""
-        return GaussianDensity._derived(self.mean[:dim], self.cov[:dim, :dim],
-                                        self.chol[:dim, :dim])
+        """Marginal over the leading ``dim`` entries (of each member of a
+        stack), with the leading block of this density's factor as its
+        factor; the density itself if ``dim`` is its whole dimension."""
+        if dim == self.dim:
+            return self
+        return GaussianDensity._derived(self.mean[..., :dim], self.cov[..., :dim, :dim],
+                                        self.chol[..., :dim, :dim])
 
 
 @dataclass(frozen=True)

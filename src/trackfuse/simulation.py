@@ -6,16 +6,19 @@ requested strategies on that shared randomness (common random numbers keep
 strategy comparisons tight). Runs are seeded from a master seed through
 ``numpy`` seed-sequence spawning, so results do not depend on execution order.
 
-The tracker kind picks the engine. Both take the configuration and a block
-of run indices, advance step by step (the locals, then the centralized
-tracks, then each strategy's fusion) holding only the current banks, and
-return each strategy's scores as ``[3, runs, fusion steps]`` arrays. The EKF
-engine steps all its runs together: every bank is one stacked
-:class:`~trackfuse.gaussians.GaussianDensity` passed through the same public
-functions a single run uses, so the report is byte-identical to stepping each
-run on its own. The IMM engine steps its runs one after another.
-``TRACKFUSE_THREADS`` splits the runs into contiguous blocks over worker
-processes without changing the report.
+One engine runs both tracker kinds. It takes the configuration and a block
+of run indices, steps all those runs together (the locals, then the
+centralized tracks, then each strategy's fusion) holding only the current
+banks, and returns each strategy's scores as ``[3, runs, fusion steps]``
+arrays. The centralized tracks and every scored track are stacked
+:class:`~trackfuse.gaussians.GaussianDensity` objects over the runs, passed
+through the same public functions a single run uses, so the report is
+byte-identical to stepping each run on its own. Only the local step and the
+fusion step depend on the tracker: EKF locals are stacks fused by
+``fuse_many``; IMM locals step run by run, and each run fuses its locals'
+mixtures with ``fuse_pair``. Scores are taken on the position-velocity
+marginal. ``TRACKFUSE_THREADS`` splits the runs into one contiguous block per
+worker process without changing the report.
 
 Estimation quality is reported at fusion instants: position/velocity RMSE
 across runs and the average normalized estimation error squared (NEES) with
@@ -46,7 +49,7 @@ from .filters import (
     route_feedback,
 )
 from .fusion import fuse_many, fuse_pair
-from .gaussians import GaussianDensity, GaussianMixture, _scalar, moment_match
+from .gaussians import GaussianDensity, GaussianMixture, _mixture_moments, _scalar, moment_match
 from .models import MotionModel, wrap_angle
 from .scenarios import (
     ImmTracker,
@@ -225,164 +228,128 @@ def _draws(cfg: ScenarioConfig, run_idx: int, state_dim: int) -> tuple:
     return states, perturbations, central_pert, meas
 
 
-def _central_mean(truth0: np.ndarray, pert: np.ndarray, state_dim: int) -> np.ndarray:
-    """Initial centralized mean: the truth, zero-padded to the state, plus ``pert``."""
+def _start_mean(truth0: np.ndarray, pert: np.ndarray, state_dim: int) -> np.ndarray:
+    """Initial track mean: the truth, zero-padded to the state, plus ``pert``."""
     pad = np.zeros(truth0.shape[:-1] + (max(0, state_dim - truth0.shape[-1]),))
     return np.concatenate((truth0, pad), axis=-1)[..., :state_dim] + pert[..., :state_dim]
 
 
-def _score(track: GaussianDensity, truth: np.ndarray, dims: int,
-           nees_idx: np.ndarray | None = None) -> tuple:
-    """Squared position and velocity errors and the NEES of ``track`` (per
-    run for stacked inputs)."""
+def _score(track: GaussianDensity, truth: np.ndarray, dims: int) -> tuple:
+    """Squared position and velocity errors of ``track`` and the NEES of its
+    position-velocity marginal (per run for stacked inputs)."""
     pos = np.sum((track.mean[..., :dims] - truth[..., :dims]) ** 2, axis=-1)
     vel = np.sum((track.mean[..., dims:2 * dims] - truth[..., dims:2 * dims]) ** 2, axis=-1)
-    return pos, vel, compute_nees(track, truth, nees_idx)
+    return pos, vel, compute_nees(track, truth, np.arange(2 * dims))
 
 
-def _run_ekf_batch(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
-    """All ``runs`` of an EKF study, stepped together as stacked arrays.
+def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
+    """All ``runs`` of a study, stepped together from material drawn up front.
 
-    Each bank (the locals, the centralized track, each strategy's fusion
-    centre) is one :class:`~trackfuse.gaussians.GaussianDensity` stacked
-    over the runs.
-    The fusion centre keeps its own fused track between fusion instants and
-    folds the predicted track in as one more operand: the previous fused
-    estimate carries the locals' history, so re-fusing the current locals
+    Each step advances the local banks (stacks of EKFs, or IMMs run by run),
+    then the centralized tracks, then, at a fusion step, every distributed
+    strategy's fusion. Without feedback one bank of locals serves every
+    distributed strategy; with feedback each routes into a bank of its own.
+    An EKF fusion centre folds its predicted last fused track in as one more
+    operand: that track carries the locals' history, so re-fusing the locals
     double-counts unless the rule accounts for it, which is what separates
-    the conservative rules from the naive product. NEES scores the whole
-    NCV state, which is exactly position and velocity.
-
-    Runs and strategies advance step by step together, so only the current
-    banks are held. Each strategy's arithmetic is that of a run on its own;
-    if several runs or strategies would fail, the first failure in step
-    order is raised. Returns, per strategy, the scores, the seconds spent
-    fusing and the fusion calls (one per run and fusion step).
+    the conservative rules from the naive product. Each IMM run fuses its two
+    locals' mixtures, then routes or prunes, and the match is scored. Each
+    run's arithmetic is that of the run on its own; if several runs or
+    strategies would fail, the first failure in step order is raised.
+    Returns, per strategy, the scores, the seconds spent fusing and the
+    fusion calls (one per run and fusion step).
     """
-    n_runs = len(runs)
+    imm = isinstance(cfg.tracker, ImmTracker)
     dims = cfg.sensors[0].spatial_dims
-    model = MotionModel("ncv", cfg.dt_s, cfg.tracker.q, dims)
-    dim = model.state_dim
-    states, perts, central_pert, meas = zip(*(_draws(cfg, r, dim) for r in runs))
-    states = np.stack(states)
-    truth0 = states[:, 0]
-    perts = np.stack(perts)
-    central_pert = np.stack(central_pert)
+    models = _models(cfg)
+    top = models[-1].state_dim
+    states, perts, central_pert, meas = zip(*(_draws(cfg, r, top) for r in runs))
+    states, perts, central_pert = np.stack(states), np.stack(perts), np.stack(central_pert)
     # One [R, n_steps, meas_dim] array per sensor.
     meas = [np.stack(z) for z in zip(*meas)]
-    cov0 = np.broadcast_to(_init_cov(cfg, dim, dims), (n_runs, dim, dim))
-    n_fuse = cfg.n_steps // cfg.fusion_every
+    n_runs, n_fuse = len(runs), cfg.n_steps // cfg.fusion_every
 
     strategies = list(dict.fromkeys(cfg.strategies))
+    central = {name: models[-1] if name == "centralized_ca" else models[0]
+               for name in strategies if name in _CENTRAL}
     # The centralized tracks, and each fusion centre's last fused track.
-    tracks = {name: (GaussianDensity(_central_mean(truth0, central_pert, dim), cov0)
-                     if name in _CENTRAL else None) for name in strategies}
-    # The locals do not depend on the strategy (EKF studies have no
-    # feedback), so one bank serves every distributed strategy.
-    bank = ([GaussianDensity(truth0[:, :dim] + perts[:, s, :dim], cov0)
-             for s in range(len(cfg.sensors))]
-            if any(name not in _CENTRAL for name in strategies) else [])
+    tracks = {name: GaussianDensity(_start_mean(states[:, 0], central_pert, m.state_dim),
+                                    np.broadcast_to(_init_cov(cfg, m.state_dim, dims),
+                                                    (n_runs, m.state_dim, m.state_dim)))
+              for name, m in central.items()}
+    distributed = [name for name in strategies if name not in _CENTRAL]
+    bank_of = {name: name if cfg.feedback else distributed[0] for name in distributed}
+    starts = _start_mean(states[:, None, 0], perts, top)  # [R, sensors, top]
+    cov0 = np.broadcast_to(_init_cov(cfg, top, dims), (n_runs, top, top))
+    banks = {key: ([[_imm_prior(cfg, models, mean) for mean in run] for run in starts] if imm
+                   else [GaussianDensity(starts[:, s], cov0) for s in range(len(cfg.sensors))])
+             for key in dict.fromkeys(bank_of.values())}
     scores = {name: np.full((3, n_runs, n_fuse), np.nan) for name in strategies}
     fuse_seconds = dict.fromkeys(strategies, 0.0)
     for k in range(1, cfg.n_steps + 1):
-        bank = [ekf_update(ekf_predict(loc, model), sensor, z[:, k - 1])
-                for loc, sensor, z in zip(bank, cfg.sensors, meas)]
-        for name in strategies:
-            if name in _CENTRAL:
-                track = ekf_predict(tracks[name], model)
-                for sensor, z in zip(cfg.sensors, meas):
-                    track = ekf_update(track, sensor, z[:, k - 1])
-                tracks[name] = track
+        zs = [z[:, k - 1] for z in meas]
+        for key, bank in banks.items():
+            banks[key] = ([[imm_step(loc, sensor, z[r])
+                            for loc, sensor, z in zip(run, cfg.sensors, zs)]
+                           for r, run in enumerate(bank)] if imm else
+                          [ekf_update(ekf_predict(loc, models[0]), sensor, z)
+                           for loc, sensor, z in zip(bank, cfg.sensors, zs)])
+        for name, model in central.items():
+            track = ekf_predict(tracks[name], model)
+            for sensor, z in zip(cfg.sensors, zs):
+                track = ekf_update(track, sensor, z)
+            tracks[name] = track
         if k % cfg.fusion_every:
             continue
         slot = k // cfg.fusion_every - 1
-        for name in strategies:
-            track = tracks[name]
-            if name not in _CENTRAL:
-                operands = bank
+        outputs = {key: [[imm_output(loc) for loc in run] for run in bank]
+                   for key, bank in banks.items()} if imm else {}
+        for name in distributed:
+            if imm:
+                tic = time.perf_counter()
+                fused = [fuse_pair(a, b, name, cfg.omega) for a, b in outputs[bank_of[name]]]
+                fuse_seconds[name] += time.perf_counter() - tic
+                if cfg.feedback:
+                    banks[name] = [[route_feedback(loc, mix, idx) for idx, loc in enumerate(run)]
+                                   for run, mix in zip(banks[name], fused)]
+                else:
+                    fused = [prune_mixture(mix, cfg.prune_to)
+                             if mix.n_components > cfg.prune_to else mix for mix in fused]
+                tracks[name] = _matched(fused)
+            else:
+                track, operands = tracks.get(name), banks[bank_of[name]]
                 if track is not None:
                     for _ in range(cfg.fusion_every):
-                        track = ekf_predict(track, model)
-                    operands = [track] + bank
+                        track = ekf_predict(track, models[0])
+                    operands = [track] + operands
                 tic = time.perf_counter()
                 track = fuse_many(operands, name)
                 # amd's mixture is scored and carried forward moment-matched.
-                if isinstance(track, GaussianMixture):
-                    track = moment_match(track)
-                tracks[name] = track
+                tracks[name] = moment_match(track) if isinstance(track, GaussianMixture) else track
                 fuse_seconds[name] += time.perf_counter() - tic
-            scores[name][:, :, slot] = _score(track, states[:, k], dims)
+        for name in strategies:
+            scores[name][:, :, slot] = _score(tracks[name], states[:, k], dims)
 
     return {name: (scores[name], fuse_seconds[name],
                    0 if name in _CENTRAL else n_runs * n_fuse)
             for name in strategies}
 
 
-def _run_imm(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
-    """All ``runs`` of an IMM study, one after another, each stepped like
-    the EKF batch; returns what :func:`_run_ekf_batch` returns.
-
-    Without feedback one bank of locals serves every distributed strategy;
-    with feedback each routes its fused mixture back into a bank of its own.
-    At a fusion step each strategy fuses, then routes or prunes, and scores
-    the moment-matched fusion on its position-velocity marginal.
-    """
-    dims = cfg.sensors[0].spatial_dims
-    ncv, nca = _imm_models(cfg)
-    n_fuse = cfg.n_steps // cfg.fusion_every
-    nees_idx = np.arange(2 * dims)
-    strategies = list(dict.fromkeys(cfg.strategies))
-    central = {name: nca if name == "centralized_ca" else ncv
-               for name in strategies if name in _CENTRAL}
-    distributed = [name for name in strategies if name not in _CENTRAL]
-    bank_of = {name: name if cfg.feedback else distributed[0] for name in distributed}
-    scores = {name: np.full((3, len(runs), n_fuse), np.nan) for name in strategies}
-    fuse_seconds = dict.fromkeys(strategies, 0.0)
-    for r, run_idx in enumerate(runs):
-        states, perts, central_pert, meas = _draws(cfg, run_idx, nca.state_dim)
-        prior = [_imm_prior(cfg, (ncv, nca), _central_mean(states[0], pert, nca.state_dim))
-                 for pert in perts]
-        banks = dict.fromkeys(bank_of.values(), prior)
-        tracks = {name: GaussianDensity(
-            _central_mean(states[0], central_pert, model.state_dim),
-            _init_cov(cfg, model.state_dim, dims)) for name, model in central.items()}
-        for k in range(1, cfg.n_steps + 1):
-            zs = [z[k - 1] for z in meas]
-            for key, bank in banks.items():
-                banks[key] = [imm_step(loc, sensor, z)
-                              for loc, sensor, z in zip(bank, cfg.sensors, zs)]
-            for name, model in central.items():
-                track = ekf_predict(tracks[name], model)
-                for sensor, z in zip(cfg.sensors, zs):
-                    track = ekf_update(track, sensor, z)
-                tracks[name] = track
-            if k % cfg.fusion_every:
-                continue
-            slot = k // cfg.fusion_every - 1
-            outputs = {key: [imm_output(loc) for loc in bank] for key, bank in banks.items()}
-            for name in strategies:
-                if name not in _CENTRAL:
-                    a, b = outputs[bank_of[name]]
-                    tic = time.perf_counter()
-                    fused = fuse_pair(a, b, name, cfg.omega)
-                    fuse_seconds[name] += time.perf_counter() - tic
-                    if cfg.feedback:
-                        banks[name] = [route_feedback(loc, fused, idx)
-                                       for idx, loc in enumerate(banks[name])]
-                    elif fused.n_components > cfg.prune_to:
-                        fused = prune_mixture(fused, cfg.prune_to)
-                    tracks[name] = moment_match(fused)
-                scores[name][:, r, slot] = _score(tracks[name], states[k], dims, nees_idx)
-
-    return {name: (scores[name], fuse_seconds[name],
-                   0 if name in _CENTRAL else len(runs) * n_fuse)
-            for name in strategies}
+def _matched(mixtures: list) -> GaussianDensity:
+    """The stack of each run's moment-matched mixture (one component count)."""
+    return GaussianDensity(*_mixture_moments(
+        np.stack([mix.weights for mix in mixtures]),
+        np.stack([[c.mean for c in mix.components] for mix in mixtures]),
+        np.stack([[c.cov for c in mix.components] for mix in mixtures])))
 
 
-def _imm_models(cfg: ScenarioConfig) -> tuple[MotionModel, MotionModel]:
-    dims = cfg.sensors[0].spatial_dims
-    return (MotionModel("ncv", cfg.dt_s, cfg.tracker.q_ncv, dims),
-            MotionModel("nca", cfg.dt_s, cfg.tracker.q_nca, dims))
+def _models(cfg: ScenarioConfig) -> tuple[MotionModel, ...]:
+    """The tracker's motion models: the EKF's NCV, or the IMM's NCV and NCA."""
+    dims, tr = cfg.sensors[0].spatial_dims, cfg.tracker
+    if isinstance(tr, ImmTracker):
+        return (MotionModel("ncv", cfg.dt_s, tr.q_ncv, dims),
+                MotionModel("nca", cfg.dt_s, tr.q_nca, dims))
+    return (MotionModel("ncv", cfg.dt_s, tr.q, dims),)
 
 
 def _imm_prior(cfg: ScenarioConfig, models: tuple, mean: np.ndarray) -> ImmState:
@@ -404,8 +371,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         Before any run starts, for a configuration no study can run: no
         sensors, strategies or runs, a strategy the tracker kind does not
         run, a bad ``dt_s``, ``track_loss_m``, ``prune_to``, ``omega``,
-        ``fusion_every``, ``nees_sided`` or IMM ``transition``, no fusion
-        step, or a mixture fusion setup with other than two sensors.
+        ``fusion_every``, ``nees_sided``, tracker initial standard deviation,
+        IMM ``pad_var`` or IMM ``transition``, no fusion step, or a mixture
+        fusion setup with other than two sensors.
     """
     if not cfg.sensors:
         raise ConfigError("at least one sensor required")
@@ -426,8 +394,11 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
                           f"{cfg.fusion_every}")
     if cfg.nees_sided not in (1, 2):
         raise ConfigError(f"nees_sided must be 1 or 2, got {cfg.nees_sided}")
-    for key in ("dt_s", "track_loss_m"):
-        value = getattr(cfg, key)
+    positive = {key: getattr(cfg, key) for key in ("dt_s", "track_loss_m")}
+    positive.update({f"tracker.{key}": getattr(cfg.tracker, key)
+                     for key in ("init_pos_std", "init_vel_std", "init_acc_std", "pad_var")
+                     if hasattr(cfg.tracker, key)})
+    for key, value in positive.items():
         if not (value > 0.0 and np.isfinite(value)):
             raise ConfigError(f"{key} must be positive and finite, got {value}")
     if not imm and cfg.omega != 0.5:
@@ -447,23 +418,20 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         raise ConfigError("mixture fusion supports exactly two sensors")
     if imm:
         try:  # the checks every local IMM tracker gets, on a trial prior
-            _imm_prior(cfg, _imm_models(cfg), np.zeros(3 * cfg.sensors[0].spatial_dims))
+            _imm_prior(cfg, _models(cfg), np.zeros(3 * cfg.sensors[0].spatial_dims))
         except ValueError as exc:
             raise ConfigError(f"IMM tracker: {exc}") from None
 
-    engine = _run_imm if imm else _run_ekf_batch
     workers = int(os.environ.get("TRACKFUSE_THREADS", "1") or "1")
     workers = max(1, min(workers, cfg.runs))
     if workers > 1:
-        # An EKF worker batches one contiguous block of runs; IMM runs are
-        # handed out in smaller blocks for load balance.
-        size = (max(1, cfg.runs // (4 * workers)) if imm
-                else -(-cfg.runs // workers))
+        # Each worker steps one contiguous block of runs.
+        size = -(-cfg.runs // workers)
         blocks = [range(a, min(a + size, cfg.runs)) for a in range(0, cfg.runs, size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(engine, [cfg] * len(blocks), blocks))
+            results = list(pool.map(_run_study, [cfg] * len(blocks), blocks))
     else:
-        results = [engine(cfg, range(cfg.runs))]
+        results = [_run_study(cfg, range(cfg.runs))]
     return _report(cfg, results)
 
 

@@ -261,6 +261,9 @@ def test_simulate_strategy_the_engine_does_not_run_exits_two(args, fragment, cap
                          IMM_TRACKER.replace("0.8, 0.2; 0.8", "0.8, 0.3; 0.8")),
      "IMM tracker: transition rows must sum to 1"),
     (lambda t: t.replace("runs = 2", "runs = many"), "[monte_carlo] runs = 'many'"),
+    (lambda t: t.replace("runs = 2", "runs = 2.7"), "[monte_carlo] runs = 2.7"),
+    (lambda t: t.replace("q = 0.5, 0.5\n", "q = 0.5, 0.5\ninit_pos_std_m = 0\n"),
+     "tracker.init_pos_std must be positive and finite"),
     (lambda t: t.replace("[tracker]\nkind = ekf\nq = 0.5, 0.5\n",
                          IMM_TRACKER.replace("q_ncv = 0.01", "q_ncv = abc")),
      "[tracker] q_ncv = 'abc'"),

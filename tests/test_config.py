@@ -178,6 +178,16 @@ def test_build_scenario_structural_errors(mutate, message):
     (lambda t: t.replace("transition = 0.8, 0.2; 0.8, 0.2", "transition = 0.8, 0.2; 1"),
      r"\[tracker\] transition"),
     (lambda t: t.replace("dt_s = 2", "dt_s = 2, 3"), r"\[scenario\] dt_s = \[2, 3\]"),
+    # Counts must be whole numbers: a fraction or a boolean is not truncated.
+    (lambda t: t.replace("runs = 3", "runs = 2.7"), r"\[monte_carlo\] runs = 2.7 .*whole"),
+    (lambda t: t.replace("runs = 3", "runs = yes"), r"\[monte_carlo\] runs = True .*whole"),
+    (lambda t: t.replace("runs = 3", "runs = 3\nseed = 1.5"), r"\[monte_carlo\] seed = 1.5"),
+    (lambda t: t.replace("dt_s = 2", "dt_s = 2\nfusion_every = 2.5"),
+     r"\[scenario\] fusion_every = 2.5"),
+    (lambda t: t.replace("dt_s = 2", "dt_s = 2\nnees_sided = 1.5"),
+     r"\[scenario\] nees_sided = 1.5"),
+    (lambda t: t.replace("strategies = naive, hmd", "strategies = naive, hmd\nprune_to = 1.5"),
+     r"\[fusion\] prune_to = 1.5"),
 ])
 def test_a_value_that_cannot_be_coerced_names_its_section_and_key(mutate, message):
     with pytest.raises(ConfigError, match=message):
@@ -189,6 +199,13 @@ def test_a_json_value_of_the_wrong_type_names_its_section_and_key():
     sections["monte_carlo"]["runs"] = [1, 2]
     with pytest.raises(ConfigError, match=r"\[monte_carlo\] runs = \[1, 2\]"):
         loads_config(json.dumps(sections))
+
+
+def test_whole_json_numbers_load_as_counts():
+    sections = parse_config_text(MINIMAL)
+    sections["monte_carlo"].update(runs=2.0, seed=7.0)
+    cfg = loads_config(json.dumps(sections))
+    assert (cfg.runs, cfg.seed) == (2, 7) and type(cfg.runs) is int
 
 
 def test_build_scenario_requires_a_sensor():
@@ -221,6 +238,19 @@ def test_overrides_replace_fields_and_ignore_none():
     assert cfg.seed == 9
     assert cfg.strategies == ("hmd",)
     assert cfg.duration_s == 120.0
+
+
+@pytest.mark.parametrize("key,value", [("runs", 2.7), ("runs", True), ("seed", 1.5),
+                                       ("fusion_every", 2.5), ("prune_to", False),
+                                       ("nees_sided", 1.5)])
+def test_overrides_reject_counts_that_are_not_whole_numbers(key, value):
+    with pytest.raises(ConfigError, match=rf"\[overrides\] {key} = {value!r} .*whole"):
+        load_preset("scenario1", **{key: value})
+
+
+def test_whole_number_overrides_load_as_counts():
+    cfg = load_preset("scenario1", runs=2.0, seed=5)
+    assert (cfg.runs, cfg.seed) == (2, 5) and type(cfg.runs) is int
 
 
 def test_scenario1_preset_contents():

@@ -6,6 +6,8 @@ an independently written reference implementation of the full mixing cycle,
 and the feedback routing against hand-built provenance-tagged mixtures.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -417,6 +419,28 @@ def test_route_feedback_keeps_uninvolved_modes():
                                state.densities[1].mean, rtol=1e-12)
     np.testing.assert_allclose(routed.densities[1].cov,
                                state.densities[1].cov, rtol=1e-12)
+
+
+def test_route_feedback_keeps_a_mode_whose_components_underflowed_at_weight_zero():
+    """Every fused component involving the nca mode has weight 0 (its fused
+    weights underflowed): that mode keeps its density with probability 0,
+    without a 0/0 in the group moments."""
+    state = _mixed_dim_state()
+    comps = tuple(GaussianDensity(np.full(6, float(k)), np.eye(6) * (1.0 + k))
+                  for k in range(4))
+    fed = GaussianMixture(np.array([0.6, 0.4, 0.0, 0.0]), comps,
+                          tags=("ncv|ncv", "ncv|nca", "nca|ncv", "nca|nca"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        routed = route_feedback(state, fed, operand_idx=0)
+        routed_b = route_feedback(state, fed, operand_idx=1)
+    assert routed.mode_probs.tolist() == [1.0, 0.0]
+    assert routed.densities[1] is state.densities[1]
+    want_cv = moment_match(GaussianMixture(np.array([0.6, 0.4]), comps[:2]))
+    np.testing.assert_array_equal(routed.densities[0].mean, want_cv.mean[:4])
+    np.testing.assert_array_equal(routed.densities[0].cov, want_cv.cov[:4, :4])
+    # The other operand's modes each still take a component of weight > 0.
+    np.testing.assert_allclose(routed_b.mode_probs, [0.6, 0.4], rtol=1e-12)
 
 
 def test_route_feedback_validation():

@@ -1,19 +1,22 @@
 """The step-major IMM engine against the run-by-run path, byte for byte.
 
-``run_scenario`` steps each run of an IMM study step by step: the local
-banks, then the centralized tracks, then every strategy's fusion, and builds
-the report from score arrays. ``oracles.ref_imm_study`` runs the same study
-through a copy of the old run-by-run, strategy-by-strategy path and its
-per-run report aggregation. The CSV text and the timing-free summary must be
-equal as strings: both paths call the same public filter and fusion
-functions on the same operands.
+``run_scenario`` steps all runs of an IMM study together, step by step: the
+local banks, then the centralized tracks (stacked over the runs), then every
+strategy's fusion, and builds the report from score arrays.
+``oracles.ref_imm_study`` runs the same study through a copy of the old
+run-by-run, strategy-by-strategy path and its per-run report aggregation.
+The CSV text and the timing-free summary must be equal as strings: both
+paths call the same public filter and fusion functions on the same operands.
 """
 
 import json
+import re
+import warnings
+from importlib import resources
 
 import pytest
 
-from trackfuse import load_preset, run_scenario
+from trackfuse import fusion, load_preset, loads_config, run_scenario
 
 from oracles import ref_imm_study
 
@@ -64,14 +67,49 @@ def test_high_noise_preset_matches():
     _assert_same_report(load_preset("scenario2_q05", duration_s=30.0, runs=2))
 
 
+def test_the_pair_quotient_fallback_fires_in_a_compared_study(monkeypatch):
+    """Mixture hmd divides a cross pair whose gap test fails by the pair's own
+    two-component pool (``fusion._group_moments``); this study takes that
+    path 24 times and still matches the run-by-run path."""
+    calls = []
+    group_moments = fusion._group_moments
+
+    def counted(*args):
+        calls.append(args)
+        return group_moments(*args)
+
+    cfg = _bearing(seed=7)
+    monkeypatch.setattr(fusion, "_group_moments", counted)
+    report = run_scenario(cfg)
+    monkeypatch.undo()
+    assert len(calls) == 24
+    assert report.csv_text() == ref_imm_study(cfg).csv_text()
+
+
+@pytest.mark.parametrize("strategy", ["hmd", "naive"])
+def test_feedback_survives_a_mode_whose_fused_weights_underflow(strategy):
+    """With near-exact bearings every fused component involving one local
+    mode gets weight 0; that mode keeps its density at weight 0, and the
+    study runs without a floating-point warning."""
+    text = resources.files("trackfuse.presets").joinpath("scenario2.cfg").read_text()
+    text = re.sub(r"sigma_bearing_deg = \S+", "sigma_bearing_deg = 0.01", text)
+    cfg = loads_config(text, runs=2, duration_s=60.0, strategies=strategy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = _assert_same_report(cfg)
+    assert report.summary_dict()["track_loss"][strategy] == 0.0
+
+
 def test_worker_blocks_give_the_serial_report(monkeypatch):
-    cfg = _bearing(seed=11, runs=4, duration_s=20.0)
-    monkeypatch.setenv("TRACKFUSE_THREADS", "2")
-    parallel = _assert_same_report(cfg)
-    monkeypatch.delenv("TRACKFUSE_THREADS")
-    serial = run_scenario(cfg)
-    assert parallel.csv_text() == serial.csv_text()
-    assert _summary(parallel) == _summary(serial)
+    # Even blocks (4 runs on 2 workers) and uneven ones (5 runs: 3 + 2).
+    for runs, feedback in ((4, True), (5, True), (5, False)):
+        cfg = _bearing(seed=11, runs=runs, duration_s=20.0, feedback=feedback)
+        monkeypatch.setenv("TRACKFUSE_THREADS", "2")
+        parallel = _assert_same_report(cfg)
+        monkeypatch.delenv("TRACKFUSE_THREADS")
+        serial = run_scenario(cfg)
+        assert parallel.csv_text() == serial.csv_text()
+        assert _summary(parallel) == _summary(serial)
 
 
 def test_timing_is_fusion_seconds_per_run_and_call():

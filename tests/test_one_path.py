@@ -224,8 +224,8 @@ def test_one_density_methods_reject_a_stack():
     stack = GaussianDensity(np.zeros((2, 3)), np.stack([np.eye(3), 2.0 * np.eye(3)]))
     assert stack.dim == 3
     for call in (lambda: stack.logpdf(np.zeros(3)), lambda: stack.pdf(np.zeros(3)),
-                 lambda: stack.marginal([0, 1]), lambda: stack.marginal([2, 0]),
-                 lambda: compute_nees(stack, np.zeros((2, 3)), [0, 1]),
+                 lambda: stack.marginal([2, 0]), lambda: stack.marginal([1, 2]),
+                 lambda: compute_nees(stack, np.zeros((2, 3)), [1]),
                  lambda: density_to_dict(stack)):
         with pytest.raises(ValueError, match="not a stack"):
             call()

@@ -427,6 +427,26 @@ def test_rejects_a_track_loss_threshold_that_is_not_positive_and_finite(
         run_scenario(load_preset("scenario1", runs=2, track_loss_m=track_loss_m))
 
 
+@pytest.mark.parametrize("preset,key,value", [
+    # init_pos_std = 0 used to fail in the first run's draws with a
+    # LinAlgError, and a negative one ran as its magnitude.
+    ("scenario1", "init_pos_std", 0.0),
+    ("scenario1", "init_pos_std", -5.0),
+    ("scenario1", "init_vel_std", float("nan")),
+    ("scenario2", "init_acc_std", 0.0),
+    # A pad_var the gate let through failed at the first IMM step.
+    ("scenario2", "pad_var", 0.0),
+    ("scenario2", "pad_var", -1.0),
+    ("scenario2", "pad_var", float("inf")),
+])
+def test_rejects_tracker_start_up_values_that_are_not_positive_and_finite(
+        no_run_starts, preset, key, value):
+    cfg = load_preset(preset, runs=1)
+    cfg = dataclasses.replace(cfg, tracker=dataclasses.replace(cfg.tracker, **{key: value}))
+    with pytest.raises(ConfigError, match=f"tracker.{key} must be positive and finite"):
+        run_scenario(cfg)
+
+
 def test_rejects_prune_to_below_one(no_run_starts):
     with pytest.raises(ConfigError, match="runs and prune_to must be at least 1"):
         run_scenario(load_preset("scenario2", runs=1, feedback=False, prune_to=0))

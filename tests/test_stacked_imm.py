@@ -11,7 +11,9 @@ the reference copies of the old routines in ``oracles``:
 - a derived density has the same mean and covariance bits as the old one, its
   factor is exactly the parent's leading block or ``blockdiag(parent,
   sqrt(pad_var) I)`` and reproduces the covariance, and it is accepted or
-  rejected exactly when the public constructor would accept or reject it.
+  rejected exactly when the public constructor would accept or reject it;
+- a leading marginal of a stack gives each member the bits and the verdict
+  the member gets alone.
 
 None of this depends on the platform's LAPACK. Whether its factorization of
 the padded or truncated matrix has the same bits as the derived factor does;
@@ -56,6 +58,12 @@ def _same_bits(a, b) -> bool:
 def _same_density(new, ref) -> bool:
     return (_same_bits(new.mean, ref.mean) and _same_bits(new.cov, ref.cov)
             and _same_bits(new.chol, ref.chol))
+
+
+def _same_member(stack, r, ref) -> bool:
+    """Member ``r`` of ``stack`` has ``ref``'s mean, covariance and factor bits."""
+    return (_same_bits(stack.mean[r], ref.mean) and _same_bits(stack.cov[r], ref.cov)
+            and _same_bits(stack.chol[r], ref.chol))
 
 
 def _outcome(fn, *args):
@@ -135,12 +143,14 @@ def test_zero_pad_derives_the_factor_a_fresh_check_would_compute(track, extra, p
 
 @st.composite
 def truncations(draw):
-    """A density, a truncation dimension (possibly invalid) and an index set
-    of that many entries in random order."""
+    """A density, a truncation dimension (possibly invalid), an index set of
+    that many entries in random order, and up to three more densities of the
+    same dimension to stack with it."""
     track = draw(st.integers(1, 6).flatmap(densities))
     dim = draw(st.integers(-track.dim, track.dim))
     idx = draw(st.permutations(range(track.dim)))[:max(dim, 0)]
-    return track, dim, idx
+    others = draw(st.lists(densities(track.dim), max_size=3))
+    return track, dim, idx, others
 
 
 # Accepted in this order, but numerically singular with its variables
@@ -153,9 +163,9 @@ _ORDER_SENSITIVE = GaussianDensity(np.zeros(2), [[0.0015, -0.038700775179574896]
 
 @settings(max_examples=300, deadline=None)
 @given(truncations())
-@example((_ORDER_SENSITIVE, 2, [1, 0]))
+@example((_ORDER_SENSITIVE, 2, [1, 0], [_ORDER_SENSITIVE]))
 def test_truncate_and_leading_marginal_take_the_leading_factor_block(case):
-    track, dim, idx = case
+    track, dim, idx, others = case
     new = _outcome(truncate_state, track, dim)
     ref = _outcome(ref_truncate_state, track, dim)
     if isinstance(ref, type):
@@ -164,8 +174,25 @@ def test_truncate_and_leading_marginal_take_the_leading_factor_block(case):
         assert new is track
     else:
         assert _same_derived(new, ref, track.chol[:dim, :dim])
+    # A stack gives each member what the member gets alone, with the same
+    # pivot floor verdict.
+    members = [track] + others
+    stack = GaussianDensity(np.stack([m.mean for m in members]),
+                            np.stack([m.cov for m in members]))
+    new = _outcome(truncate_state, stack, dim)
+    alone = [_outcome(truncate_state, m, dim) for m in members]
+    if any(isinstance(a, type) for a in alone):
+        assert new is next(a for a in alone if isinstance(a, type))
+    elif dim == track.dim:
+        assert new is stack
+    else:
+        assert all(_same_member(new, r, a) for r, a in enumerate(alone))
+        assert not any(a.flags.writeable for a in (new.mean, new.cov, new.chol))
     if dim < 1:
         return
+    lead = stack.marginal(np.arange(dim))
+    assert all(_same_member(lead, r, m.marginal(np.arange(dim)))
+               for r, m in enumerate(members))
     lead = track.marginal(np.arange(dim))
     assert _same_derived(lead, GaussianDensity(track.mean[:dim], track.cov[:dim, :dim]),
                          track.chol[:dim, :dim])
