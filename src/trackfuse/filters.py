@@ -2,10 +2,12 @@
 
 The EKF update uses the Joseph-form covariance and wraps angular innovation
 components. The EKF steps also step each member of a stacked density (one
-per Monte Carlo run, each with its own measurement) as it would step alone.
-The IMM keeps one density per motion model; models of different state dimension interact by zero-padding the shorter states up to the longest
-one (padded entries get a configured variance) wherever cross-mode moments
-are formed, and truncating back afterwards.
+per Monte Carlo run, each with its own measurement) as it would step alone,
+with one sensor-model call for the whole stack. The IMM keeps one density
+per motion model; models of different state dimension interact by
+zero-padding the shorter states up to the longest one (padded entries get a
+configured variance) wherever cross-mode moments are formed, and truncating
+back afterwards.
 """
 
 from __future__ import annotations
@@ -67,13 +69,8 @@ def _joseph_update(track: GaussianDensity, meas: MeasurementModel, z) -> tuple:
     innovation, for ``z[..., m]`` (one measurement per member)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     dim = track.dim
-    if track.mean.ndim == 1:
-        jac, predicted = meas.jacobian(track.mean, dim), meas.measure(track.mean)
-    else:  # A stack: the sensor model is evaluated member by member.
-        members, lead = track.mean.reshape(-1, dim), track.mean.shape[:-1]
-        jac = np.array([meas.jacobian(m, dim) for m in members]).reshape(lead + (-1, dim))
-        predicted = np.array([meas.measure(m) for m in members]).reshape(lead + (-1,))
-    innov = z - predicted
+    jac = meas.jacobian(track.mean, dim)
+    innov = z - meas.measure(track.mean)
     for idx in meas.angle_indices:
         innov[..., idx] = wrap_angle(innov[..., idx])
     jac_cov = jac @ track.cov
@@ -140,7 +137,10 @@ def truncate_state(track: GaussianDensity, dim: int) -> GaussianDensity:
     is the leading block of ``track.chol``."""
     if dim > track.dim:
         raise ValueError("cannot truncate to a larger dimension")
-    return track._leading(dim)
+    if dim == track.dim:
+        return track
+    return GaussianDensity._derived(track.mean[..., :dim], track.cov[..., :dim, :dim],
+                                    track.chol[..., :dim, :dim])
 
 
 def _check_mode_probs(probs: np.ndarray) -> None:
@@ -211,9 +211,10 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
 
     Mixing forms, for each destination mode, the moment-matched Gaussian of
     the incoming mode densities under the transition-conditioned weights
-    (in the zero-padded common space when dimensions differ). If every mode
-    likelihood underflows to zero the probabilities are reset to uniform; a
-    non-finite likelihood raises :class:`ModeLikelihoodDegenerate`.
+    (in the zero-padded common space when dimensions differ). The mode
+    probabilities are reweighted in log space, shifted by their maximum, so
+    their total is at least 1 even when every likelihood underflows; a
+    non-finite log-likelihood raises :class:`ModeLikelihoodDegenerate`.
     """
     n = len(state.models)
     mu = state.mode_probs
@@ -238,12 +239,7 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
     log_mu = np.log(cbar) + logliks
     log_mu -= np.max(log_mu)
     new_mu = np.exp(log_mu)
-    total = float(np.sum(new_mu))
-    if total <= 0.0:
-        new_mu = np.full(n, 1.0 / n)
-    else:
-        new_mu = new_mu / total
-    return state._advance(tuple(new_densities), new_mu)
+    return state._advance(tuple(new_densities), new_mu / new_mu.sum())
 
 
 def imm_output(state: ImmState) -> GaussianMixture:

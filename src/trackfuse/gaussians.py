@@ -22,9 +22,9 @@ are read-only arrays (mean and covariance copied), so the factor never goes
 stale.
 
 Two kinds of density carry a factor derived from an already validated one
-instead of a fresh factorization: a leading marginal (``marginal`` over the
-leading indices, ``filters.truncate_state``) takes the leading block of the
-parent's factor (of each member's, for a stack), and a zero-padded state
+instead of a fresh factorization: a leading marginal
+(``filters.truncate_state``) takes the leading block of the parent's factor
+(of each member's, for a stack), and a zero-padded state
 (``filters.zero_pad``) takes ``blockdiag(parent factor, sqrt(pad_var) I)``.
 Both are Cholesky factors of their covariances, and both still run
 :func:`assert_spd`'s pivot floor test on the derived pivots (per member), so
@@ -220,8 +220,8 @@ class GaussianDensity:
 
     ``mean[..., d]``, ``cov[..., d, d]`` and ``chol``, the lower Cholesky
     factor of ``cov`` that validation computed, are read-only arrays.
-    ``logpdf``/``pdf``, ``marginal`` over other than the leading indices and
-    JSON are for one density only and raise ``ValueError`` for a stack.
+    ``logpdf``/``pdf`` and JSON are for one density only and raise
+    ``ValueError`` for a stack.
     """
 
     mean: np.ndarray
@@ -302,24 +302,6 @@ class GaussianDensity:
 
     def pdf(self, x) -> np.ndarray:
         return np.exp(self.logpdf(x))
-
-    def marginal(self, idx) -> "GaussianDensity":
-        """Marginal over the state indices ``idx`` (of each member of a stack,
-        if ``idx`` are the leading indices)."""
-        idx = np.asarray(idx, dtype=int)
-        if idx.ndim == 1 and 0 < idx.size <= self.dim and (idx == np.arange(idx.size)).all():
-            return self._leading(idx.size)
-        self._single("a marginal over other than the leading indices")
-        return GaussianDensity(self.mean[idx], self.cov[np.ix_(idx, idx)])
-
-    def _leading(self, dim: int) -> "GaussianDensity":
-        """Marginal over the leading ``dim`` entries (of each member of a
-        stack), with the leading block of this density's factor as its
-        factor; the density itself if ``dim`` is its whole dimension."""
-        if dim == self.dim:
-            return self
-        return GaussianDensity._derived(self.mean[..., :dim], self.cov[..., :dim, :dim],
-                                        self.chol[..., :dim, :dim])
 
 
 @dataclass(frozen=True)

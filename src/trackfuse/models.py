@@ -5,6 +5,11 @@ State vectors use block ordering: positions first, then velocities, then
 axes in order. Process noise is the standard continuous white-noise
 acceleration (or jerk) model integrated over one step, with a per-axis power
 spectral density.
+
+A measurement model takes one state ``[n]`` or a stack ``[..., n]`` (one
+state per Monte Carlo run, say): ``measure`` returns ``[..., m]`` and
+``jacobian`` ``[..., m, state_dim]``, each member with the bits it gets
+alone. A stack with any member on the sensor raises what that member raises.
 """
 
 from __future__ import annotations
@@ -92,6 +97,13 @@ class MotionModel:
         return self.transition.shape[0]
 
 
+def _squared_norms(vec: np.ndarray):
+    """``vec @ vec`` of each member of a ``[..., d]`` stack, as the
+    ``(1, d) @ (d, 1)`` product that has the 1-D dot product's bits; with the
+    leading axes reversed (a scalar for one vector)."""
+    return (vec[..., None, :] @ vec[..., :, None]).T[0, 0]
+
+
 def wrap_angle(angle):
     """Wrap angles to (-pi, pi]."""
     out = np.asarray(angle, dtype=float)
@@ -143,57 +155,59 @@ class MeasurementModel:
         return (1, 2) if self.kind == "range_az_el" else (0,)
 
     def measure(self, state: np.ndarray) -> np.ndarray:
-        """Noise-free measurement of a state vector (positions leading).
+        """Noise-free measurement ``[..., m]`` of a state ``[..., n]``
+        (positions leading), each member of a stack as it is measured alone.
 
         Raises
         ------
         MeasurementSingular
-            If the target sits on the sensor (the angles are undefined there).
+            If the target (of any member) sits on the sensor, where the
+            angles are undefined.
         """
-        rel = np.asarray(state, dtype=float)[: self.spatial_dims] - self.position
-        if self.kind == "range_az_el":
-            dx, dy, dz = rel
-            horiz = np.hypot(dx, dy)
-            if horiz == 0.0:
-                raise MeasurementSingular("azimuth undefined directly above the sensor")
-            return np.array([np.linalg.norm(rel),
-                             np.arctan2(dy, dx),
-                             np.arctan2(dz, horiz)])
-        dx, dy = rel
-        if dx == 0.0 and dy == 0.0:
-            raise MeasurementSingular("bearing undefined at zero range")
-        return np.array([np.arctan2(dx, dy)])
+        # Components are read through the transposed view: scalars for one
+        # state, arrays with the leading axes reversed for a stack.
+        rel = np.asarray(state, dtype=float)[..., : self.spatial_dims] - self.position
+        if self.kind == "bearing":
+            dx, dy = rel.T
+            if np.count_nonzero((dx == 0.0) & (dy == 0.0)):
+                raise MeasurementSingular("bearing undefined at zero range")
+            return np.arctan2(dx, dy).T[..., None]
+        dx, dy, dz = rel.T
+        horiz = np.hypot(dx, dy)
+        if np.count_nonzero(horiz == 0.0):
+            raise MeasurementSingular("azimuth undefined directly above the sensor")
+        return np.array([np.sqrt(_squared_norms(rel)), np.arctan2(dy, dx),
+                         np.arctan2(dz, horiz)]).T
 
     def jacobian(self, state: np.ndarray, state_dim: int | None = None) -> np.ndarray:
-        """Measurement Jacobian at ``state``, zero outside the position block."""
+        """Measurement Jacobian ``[..., m, state_dim]`` at a state ``[..., n]``
+        (``state_dim`` defaults to ``n``), zero outside the position block."""
         state = np.asarray(state, dtype=float)
         if state_dim is None:
-            state_dim = state.size
-        rel = state[: self.spatial_dims] - self.position
-        jac = np.zeros((self.meas_dim, state_dim))
-        if self.kind == "range_az_el":
-            dx, dy, dz = rel
-            rng2 = float(rel @ rel)
-            rng = np.sqrt(rng2)
+            state_dim = state.shape[-1]
+        rel = state[..., : self.spatial_dims] - self.position
+        jac = np.zeros(rel.shape[:-1] + (self.meas_dim, state_dim))
+        cols = jac.T  # cols[j, i] is entry (i, j) of every member, as in measure
+        if self.kind == "bearing":
+            dx, dy = rel.T
             horiz2 = dx * dx + dy * dy
-            horiz = np.sqrt(horiz2)
-            if rng == 0.0 or horiz == 0.0:
+            if np.count_nonzero(horiz2 == 0.0):
                 raise MeasurementSingular(
                     "measurement Jacobian undefined at the sensor origin")
-            jac[0, :3] = rel / rng
-            jac[1, 0] = -dy / horiz2
-            jac[1, 1] = dx / horiz2
-            jac[2, 0] = -dx * dz / (rng2 * horiz)
-            jac[2, 1] = -dy * dz / (rng2 * horiz)
-            jac[2, 2] = horiz / rng2
-        else:
-            dx, dy = rel
-            horiz2 = dx * dx + dy * dy
-            if horiz2 == 0.0:
-                raise MeasurementSingular(
-                    "measurement Jacobian undefined at the sensor origin")
-            jac[0, 0] = dy / horiz2
-            jac[0, 1] = -dx / horiz2
+            cols[0, 0] = dy / horiz2
+            cols[1, 0] = -dx / horiz2
+            return jac
+        dx, dy, dz = rel.T
+        rng2 = _squared_norms(rel)
+        rng = np.sqrt(rng2)
+        horiz2 = dx * dx + dy * dy
+        horiz = np.sqrt(horiz2)
+        if np.count_nonzero((rng == 0.0) | (horiz == 0.0)):
+            raise MeasurementSingular(
+                "measurement Jacobian undefined at the sensor origin")
+        cols[:3, 0] = rel.T / rng
+        cols[:2, 1] = -dy / horiz2, dx / horiz2
+        cols[:3, 2] = -dx * dz / (rng2 * horiz), -dy * dz / (rng2 * horiz), horiz / rng2
         return jac
 
 

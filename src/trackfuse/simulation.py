@@ -16,9 +16,9 @@ through the same public functions a single run uses, so the report is
 byte-identical to stepping each run on its own. Only the local step and the
 fusion step depend on the tracker: EKF locals are stacks fused by
 ``fuse_many``; IMM locals step run by run, and each run fuses its locals'
-mixtures with ``fuse_pair``. Scores are taken on the position-velocity
-marginal. ``TRACKFUSE_THREADS`` splits the runs into one contiguous block per
-worker process without changing the report.
+mixtures with ``fuse_pair``. NEES is scored on each track's leading
+position-velocity marginal. ``TRACKFUSE_THREADS`` splits the runs into one
+contiguous block per worker process without changing the report.
 
 Estimation quality is reported at fusion instants: position/velocity RMSE
 across runs and the average normalized estimation error squared (NEES) with
@@ -47,9 +47,11 @@ from .filters import (
     imm_step,
     prune_mixture,
     route_feedback,
+    truncate_state,
 )
 from .fusion import fuse_many, fuse_pair
-from .gaussians import GaussianDensity, GaussianMixture, _mixture_moments, _scalar, moment_match
+from .gaussians import (GaussianDensity, GaussianMixture, _matvec, _mixture_moments, _scalar,
+                        moment_match)
 from .models import MotionModel, wrap_angle
 from .scenarios import (
     ImmTracker,
@@ -103,16 +105,12 @@ def track_loss_rate(final_errors, tau: float) -> float:
     return float(np.count_nonzero(errors >= tau)) / errors.size
 
 
-def compute_nees(density, truth_state: np.ndarray,
-                 indices: np.ndarray | None = None) -> float:
-    """NEES of an estimate against the true state (mixtures moment-matched);
-    for a stacked density, one value per member against ``truth_state[..., :]``."""
+def compute_nees(density, truth_state: np.ndarray) -> float:
+    """NEES of a ``d``-dimensional estimate (mixtures moment-matched) against
+    the leading ``d`` entries of the true state; for a stacked density, one
+    value per member against ``truth_state[..., :d]``."""
     gauss = moment_match(density) if isinstance(density, GaussianMixture) else density
-    if indices is None:
-        indices = slice(gauss.dim)
-    else:
-        gauss = gauss.marginal(indices)
-    err = gauss.mean - np.asarray(truth_state, dtype=float)[..., indices]
+    err = gauss.mean - np.asarray(truth_state, dtype=float)[..., :gauss.dim]
     return _scalar((err[..., None, :] @ np.linalg.solve(gauss.cov, err[..., None]))[..., 0, 0])
 
 
@@ -201,15 +199,20 @@ def _truth_states(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
 
 def _draw_measurements(cfg: ScenarioConfig, states: np.ndarray,
                        rng: np.random.Generator) -> list:
-    """One ``[n_steps, meas_dim]`` array per sensor, drawn step by step and
-    sensor by sensor."""
-    chols = [np.linalg.cholesky(s.noise_cov) for s in cfg.sensors]
-    out = [np.empty((cfg.n_steps, s.meas_dim)) for s in cfg.sensors]
-    for k in range(1, cfg.n_steps + 1):
-        for sensor, chol, z in zip(cfg.sensors, chols, out):
-            z[k - 1] = sensor.measure(states[k]) + chol @ rng.standard_normal(sensor.meas_dim)
-            for idx in sensor.angle_indices:
-                z[k - 1, idx] = wrap_angle(z[k - 1, idx])
+    """One ``[n_steps, meas_dim]`` array per sensor: each sensor measures the
+    path ``states[1:]`` in one call, and one draw, step-major with each
+    sensor's columns in sensor order, gives all the noise. That is the
+    documented step-by-step, sensor-by-sensor order only because numpy's
+    ``Generator`` draws normals one value at a time."""
+    dims = [s.meas_dim for s in cfg.sensors]
+    noise = np.split(rng.standard_normal((cfg.n_steps, sum(dims))), np.cumsum(dims)[:-1],
+                     axis=1)
+    out = []
+    for sensor, white in zip(cfg.sensors, noise):
+        z = sensor.measure(states[1:]) + _matvec(np.linalg.cholesky(sensor.noise_cov), white)
+        for idx in sensor.angle_indices:
+            z[:, idx] = wrap_angle(z[:, idx])
+        out.append(z)
     return out
 
 
@@ -239,7 +242,7 @@ def _score(track: GaussianDensity, truth: np.ndarray, dims: int) -> tuple:
     position-velocity marginal (per run for stacked inputs)."""
     pos = np.sum((track.mean[..., :dims] - truth[..., :dims]) ** 2, axis=-1)
     vel = np.sum((track.mean[..., dims:2 * dims] - truth[..., dims:2 * dims]) ** 2, axis=-1)
-    return pos, vel, compute_nees(track, truth, np.arange(2 * dims))
+    return pos, vel, compute_nees(truncate_state(track, 2 * dims), truth[..., :2 * dims])
 
 
 def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:

@@ -47,6 +47,7 @@ from trackfuse import (
     spd_inv,
     symmetrize,
     track_loss_rate,
+    truncate_state,
     wrap_angle,
     zero_pad,
 )
@@ -78,6 +79,7 @@ class LinearSensor:
 
     ``matrix`` applies to the leading state entries, mirroring how the real
     sensors read only the position block; trailing entries are unobserved.
+    Like the real sensors it takes one state ``[n]`` or a stack ``[..., n]``.
     """
 
     matrix: np.ndarray
@@ -92,14 +94,14 @@ class LinearSensor:
 
     def measure(self, state: np.ndarray) -> np.ndarray:
         state = np.asarray(state, dtype=float)
-        return self.matrix @ state[: self.matrix.shape[1]]
+        return (self.matrix @ state[..., : self.matrix.shape[1], None])[..., 0]
 
     def jacobian(self, state: np.ndarray, state_dim: int | None = None) -> np.ndarray:
         state = np.asarray(state, dtype=float)
         if state_dim is None:
-            state_dim = state.size
-        jac = np.zeros((self.meas_dim, state_dim))
-        jac[:, : self.matrix.shape[1]] = self.matrix
+            state_dim = state.shape[-1]
+        jac = np.zeros(state.shape[:-1] + (self.meas_dim, state_dim))
+        jac[..., : self.matrix.shape[1]] = self.matrix
         return jac
 
 
@@ -446,14 +448,9 @@ def ref_fuse_many(densities, strategy, weights=None):
     raise ValueError(f"unknown fusion strategy: {strategy!r}")
 
 
-def ref_compute_nees(density, truth_state, indices=None):
+def ref_compute_nees(density, truth_state):
     gauss = _ref_match(density) if isinstance(density, GaussianMixture) else density
-    if indices is not None:
-        gauss = gauss.marginal(indices)
-        truth = np.asarray(truth_state, dtype=float)[indices]
-    else:
-        truth = np.asarray(truth_state, dtype=float)[: gauss.dim]
-    err = gauss.mean - truth
+    err = gauss.mean - np.asarray(truth_state, dtype=float)[: gauss.dim]
     return float(err @ np.linalg.solve(gauss.cov, err))
 
 
@@ -638,7 +635,6 @@ def ref_imm_run(cfg, run_idx):
                 for loc, sensor, z in zip(locals_, cfg.sensors, meas[k - 1])]
 
     n_fuse = cfg.n_steps // cfg.fusion_every
-    nees_idx = np.arange(2 * dims)
 
     # Without feedback the local banks do not depend on the strategy, so the
     # filtering pass is shared across strategies.
@@ -689,7 +685,7 @@ def ref_imm_run(cfg, run_idx):
                     fused = prune_mixture(fused, cfg.prune_to)
                 track = moment_match(fused)
             pos_sq[slot], vel_sq[slot] = _ref_sq_errors(track.mean, states[k], dims)
-            nees[slot] = compute_nees(track, states[k], nees_idx)
+            nees[slot] = compute_nees(truncate_state(track, 2 * dims), states[k])
             slot += 1
 
         results[strategy] = _ref_run_result(pos_sq, vel_sq, nees, fuse_seconds, fuse_calls)

@@ -256,14 +256,6 @@ def test_density_validation_rejects_bad_shapes():
         GaussianDensity(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def test_marginal_matches_sliced_parameters(rng):
-    d = random_gaussian(rng, 4)
-    sub = d.marginal([2, 0])
-    np.testing.assert_allclose(sub.mean, d.mean[[2, 0]], rtol=0, atol=0)
-    np.testing.assert_allclose(sub.cov, d.cov[np.ix_([2, 0], [2, 0])], rtol=0,
-                               atol=0)
-
-
 def test_mixture_validation():
     comp = GaussianDensity(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError, match="one weight per component"):

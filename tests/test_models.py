@@ -2,11 +2,15 @@
 
 Process-noise matrices are checked against a Van Loan matrix-exponential
 oracle; measurement Jacobians are checked against central finite differences;
-the geometry of each sensor kind is checked at hand-placed targets.
+the geometry of each sensor kind is checked at hand-placed targets. A stack
+of states is measured and linearised as each member is on its own, bit for
+bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from trackfuse import (
@@ -210,3 +214,73 @@ def test_measurement_model_validation():
         MeasurementModel("bearing", [0.0, 0.0, 0.0], [[1.0]])
     with pytest.raises(ValueError, match="unknown measurement model"):
         MeasurementModel("doppler", [0.0, 0.0], [[1.0]])
+
+
+_SENSORS = {"range_az_el": range_az_el_sensor([120.0, -250.0, 40.0], 10.0, 0.02),
+            "bearing": bearing_sensor([-500.0, 300.0], 0.02)}
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the class and message of the MeasurementSingular it raises."""
+    try:
+        return fn(*args)
+    except MeasurementSingular as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def stacked_states(draw):
+    """A sensor kind, a stack of states ``[*lead, n]`` with ``lead`` one of
+    ``()``, ``(R,)`` and ``(R, S)``, and a Jacobian width (None or at least
+    ``n``). Zero offsets from the sensor are drawn often, so some members
+    sit on an axis through the sensor or on the sensor itself."""
+    kind = draw(st.sampled_from(sorted(_SENSORS)))
+    sensor = _SENSORS[kind]
+    lead = tuple(draw(st.lists(st.integers(1, 5), max_size=2)))
+    n = draw(st.sampled_from([1, 2, 3])) * sensor.spatial_dims
+    offsets = draw(arrays(float, lead + (n,), elements=st.one_of(
+        st.just(0.0), st.floats(-1e4, 1e4, allow_subnormal=False), st.just(np.nan))))
+    states = offsets.copy()
+    states[..., :sensor.spatial_dims] += sensor.position
+    width = draw(st.one_of(st.none(), st.integers(n, n + 3)))
+    return sensor, states, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_states())
+def test_stacked_sensor_calls_equal_the_per_member_calls(case):
+    sensor, states, width = case
+    lead = states.shape[:-1]
+    with np.errstate(all="ignore"):
+        for fn, args in ((sensor.measure, ()), (sensor.jacobian, (width,))):
+            got = _outcome(fn, states, *args)
+            alone = [_outcome(fn, states[idx], *args) for idx in np.ndindex(lead)]
+            failed = [a for a in alone if isinstance(a, tuple)]
+            if failed:
+                assert got == failed[0]
+                continue
+            assert got.shape == lead + alone[0].shape
+            for idx, want in zip(np.ndindex(lead), alone):
+                # Bit for bit, signed zeros included; a NaN state still
+                # measures to NaN without raising, and a NaN's sign bit is
+                # not fixed by IEEE arithmetic.
+                nan = np.isnan(want)
+                assert (np.isnan(got[idx]) == nan).all()
+                assert got[idx][~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_SENSORS)), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 24), st.integers(0, 2**32 - 1))
+def test_a_stack_with_one_member_on_the_sensor_raises_the_one_state_error(
+        kind, runs, sensors, where, seed):
+    sensor = _SENSORS[kind]
+    rng = np.random.default_rng(seed)
+    states = 1e3 * rng.standard_normal((runs, sensors, 2 * sensor.spatial_dims))
+    member = np.unravel_index(where % (runs * sensors), (runs, sensors))
+    states[member + (slice(0, sensor.spatial_dims),)] = sensor.position
+    for fn in (sensor.measure, sensor.jacobian):
+        want = _outcome(fn, states[member])
+        assert want[0] is MeasurementSingular
+        assert _outcome(fn, states) == want
+        assert _outcome(fn, states[member[0]]) == want

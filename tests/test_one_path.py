@@ -191,7 +191,6 @@ def test_nees_equals_the_copy_for_one_density_and_each_member(dim, runs, extra, 
     rng = np.random.default_rng(seed)
     members = [random_gaussian(rng, dim) for _ in range(runs)]
     truth = 5.0 * rng.standard_normal((runs, dim + extra))
-    leading = np.arange(int(rng.integers(1, dim + 1)))
     stacked = compute_nees(_stack(members), truth)
     for r, member in enumerate(members):
         want = ref_compute_nees(member, truth[r])
@@ -199,11 +198,6 @@ def test_nees_equals_the_copy_for_one_density_and_each_member(dim, runs, extra, 
         assert type(got) is float
         _assert_same_scalar(got, want)
         _assert_same_scalar(stacked[r], want)
-        want = ref_compute_nees(member, truth[r], leading)
-        _assert_same_scalar(compute_nees(member, truth[r], leading), want)
-        shuffled = rng.permutation(dim)
-        _assert_same_scalar(compute_nees(member, truth[r], shuffled),
-                            ref_compute_nees(member, truth[r], shuffled))
     mixture = GaussianMixture(np.array([0.3, 0.7]), (members[0], random_gaussian(rng, dim)))
     _assert_same_scalar(compute_nees(mixture, truth[0]), ref_compute_nees(mixture, truth[0]))
 
@@ -224,8 +218,6 @@ def test_one_density_methods_reject_a_stack():
     stack = GaussianDensity(np.zeros((2, 3)), np.stack([np.eye(3), 2.0 * np.eye(3)]))
     assert stack.dim == 3
     for call in (lambda: stack.logpdf(np.zeros(3)), lambda: stack.pdf(np.zeros(3)),
-                 lambda: stack.marginal([2, 0]), lambda: stack.marginal([1, 2]),
-                 lambda: compute_nees(stack, np.zeros((2, 3)), [1]),
                  lambda: density_to_dict(stack)):
         with pytest.raises(ValueError, match="not a stack"):
             call()
