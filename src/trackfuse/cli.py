@@ -21,8 +21,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .benchmark import bench_csv_text, bench_fusion, summarize_ratios
 from .config import PRESET_NAMES, load_config, load_preset

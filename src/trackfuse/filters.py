@@ -24,10 +24,10 @@ from .gaussians import (
     GaussianMixture,
     _chol_logdet,
     _group_moments,
+    _joined,
     _matvec,
     _mixture_moments,
     _scalar,
-    _stack,
     assert_spd,
     symmetrize,
 )
@@ -205,6 +205,11 @@ class ImmState:
     def max_dim(self) -> int:
         return max(m.state_dim for m in self.models)
 
+    def _padded(self) -> GaussianDensity:
+        """The mode densities zero-padded to the common space, one ``[M, d]`` stack."""
+        return _joined([zero_pad(d, self.max_dim, self.pad_var) for d in self.densities],
+                       np.stack)
+
 
 def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState:
     """One interacting multiple-model cycle: mix, predict, update, reweight.
@@ -221,13 +226,12 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
     trans = state.transition
     cbar = trans.T @ mu
     cbar = np.maximum(cbar, np.finfo(float).tiny)
-    top = state.max_dim
-    means, covs = _stack([zero_pad(d, top, state.pad_var) for d in state.densities])
+    pad = state._padded()
 
     new_densities = []
     logliks = np.empty(n)
     for j, model in enumerate(state.models):
-        mixed = GaussianDensity(*_mixture_moments(trans[:, j] * mu / cbar[j], means, covs))
+        mixed = GaussianDensity(*_mixture_moments(trans[:, j] * mu / cbar[j], pad.mean, pad.cov))
         mode_track = truncate_state(mixed, model.state_dim)
         predicted = ekf_predict(mode_track, model)
         updated, loglik = ekf_update_with_loglik(predicted, meas, z)
@@ -244,9 +248,7 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
 
 def imm_output(state: ImmState) -> GaussianMixture:
     """Mode mixture in the common (padded) space, tagged by model kind."""
-    comps = tuple(zero_pad(d, state.max_dim, state.pad_var)
-                  for d in state.densities)
-    return GaussianMixture(state.mode_probs.copy(), comps,
+    return GaussianMixture(state.mode_probs.copy(), state._padded(),
                            tuple(m.kind for m in state.models))
 
 
@@ -257,15 +259,14 @@ def prune_mixture(mixture: GaussianMixture, target_count: int) -> GaussianMixtur
     """
     if target_count < 1:
         raise ValueError("target_count must be at least 1")
+    if mixture.components.mean.ndim != 2:
+        raise ValueError("pruning is defined for one mixture, not a stack")
     if mixture.n_components <= target_count:
         return mixture.normalized()
-    traces = np.array([np.trace(c.cov) for c in mixture.components])
-    order = np.lexsort((traces, -mixture.weights))[:target_count]
-    keep = np.sort(order)
+    traces = np.trace(mixture.components.cov, axis1=-2, axis2=-1)
+    keep = np.sort(np.lexsort((traces, -mixture.weights))[:target_count])
     tags = tuple(mixture.tags[k] for k in keep) if mixture.tags is not None else None
-    pruned = GaussianMixture(mixture.weights[keep],
-                             tuple(mixture.components[k] for k in keep), tags)
-    return pruned.normalized()
+    return GaussianMixture(mixture.weights[keep], mixture.components[..., keep], tags).normalized()
 
 
 def route_feedback(state: ImmState, fed: GaussianMixture,
@@ -304,12 +305,12 @@ def route_feedback(state: ImmState, fed: GaussianMixture,
     keep_c = [None if m in modes else zero_pad(dens, state.max_dim, state.pad_var)
               for m, dens in enumerate(state.densities)]
     if modes:
-        totals, mean, cov = _group_moments(fed.weights, *_stack(fed.components),
+        totals, mean, cov = _group_moments(fed.weights, fed.components.mean, fed.components.cov,
                                            [groups[state.models[m].kind] for m in modes])
-        for m, total, dens in zip(modes, totals,
-                                  GaussianDensity._members(mean, cov, assert_spd(cov))):
+        matched = GaussianDensity._view(mean, cov, assert_spd(cov))
+        for m, total, dens in zip(modes, totals, matched):
             keep_w[m], keep_c[m] = float(total), dens
-    prepared = GaussianMixture(np.asarray(keep_w), tuple(keep_c),
+    prepared = GaussianMixture(np.asarray(keep_w), keep_c,
                                tuple(m.kind for m in state.models)).normalized()
     return apply_feedback(state, prepared)
 
@@ -324,15 +325,11 @@ def apply_feedback(state: ImmState, fed: GaussianMixture) -> ImmState:
     """
     if fed.tags is None or fed.n_components != len(state.models):
         raise ValueError("feedback mixture must have one tagged component per mode")
-    densities = []
-    probs = np.empty(len(state.models))
-    for k, model in enumerate(state.models):
-        matches = [i for i, t in enumerate(fed.tags) if t == model.kind]
-        if len(matches) != 1:
-            raise ValueError(f"feedback must have exactly one component tagged "
-                             f"{model.kind!r}")
-        comp = fed.components[matches[0]]
-        densities.append(truncate_state(comp, model.state_dim))
-        probs[k] = fed.weights[matches[0]]
-    probs = probs / np.sum(probs)
-    return state._advance(tuple(densities), probs)
+    for model in state.models:
+        if fed.tags.count(model.kind) != 1:
+            raise ValueError(f"feedback must have exactly one component tagged {model.kind!r}")
+    order = [fed.tags.index(model.kind) for model in state.models]
+    densities = tuple(truncate_state(fed.components[..., i], model.state_dim)
+                      for i, model in zip(order, state.models))
+    probs = fed.weights[order]
+    return state._advance(densities, probs / np.sum(probs))

@@ -25,15 +25,15 @@ The Gaussian rules (:func:`fuse_naive`, :func:`fuse_gmd`, :func:`fuse_amd`,
 densities, one member per Monte Carlo run, and fuse each member as it would
 fuse alone; the batched EKF engine fuses all runs of a study in one call.
 
-The mixture rules (naive, pcf, hmd) multiply every cross pair of operand
-components in one call of a stacked kernel, on the axis ``k = i J + j``, and
-mixture hmd divides all pairs in one more. The pairs whose gap to the global
-pool fails hmd's eigenvalue test form a mask; their own pools are matched together.
+The mixture rules (naive, pcf, hmd) index both operands' component stacks on
+the cross axis ``k = i J + j`` and multiply every pair in one stacked kernel
+call, and mixture hmd divides all pairs in one more. The pairs whose gap to the
+global pool fails hmd's eigenvalue test form a mask; their own pools are matched together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Sequence
 
@@ -46,11 +46,11 @@ from .gaussians import (
     GaussianMixture,
     _factor_logpdf,
     _group_moments,
+    _joined,
     _matvec,
     _mixture_moments,
     _products,
     _quotients,
-    _stack,
     assert_spd,
     gaussian_product,
     moment_match,
@@ -75,21 +75,6 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
-
-
-def _provenance(n_operands: int, position: int, model_tag: str) -> str:
-    """Positional provenance tag for a fused-mixture component.
-
-    The tag has one ``|``-separated field per fusion operand; field ``k``
-    names the model of operand ``k`` that the component involves, empty when
-    the component does not involve that operand. A cross product of mode i of
-    operand 0 with mode j of operand 1 is tagged ``"i|j"``; a plain mixture
-    component contributed by operand 0 alone is tagged ``"i|"``. Feedback
-    routing reads the field at the recipient's own position.
-    """
-    fields = [""] * n_operands
-    fields[position] = model_tag
-    return "|".join(fields)
 
 
 @dataclass(frozen=True)
@@ -134,46 +119,53 @@ def fuse_amd(inputs: Sequence[GaussianDensity | GaussianMixture],
     """Arithmetic mean density: the weighted mixture of the inputs.
 
     Mixture inputs are flattened (their component weights scale by the input
-    weight). Weights must sum to one; no pruning is performed.
+    weight), and a plain Gaussian, or a stack of them, is one component (a
+    view). The component stacks are concatenated and not checked again.
+    Weights must sum to one; no pruning is performed.
+
+    If an input is tagged, each component's provenance tag has one
+    ``|``-separated field per input: mode ``i`` of input 0 of two is ``"i|"``.
     """
     weights = np.asarray(weights, dtype=float)
     if len(inputs) != weights.size:
         raise ValueError("one weight per input required")
     if abs(float(np.sum(weights)) - 1.0) > _WEIGHT_TOL:
         raise ValueError("input weights must sum to 1")
-    n_inputs = len(inputs)
-    out_w, out_c, out_t = [], [], []
-    any_tags = False
-    for pos, (wt, inp) in enumerate(zip(weights, inputs)):
-        norm = _as_mixture(inp)
-        for k in range(norm.n_components):
-            out_w.append(wt * norm.weights[k])
-            out_c.append(norm.components[k])
-            src = norm.tags[k] if norm.tags is not None else ""
-            out_t.append(_provenance(n_inputs, pos, src))
-            any_tags = any_tags or norm.tags is not None
-    tags = tuple(out_t) if any_tags else None
-    return GaussianMixture(np.asarray(out_w), tuple(out_c), tags)
+    parts = [_parts(inp) for inp in inputs]
+    tags = None
+    if any(p_tags is not None for _, _, p_tags in parts):
+        tags = tuple("|".join(src if k == pos else "" for k in range(len(parts)))
+                     for pos, (p_w, _, p_tags) in enumerate(parts)
+                     for src in p_tags or ("",) * p_w.size)
+    out_w = np.concatenate([wt * p_w for wt, (p_w, _, _) in zip(weights, parts)])
+    return GaussianMixture(out_w, _joined([comps for _, comps, _ in parts], np.concatenate), tags)
+
+
+def _parts(d) -> tuple:
+    """The normalized weights, component stack and tags of a mixture; a plain
+    Gaussian is one untagged component, a view of its arrays."""
+    if isinstance(d, GaussianMixture):
+        d = d.normalized()
+        return d.weights, d.components, d.tags
+    return np.ones(1), GaussianDensity._view(d.mean[..., None, :], d.cov[..., None, :, :],
+                                             d.chol[..., None, :, :]), None
 
 
 def _as_mixture(d) -> GaussianMixture:
-    if isinstance(d, GaussianMixture):
-        return d.normalized()
-    return GaussianMixture(np.array([1.0]), (d,))
+    return d.normalized() if isinstance(d, GaussianMixture) else GaussianMixture(*_parts(d))
 
 
-def _cross_products(a: GaussianMixture, b: GaussianMixture, comps_a=None, comps_b=None):
-    """:func:`gaussians._products` of ``comps_a[i]`` and ``comps_b[j]`` on the cross axis
-    ``k = i J + j``, with the indices ``i``, ``j`` and tags ``"i|j"`` (or None)."""
+def _cross_products(a: GaussianMixture, b: GaussianMixture):
+    """:func:`gaussians._products` of the components ``a[i]`` and ``b[j]`` on the cross
+    axis ``k = i J + j``, with the indices ``i``, ``j`` and tags ``"i|j"`` (or None)."""
     ia = np.repeat(np.arange(a.n_components), b.n_components)
     ib = np.tile(np.arange(b.n_components), a.n_components)
     tags = None
     if a.tags is not None or b.tags is not None:
         ta, tb = a.tags or ("",) * a.n_components, b.tags or ("",) * b.n_components
         tags = tuple(f"{ta[i]}|{tb[j]}" for i, j in zip(ia, ib))
-    (mean_a, cov_a), (mean_b, cov_b) = (_stack(comps_a or a.components),
-                                        _stack(comps_b or b.components))
-    return ia, ib, tags, _products(mean_a[ia], cov_a[ia], mean_b[ib], cov_b[ib])
+    ca, cb = a.components[..., ia], b.components[..., ib]
+    return ia, ib, tags, _products(ca.mean, ca.cov, cb.mean, cb.cov)
 
 
 def _log_weight(weights: np.ndarray) -> np.ndarray:
@@ -182,8 +174,7 @@ def _log_weight(weights: np.ndarray) -> np.ndarray:
 
 def _fused_mixture(log_w, mean, cov, chol, tags) -> GaussianMixture:
     wts = np.exp(log_w - np.max(log_w))
-    return GaussianMixture(wts / np.sum(wts), tuple(GaussianDensity._members(mean, cov, chol)),
-                           tags)
+    return GaussianMixture(wts / np.sum(wts), GaussianDensity._view(mean, cov, chol), tags)
 
 
 def _mixture_product(a: GaussianMixture, b: GaussianMixture) -> GaussianMixture:
@@ -206,12 +197,11 @@ def fuse_pcf(a, b, w: float = 0.5) -> GaussianMixture:
     mix_a, mix_b = _as_mixture(a), _as_mixture(b)
     if w in (0.0, 1.0):
         return mix_a if w else mix_b
-    pow_a = [scaled_power(c, w) for c in mix_a.components]
-    pow_b = [scaled_power(c, 1.0 - w) for c in mix_b.components]
-    lw_a = w * _log_weight(mix_a.weights) + np.array([t.log_scale for t in pow_a])
-    lw_b = (1.0 - w) * _log_weight(mix_b.weights) + np.array([t.log_scale for t in pow_b])
+    pow_a, pow_b = scaled_power(mix_a.components, w), scaled_power(mix_b.components, 1.0 - w)
+    lw_a = w * _log_weight(mix_a.weights) + pow_a.log_scale
+    lw_b = (1.0 - w) * _log_weight(mix_b.weights) + pow_b.log_scale
     ia, ib, tags, (mean, cov, chol, log_s) = _cross_products(
-        mix_a, mix_b, [t.density for t in pow_a], [t.density for t in pow_b])
+        replace(mix_a, components=pow_a.density), replace(mix_b, components=pow_b.density))
     return _fused_mixture(lw_a[ia] + lw_b[ib] + log_s, mean, cov, chol, tags)
 
 
@@ -300,8 +290,8 @@ def fuse_hmd_mixture(a, b, w: float = 0.5) -> GaussianMixture:
     if w in (0.0, 1.0):
         return mix_a if w else mix_b
     pool_w = np.concatenate(((1.0 - w) * mix_a.weights, w * mix_b.weights))
-    pool_mean, pool_cov = _stack(mix_a.components + mix_b.components)
-    eq = GaussianDensity(*_mixture_moments(pool_w, pool_mean, pool_cov))
+    pool = _joined([mix_a.components, mix_b.components], np.concatenate)
+    eq = GaussianDensity(*_mixture_moments(pool_w, pool.mean, pool.cov))
     ia, ib, tags, (mean, cov, _, log_s) = _cross_products(mix_a, mix_b)
     den_mean, den_cov = np.repeat(eq.mean[None], ia.size, 0), np.repeat(eq.cov[None], ia.size, 0)
     # The gap test of every pair at once; the failing ones get their own pool.
@@ -309,7 +299,7 @@ def fuse_hmd_mixture(a, b, w: float = 0.5) -> GaussianMixture:
     local = ~(gap_eigs[:, 0] > _PAIR_GAP_RTOL * gap_eigs[:, -1])
     if local.any():
         pair = np.stack((ia[local], mix_a.n_components + ib[local]), axis=-1)
-        _, den_mean[local], den_cov[local] = _group_moments(pool_w, pool_mean, pool_cov, pair)
+        _, den_mean[local], den_cov[local] = _group_moments(pool_w, pool.mean, pool.cov, pair)
         assert_spd(den_cov[local])
     quot_mean, quot_cov, quot_chol, quot_s = _quotients(mean, cov, den_mean, den_cov)
     return _fused_mixture(_log_weight(mix_a.weights[ia] * mix_b.weights[ib]) + log_s + quot_s,

@@ -11,7 +11,9 @@ axes, e.g. one member per Monte Carlo run. The filter steps, the Gaussian
 fusion rules, products, divisions, moment matching and NEES are written once
 on ``[..., d]`` arrays; each member goes through the BLAS/LAPACK routines of
 a density on its own, on the same operand layouts (:func:`_matvec`), so its
-numbers equal the one-density result bit for bit.
+numbers equal the one-density result bit for bit. A :class:`GaussianMixture`
+holds its components as one such stack, ``[..., M, d]``, the component axis
+last among the leading axes.
 
 Validation contract: a :class:`GaussianDensity` built through its constructor
 checks its covariance once with :func:`assert_spd` (finite entries of at most
@@ -19,7 +21,8 @@ half the float maximum, symmetry, Cholesky factorization, pivot floor) and
 keeps that check's factor for every later use of the matrix (``logpdf``,
 :func:`scaled_power`, ``precision``). Mean, covariance, factor and precision
 are read-only arrays (mean and covariance copied), so the factor never goes
-stale.
+stale. A stack joined from checked densities, or indexed (``stack[k]``,
+``stack[keep]``), is read-only and checks nothing again.
 
 Two kinds of density carry a factor derived from an already validated one
 instead of a fresh factorization: a leading marginal
@@ -247,31 +250,28 @@ class GaussianDensity:
         self.__dict__.update(mean=mean, cov=cov, chol=chol)
 
     @classmethod
-    def _derived(cls, mean: np.ndarray, cov: np.ndarray,
-                 chol: np.ndarray) -> "GaussianDensity":
-        """Density whose factor ``chol`` was derived from a validated density.
-
-        ``chol`` must be a Cholesky factor of ``cov`` built from a validated
-        factor: its leading block, or a block-diagonal extension with positive
-        finite entries. Only the pivot floor test of :func:`assert_spd` runs;
-        it is the one part of that check such a factor can fail. The arrays
-        must be fresh or views of a validated density's read-only arrays; they
-        are made read-only here.
-        """
-        _check_pivot_floor(chol, cov)
+    def _view(cls, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> "GaussianDensity":
+        """Density of checked arrays (fresh, or views of a density's), read-only and
+        not checked again: ``chol`` is the checked factor of the symmetric ``cov``."""
         density = object.__new__(cls)
         density._store(mean, cov, chol)
         return density
 
     @classmethod
-    def _members(cls, means: np.ndarray, covs: np.ndarray,
-                 chols: np.ndarray) -> list["GaussianDensity"]:
-        """The densities of a stack whose covariances passed one stacked check,
-        storing what the constructor would: copied mean, symmetrized cov, factor."""
-        members = [object.__new__(cls) for _ in means]
-        for density, mean, cov, chol in zip(members, means.copy(), symmetrize(covs), chols):
-            density._store(mean, cov, chol)
-        return members
+    def _derived(cls, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> "GaussianDensity":
+        """A :meth:`_view` whose factor is derived from a checked one (its leading block,
+        or a block-diagonal extension): only the pivot floor, its one failure mode, is tested."""
+        _check_pivot_floor(chol, cov)
+        return cls._view(mean, cov, chol)
+
+    def __getitem__(self, index) -> "GaussianDensity":
+        """Members of a stack (``index`` on the leading axes only): views, or
+        copies for an index array, that are not checked again."""
+        if self.mean.ndim == 1:
+            raise TypeError("one density has no leading axis to index")
+        lead = index if isinstance(index, tuple) else (index,)
+        row, mat = lead + (slice(None),), lead + (slice(None),) * 2
+        return GaussianDensity._view(self.mean[row], self.cov[mat], self.chol[mat])
 
     def __reduce__(self):
         # Rebuild through the constructor, so a copy or an unpickled density
@@ -296,9 +296,7 @@ class GaussianDensity:
     def logpdf(self, x) -> np.ndarray:
         """Log density at ``x`` (shape ``(d,)`` or ``(n, d)``; ``(n,)`` if d=1)."""
         self._single("logpdf")
-        pts = _as_points(x, self.dim)
-        out = _factor_logpdf(self.mean, self.chol, pts)
-        return out[0] if np.ndim(x) <= 1 and pts.shape[0] == 1 else out
+        return _points_logpdf(self.mean, self.chol, x)
 
     def pdf(self, x) -> np.ndarray:
         return np.exp(self.logpdf(x))
@@ -321,27 +319,29 @@ class ScaledGaussian:
 class GaussianMixture:
     """A finite Gaussian mixture, optionally with a string tag per component.
 
-    Tags identify the motion model a component originated from and survive
+    ``components`` is one :class:`GaussianDensity` stack whose last leading
+    axis is the component axis, means ``[..., M, d]`` under ``weights[M]``; a
+    sequence of densities of one shape is joined into it, unchecked. Component
+    ``k`` is ``components[..., k]`` (``components[k]`` only of one mixture). Tags
+    identify the motion model a component originated from and survive
     fusion, which is what lets a fusion center route feedback back to the
-    matching local filter mode. Components may be stacks of one shape.
+    matching local filter mode.
     """
 
     weights: np.ndarray
-    components: tuple[GaussianDensity, ...]
+    components: GaussianDensity
     tags: tuple[str, ...] | None = field(default=None)
 
     def __post_init__(self):
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        components = tuple(self.components)
-        if weights.size != len(components):
+        components = self.components
+        if not isinstance(components, GaussianDensity):
+            components = _joined(tuple(components), np.stack)
+        if components.mean.ndim < 2 or weights.shape != components.mean.shape[-2:-1]:
             raise ValueError("one weight per component required")
-        if weights.size == 0:
-            raise ValueError("mixture must have at least one component")
         if (weights < -1e-15).any() or not np.isfinite(weights).all():
             raise ValueError("mixture weights must be finite and nonnegative")
-        if len({c.mean.shape for c in components}) != 1:
-            raise ValueError("mixture components must share one dimension and stack shape")
-        if self.tags is not None and len(self.tags) != len(components):
+        if self.tags is not None and len(self.tags) != weights.size:
             raise ValueError("one tag per component required")
         object.__setattr__(self, "weights", np.maximum(weights, 0.0))
         object.__setattr__(self, "components", components)
@@ -350,11 +350,11 @@ class GaussianMixture:
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.components.dim
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return self.weights.size
 
     def normalized(self) -> "GaussianMixture":
         total = float(np.sum(self.weights))
@@ -362,20 +362,30 @@ class GaussianMixture:
             raise ValueError("cannot normalize a mixture with zero total weight")
         return GaussianMixture(self.weights / total, self.components, self.tags)
 
+    def _weighted_logs(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The weights and the component log densities at the points ``x``:
+        ``[M]`` each at one point, ``[M, 1]`` and ``[M, n]`` at ``n``."""
+        comps = self.components
+        if comps.mean.ndim != 2:
+            raise ValueError("evaluation is defined for one mixture, not a stack")
+        logs = _points_logpdf(comps.mean, comps.chol, x)
+        return (self.weights, logs) if logs.ndim == 1 else (self.weights[:, None], logs)
+
     def pdf(self, x) -> np.ndarray:
-        vals = [w * c.pdf(x) for w, c in zip(self.weights, self.components)]
-        return np.sum(vals, axis=0)
+        weights, logs = self._weighted_logs(x)
+        return np.sum(weights * np.exp(logs), axis=0)
 
     def logpdf(self, x) -> np.ndarray:
-        logs = np.stack(
-            [np.log(max(w, np.finfo(float).tiny)) + c.logpdf(x)
-             for w, c in zip(self.weights, self.components)]
-        )
+        weights, logs = self._weighted_logs(x)
+        logs = np.log(np.maximum(weights, _TINY)) + logs
         peak = np.max(logs, axis=0)
         return peak + np.log(np.sum(np.exp(logs - peak), axis=0))
 
 
-def _as_points(x, dim: int) -> np.ndarray:
+def _points_logpdf(mean: np.ndarray, chol: np.ndarray, x) -> np.ndarray:
+    """Log densities of ``mean[..., d]`` (factors ``chol``) at the points ``x``:
+    ``[..., n]``, or ``[...]`` at one point (a scalar, or a vector of length ``d``)."""
+    dim = mean.shape[-1]
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 0:
         pts = pts.reshape(1, 1)
@@ -383,7 +393,8 @@ def _as_points(x, dim: int) -> np.ndarray:
         pts = pts.reshape(-1, 1) if dim == 1 else pts.reshape(1, -1)
     if pts.shape[-1] != dim:
         raise ValueError(f"points have dimension {pts.shape[-1]}, expected {dim}")
-    return pts
+    out = _factor_logpdf(mean, chol, pts)
+    return out[..., 0] if np.ndim(x) <= 1 and pts.shape[0] == 1 else out
 
 
 def gaussian_product(a: GaussianDensity, b: GaussianDensity) -> ScaledGaussian:
@@ -419,8 +430,7 @@ def _scaled(kernel, a: GaussianDensity, b: GaussianDensity) -> ScaledGaussian:
     if a.dim != b.dim:
         raise ValueError("operands must share one dimension")
     mean, cov, chol, log_s = kernel(a.mean, a.cov, b.mean, b.cov)
-    density = object.__new__(GaussianDensity)
-    density._store(mean.copy(), symmetrize(cov), chol)
+    density = GaussianDensity._view(mean.copy(), symmetrize(cov), chol)
     return ScaledGaussian(_scalar(log_s), density)
 
 
@@ -460,10 +470,11 @@ def _quotients(num_means, num_covs, den_means, den_covs) -> tuple:
 
 
 def scaled_power(d: GaussianDensity, w: float) -> ScaledGaussian:
-    """Fractional power ``N(x; m, C)^w`` for ``0 < w <= 1``.
+    """Fractional power ``N(x; m, C)^w`` for ``0 < w <= 1`` (of each member
+    of a stack, with one log scale per member).
 
     The result is ``s N(x; m, C / w)`` with
-    ``s = sqrt(|2 pi C / w| / |2 pi C|^w)``.
+    ``s = sqrt(|2 pi C / w| / |2 pi C|^w)``; ``C / w`` is checked in full.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("power weight must lie in (0, 1]")
@@ -471,7 +482,7 @@ def scaled_power(d: GaussianDensity, w: float) -> ScaledGaussian:
         return ScaledGaussian(0.0, d)
     logdet = _chol_logdet(d.chol)
     log_scale = 0.5 * (1.0 - w) * (d.dim * _LOG_2PI + logdet) - 0.5 * d.dim * math.log(w)
-    return ScaledGaussian(float(log_scale), GaussianDensity(d.mean, d.cov / w))
+    return ScaledGaussian(_scalar(log_scale), GaussianDensity(d.mean, d.cov / w))
 
 
 def moment_match(mixture: GaussianMixture) -> GaussianDensity:
@@ -479,17 +490,21 @@ def moment_match(mixture: GaussianMixture) -> GaussianDensity:
 
     The covariance is the weighted within-component covariance plus the
     spread-of-means term, so it always dominates the weighted average of the
-    component covariances. Stacked components give the stack of matches.
+    component covariances. A stack of mixtures gives the stack of matches.
     """
     comps = mixture.components
-    return GaussianDensity(*_mixture_moments(mixture.weights,
-                                             np.stack([c.mean for c in comps], axis=-2),
-                                             np.stack([c.cov for c in comps], axis=-3)))
+    return GaussianDensity(*_mixture_moments(mixture.weights, comps.mean, comps.cov))
 
 
-def _stack(components) -> tuple[np.ndarray, np.ndarray]:
-    """The means ``[M, d]`` and covariances ``[M, d, d]`` of ``components``."""
-    return np.array([c.mean for c in components]), np.array([c.cov for c in components])
+def _joined(densities: tuple, join) -> GaussianDensity:
+    """One stack of ``densities``: ``join`` (``np.stack``, or ``np.concatenate``
+    of component stacks) of their stored arrays on the component axis, unchecked."""
+    try:
+        return GaussianDensity._view(*(join([getattr(d, f) for d in densities], axis=axis)
+                                       for f, axis in (("mean", -2), ("cov", -3), ("chol", -3))))
+    except ValueError:
+        raise ValueError("a mixture needs at least one component, and its components must "
+                         "share one dimension and stack shape") from None
 
 
 def _mixture_moments(weights: np.ndarray, means: np.ndarray,

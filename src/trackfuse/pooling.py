@@ -13,7 +13,6 @@ back to quasi-random (scrambled Sobol, fixed seed) importance sampling.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np

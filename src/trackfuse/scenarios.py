@@ -15,7 +15,7 @@ perturbations differ between Monte Carlo runs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -342,8 +342,8 @@ def _matched(mixtures: list) -> GaussianDensity:
     """The stack of each run's moment-matched mixture (one component count)."""
     return GaussianDensity(*_mixture_moments(
         np.stack([mix.weights for mix in mixtures]),
-        np.stack([[c.mean for c in mix.components] for mix in mixtures]),
-        np.stack([[c.cov for c in mix.components] for mix in mixtures])))
+        np.stack([mix.components.mean for mix in mixtures]),
+        np.stack([mix.components.cov for mix in mixtures])))
 
 
 def _models(cfg: ScenarioConfig) -> tuple[MotionModel, ...]:

@@ -867,7 +867,7 @@ def ref_fuse_hmd_mixture(a, b, w=0.5, fallbacks=None):
     if w == 0.0:
         return mix_b
     pool_w = np.concatenate(((1.0 - w) * mix_a.weights, w * mix_b.weights))
-    eq = _ref_match(GaussianMixture(pool_w, mix_a.components + mix_b.components))
+    eq = _ref_match(GaussianMixture(pool_w, tuple(mix_a.components) + tuple(mix_b.components)))
     log_w, comps, tags = [], [], []
     for i in range(mix_a.n_components):
         for j in range(mix_b.n_components):
@@ -908,3 +908,85 @@ def ref_route_feedback(state, fed, operand_idx):
     prepared = GaussianMixture(np.asarray(keep_w), tuple(keep_c),
                                tuple(m.kind for m in state.models)).normalized()
     return apply_feedback(state, prepared)
+
+
+# Reference copies of the mixture code as it stood when a mixture held a tuple
+# of component densities: evaluation, pruning and the arithmetic mean walk the
+# components one at a time, and moment matching stacks them first. Only how
+# they read ``.components`` is adjusted (component ``k`` is ``[..., k]`` of
+# the stack). The package's versions must reproduce them bit for bit.
+
+def ref_mixture_pdf(mixture, x):
+    vals = [w * c.pdf(x) for w, c in zip(mixture.weights, mixture.components)]
+    return np.sum(vals, axis=0)
+
+
+def ref_mixture_logpdf(mixture, x):
+    logs = np.stack(
+        [np.log(max(w, np.finfo(float).tiny)) + c.logpdf(x)
+         for w, c in zip(mixture.weights, mixture.components)]
+    )
+    peak = np.max(logs, axis=0)
+    return peak + np.log(np.sum(np.exp(logs - peak), axis=0))
+
+
+def ref_prune_mixture(mixture, target_count):
+    if target_count < 1:
+        raise ValueError("target_count must be at least 1")
+    if mixture.n_components <= target_count:
+        return mixture.normalized()
+    traces = np.array([np.trace(c.cov) for c in mixture.components])
+    order = np.lexsort((traces, -mixture.weights))[:target_count]
+    keep = np.sort(order)
+    tags = tuple(mixture.tags[k] for k in keep) if mixture.tags is not None else None
+    pruned = GaussianMixture(mixture.weights[keep],
+                             tuple(mixture.components[k] for k in keep), tags)
+    return pruned.normalized()
+
+
+def _ref_provenance(n_operands, position, model_tag):
+    fields = [""] * n_operands
+    fields[position] = model_tag
+    return "|".join(fields)
+
+
+def ref_fuse_amd(inputs, weights):
+    weights = np.asarray(weights, dtype=float)
+    if len(inputs) != weights.size:
+        raise ValueError("one weight per input required")
+    if abs(float(np.sum(weights)) - 1.0) > 1e-12:
+        raise ValueError("input weights must sum to 1")
+    n_inputs = len(inputs)
+    out_w, out_c, out_t = [], [], []
+    any_tags = False
+    for pos, (wt, inp) in enumerate(zip(weights, inputs)):
+        norm = _ref_as_mixture(inp)
+        for k in range(norm.n_components):
+            out_w.append(wt * norm.weights[k])
+            out_c.append(norm.components[..., k])
+            src = norm.tags[k] if norm.tags is not None else ""
+            out_t.append(_ref_provenance(n_inputs, pos, src))
+            any_tags = any_tags or norm.tags is not None
+    tags = tuple(out_t) if any_tags else None
+    return GaussianMixture(np.asarray(out_w), tuple(out_c), tags)
+
+
+def ref_stacked_moment_match(mixture):
+    comps = [mixture.components[..., k] for k in range(mixture.n_components)]
+    return GaussianDensity(*_ref_mixture_moments(mixture.weights,
+                                                 np.stack([c.mean for c in comps], axis=-2),
+                                                 np.stack([c.cov for c in comps], axis=-3)))
+
+
+def _ref_mixture_moments(weights, means, covs):
+    total = weights.sum(axis=-1, keepdims=True)
+    if not (total > 0.0).all():
+        raise ValueError("cannot normalize a mixture with zero total weight")
+    weights = weights / total
+    mean = (weights[..., None, :] @ means)[..., 0, :]
+    dev = means - mean[..., None, :]
+    terms = weights[..., None, None] * (covs + dev[..., :, None] * dev[..., None, :])
+    cov = np.zeros(terms.shape[:-3] + terms.shape[-2:])
+    for m in range(weights.shape[-1]):
+        cov += terms[..., m, :, :]
+    return mean, symmetrize(cov)

@@ -5,7 +5,6 @@ which rows appear, that the measured means are positive, and that the ratio
 summary divides the right entries.
 """
 
-import numpy as np
 import pytest
 
 from trackfuse.benchmark import (

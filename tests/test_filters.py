@@ -313,7 +313,8 @@ def test_prune_breaks_weight_ties_toward_smaller_trace():
     loose = GaussianDensity(np.zeros(1), np.array([[50.0]]))
     mix = GaussianMixture(np.array([0.5, 0.5]), (loose, tight))
     pruned = prune_mixture(mix, 1)
-    assert pruned.components[0] is tight
+    assert all(getattr(pruned.components[0], f).tobytes() == getattr(tight, f).tobytes()
+               for f in ("mean", "cov", "chol"))
 
 
 def test_prune_validation_and_noop(rng):
@@ -435,7 +436,8 @@ def test_route_feedback_keeps_a_mode_whose_components_underflowed_at_weight_zero
         routed = route_feedback(state, fed, operand_idx=0)
         routed_b = route_feedback(state, fed, operand_idx=1)
     assert routed.mode_probs.tolist() == [1.0, 0.0]
-    assert routed.densities[1] is state.densities[1]
+    assert all(getattr(routed.densities[1], f).tobytes()
+               == getattr(state.densities[1], f).tobytes() for f in ("mean", "cov", "chol"))
     want_cv = moment_match(GaussianMixture(np.array([0.6, 0.4]), comps[:2]))
     np.testing.assert_array_equal(routed.densities[0].mean, want_cv.mean[:4])
     np.testing.assert_array_equal(routed.densities[0].cov, want_cv.cov[:4, :4])

@@ -1,8 +1,5 @@
 """Tests for the randomized property-check suite."""
 
-import numpy as np
-import pytest
-
 from trackfuse import GaussianDensity, ScaledGaussian
 from trackfuse.validation import CheckResult, run_suite
 
