@@ -20,10 +20,9 @@ The harmonic rule's division step is always well posed for a pair of
 Gaussians: the moment-matched mixture covariance dominates the product
 covariance, so the difference of precisions stays positive definite.
 
-The Gaussian rules (:func:`fuse_naive`, :func:`fuse_gmd`, :func:`fuse_amd`,
-:func:`fuse_hmd` and the multi-operand :func:`fuse_many`) also take stacked
-densities, one member per Monte Carlo run, and fuse each member as it would
-fuse alone; the batched EKF engine fuses all runs of a study in one call.
+Every rule also takes stacked densities or stacks of mixtures (weights
+``[..., M]``), one member per Monte Carlo run, and fuses each member as it
+would fuse alone; the study engine fuses all runs of a study in one call.
 
 The mixture rules (naive, pcf, hmd) index both operands' component stacks on
 the cross axis ``k = i J + j`` and multiply every pair in one stacked kernel
@@ -136,8 +135,8 @@ def fuse_amd(inputs: Sequence[GaussianDensity | GaussianMixture],
     if any(p_tags is not None for _, _, p_tags in parts):
         tags = tuple("|".join(src if k == pos else "" for k in range(len(parts)))
                      for pos, (p_w, _, p_tags) in enumerate(parts)
-                     for src in p_tags or ("",) * p_w.size)
-    out_w = np.concatenate([wt * p_w for wt, (p_w, _, _) in zip(weights, parts)])
+                     for src in p_tags or ("",) * p_w.shape[-1])
+    out_w = np.concatenate([wt * p_w for wt, (p_w, _, _) in zip(weights, parts)], axis=-1)
     return GaussianMixture(out_w, _joined([comps for _, comps, _ in parts], np.concatenate), tags)
 
 
@@ -147,8 +146,8 @@ def _parts(d) -> tuple:
     if isinstance(d, GaussianMixture):
         d = d.normalized()
         return d.weights, d.components, d.tags
-    return np.ones(1), GaussianDensity._view(d.mean[..., None, :], d.cov[..., None, :, :],
-                                             d.chol[..., None, :, :]), None
+    return np.ones(d.mean.shape[:-1] + (1,)), GaussianDensity._view(
+        d.mean[..., None, :], d.cov[..., None, :, :], d.chol[..., None, :, :]), None
 
 
 def _as_mixture(d) -> GaussianMixture:
@@ -173,15 +172,17 @@ def _log_weight(weights: np.ndarray) -> np.ndarray:
 
 
 def _fused_mixture(log_w, mean, cov, chol, tags) -> GaussianMixture:
-    wts = np.exp(log_w - np.max(log_w))
-    return GaussianMixture(wts / np.sum(wts), GaussianDensity._view(mean, cov, chol), tags)
+    wts = np.exp(log_w - np.max(log_w, axis=-1, keepdims=True))
+    return GaussianMixture(wts / wts.sum(axis=-1, keepdims=True),
+                           GaussianDensity._view(mean, cov, chol), tags)
 
 
 def _mixture_product(a: GaussianMixture, b: GaussianMixture) -> GaussianMixture:
     """Term-by-term normalized product of two mixtures (naive rule for mixtures)."""
     ia, ib, tags, (mean, cov, chol, log_s) = _cross_products(a, b)
-    return _fused_mixture(_log_weight(a.weights[ia] * b.weights[ib]) + log_s,
-                          mean, cov, chol, tags)
+    # ``np.take`` keeps each member's weights a row-major row, summed as one mixture's are.
+    log_w = _log_weight(np.take(a.weights, ia, -1) * np.take(b.weights, ib, -1))
+    return _fused_mixture(log_w + log_s, mean, cov, chol, tags)
 
 
 def fuse_pcf(a, b, w: float = 0.5) -> GaussianMixture:
@@ -202,7 +203,8 @@ def fuse_pcf(a, b, w: float = 0.5) -> GaussianMixture:
     lw_b = (1.0 - w) * _log_weight(mix_b.weights) + pow_b.log_scale
     ia, ib, tags, (mean, cov, chol, log_s) = _cross_products(
         replace(mix_a, components=pow_a.density), replace(mix_b, components=pow_b.density))
-    return _fused_mixture(lw_a[ia] + lw_b[ib] + log_s, mean, cov, chol, tags)
+    log_w = np.take(lw_a, ia, -1) + np.take(lw_b, ib, -1)
+    return _fused_mixture(log_w + log_s, mean, cov, chol, tags)
 
 
 def fuse_hmd(a: GaussianDensity, b: GaussianDensity, w: float = 0.5,
@@ -289,21 +291,24 @@ def fuse_hmd_mixture(a, b, w: float = 0.5) -> GaussianMixture:
     mix_a, mix_b = _as_mixture(a), _as_mixture(b)
     if w in (0.0, 1.0):
         return mix_a if w else mix_b
-    pool_w = np.concatenate(((1.0 - w) * mix_a.weights, w * mix_b.weights))
+    pool_w = np.concatenate(((1.0 - w) * mix_a.weights, w * mix_b.weights), axis=-1)
     pool = _joined([mix_a.components, mix_b.components], np.concatenate)
     eq = GaussianDensity(*_mixture_moments(pool_w, pool.mean, pool.cov))
     ia, ib, tags, (mean, cov, _, log_s) = _cross_products(mix_a, mix_b)
-    den_mean, den_cov = np.repeat(eq.mean[None], ia.size, 0), np.repeat(eq.cov[None], ia.size, 0)
-    # The gap test of every pair at once; the failing ones get their own pool.
-    gap_eigs = np.linalg.eigvalsh(symmetrize(eq.cov - cov))
-    local = ~(gap_eigs[:, 0] > _PAIR_GAP_RTOL * gap_eigs[:, -1])
+    den_mean = np.repeat(eq.mean[..., None, :], ia.size, -2)
+    den_cov = np.repeat(eq.cov[..., None, :, :], ia.size, -3)
+    # The gap test of every pair of every member; the failing ones get their own pool.
+    gap_eigs = np.linalg.eigvalsh(symmetrize(den_cov - cov))
+    local = ~(gap_eigs[..., 0] > _PAIR_GAP_RTOL * gap_eigs[..., -1])
     if local.any():
-        pair = np.stack((ia[local], mix_a.n_components + ib[local]), axis=-1)
-        _, den_mean[local], den_cov[local] = _group_moments(pool_w, pool.mean, pool.cov, pair)
+        *lead, k = local.nonzero()
+        at = tuple(i[:, None] for i in lead) + (np.stack((ia[k], mix_a.n_components + ib[k]), -1),)
+        pairs = pool[at]
+        _, den_mean[local], den_cov[local] = _group_moments(pool_w[at], pairs.mean, pairs.cov)
         assert_spd(den_cov[local])
     quot_mean, quot_cov, quot_chol, quot_s = _quotients(mean, cov, den_mean, den_cov)
-    return _fused_mixture(_log_weight(mix_a.weights[ia] * mix_b.weights[ib]) + log_s + quot_s,
-                          quot_mean, quot_cov, quot_chol, tags)
+    log_w = _log_weight(np.take(mix_a.weights, ia, -1) * np.take(mix_b.weights, ib, -1))
+    return _fused_mixture(log_w + log_s + quot_s, quot_mean, quot_cov, quot_chol, tags)
 
 
 def fuse_hmd_recursive(inputs: Sequence[GaussianDensity],

@@ -170,12 +170,11 @@ def _check_pivot_floor(chol: np.ndarray, cov: np.ndarray) -> None:
     """Reject ``cov`` (or a stack with such a member) as numerically singular
     if a squared pivot of its factor ``chol`` is at most
     ``1e-12 * max(diag(cov))``."""
-    if chol.ndim == 2:  # one matrix, without the stacked reductions' overhead
-        pivots = chol.diagonal()
-        singular = (pivots * pivots).min() <= _EIG_FLOOR * max(cov.diagonal().max(), _TINY)
+    pivots, diag = chol.diagonal(0, -2, -1), cov.diagonal(0, -2, -1)
+    if pivots.size == pivots.shape[-1]:  # one matrix, without the stacked reductions' overhead
+        singular = (pivots * pivots).min() <= _EIG_FLOOR * max(diag.max(), _TINY)
     else:
-        pivots = chol.diagonal(axis1=-2, axis2=-1)
-        floor = _EIG_FLOOR * np.maximum(cov.diagonal(axis1=-2, axis2=-1).max(axis=-1), _TINY)
+        floor = _EIG_FLOOR * np.maximum(diag.max(axis=-1), _TINY)
         singular = ((pivots * pivots).min(axis=-1) <= floor).any()
     if singular:
         raise NotPositiveDefinite("covariance is numerically singular")
@@ -320,12 +319,13 @@ class GaussianMixture:
     """A finite Gaussian mixture, optionally with a string tag per component.
 
     ``components`` is one :class:`GaussianDensity` stack whose last leading
-    axis is the component axis, means ``[..., M, d]`` under ``weights[M]``; a
+    axis is the component axis, means ``[..., M, d]`` under per-member weights
+    ``[..., M]`` (a shared ``[M]`` vector is broadcast to every member); a
     sequence of densities of one shape is joined into it, unchecked. Component
     ``k`` is ``components[..., k]`` (``components[k]`` only of one mixture). Tags
     identify the motion model a component originated from and survive
     fusion, which is what lets a fusion center route feedback back to the
-    matching local filter mode.
+    matching local filter mode; every member of a stack shares them.
     """
 
     weights: np.ndarray
@@ -337,12 +337,15 @@ class GaussianMixture:
         components = self.components
         if not isinstance(components, GaussianDensity):
             components = _joined(tuple(components), np.stack)
-        if components.mean.ndim < 2 or weights.shape != components.mean.shape[-2:-1]:
+        lead = components.mean.shape[:-1]
+        if components.mean.ndim < 2 or weights.shape not in (lead, lead[-1:]):
             raise ValueError("one weight per component required")
         if (weights < -1e-15).any() or not np.isfinite(weights).all():
             raise ValueError("mixture weights must be finite and nonnegative")
-        if self.tags is not None and len(self.tags) != weights.size:
+        if self.tags is not None and len(self.tags) != lead[-1]:
             raise ValueError("one tag per component required")
+        if weights.shape != lead:
+            weights = np.broadcast_to(weights, lead)
         object.__setattr__(self, "weights", np.maximum(weights, 0.0))
         object.__setattr__(self, "components", components)
         if self.tags is not None:
@@ -354,11 +357,11 @@ class GaussianMixture:
 
     @property
     def n_components(self) -> int:
-        return self.weights.size
+        return self.weights.shape[-1]
 
     def normalized(self) -> "GaussianMixture":
-        total = float(np.sum(self.weights))
-        if total <= 0.0:
+        total = self.weights.sum(axis=-1, keepdims=True)
+        if not (total > 0.0).all():
             raise ValueError("cannot normalize a mixture with zero total weight")
         return GaussianMixture(self.weights / total, self.components, self.tags)
 
@@ -531,23 +534,13 @@ def _mixture_moments(weights: np.ndarray, means: np.ndarray,
     return mean, symmetrize(cov)
 
 
-def _group_moments(weights: np.ndarray, means: np.ndarray, covs: np.ndarray,
-                   groups) -> tuple:
-    """Total weight, mean and covariance of each component group, in the
-    order of ``groups``: group ``g`` is the mixture of the components
-    ``means[groups[g]]``, ``covs[groups[g]]`` under their normalized weights,
-    matched as :func:`moment_match` matches it (zero total weight raises).
-    Groups of one size are matched in one stacked call."""
-    sizes = [len(group) for group in groups]
-    totals, mean, cov = (np.empty((len(groups),) + x.shape[1:]) for x in (weights, means, covs))
-    for size in dict.fromkeys(sizes):
-        rows = [g for g, n in enumerate(sizes) if n == size]
-        idx = [groups[g] for g in rows]
-        group_w = weights[idx]
-        total = group_w.sum(axis=-1, keepdims=True)
-        totals[rows] = total[:, 0]
-        mean[rows], cov[rows] = _mixture_moments(group_w / total, means[idx], covs[idx])
-    return totals, mean, cov
+def _group_moments(weights: np.ndarray, means: np.ndarray, covs: np.ndarray) -> tuple:
+    """Total weight, mean and covariance of each group ``means[..., S, d]``,
+    ``covs[..., S, d, d]`` under its weights ``[..., S]``, normalized, then
+    matched as :func:`moment_match` matches it (zero total weight raises)."""
+    total = weights.sum(axis=-1, keepdims=True)
+    mean, cov = _mixture_moments(weights / total, means, covs)
+    return total[..., 0], mean, cov
 
 
 def density_to_dict(density) -> dict:

@@ -10,15 +10,15 @@ One engine runs both tracker kinds. It takes the configuration and a block
 of run indices, steps all those runs together (the locals, then the
 centralized tracks, then each strategy's fusion) holding only the current
 banks, and returns each strategy's scores as ``[3, runs, fusion steps]``
-arrays. The centralized tracks and every scored track are stacked
-:class:`~trackfuse.gaussians.GaussianDensity` objects over the runs, passed
+arrays. Each sensor's local tracker (an EKF's GaussianDensity or an ImmState),
+the centralized tracks and every scored track are stacks over the runs, passed
 through the same public functions a single run uses, so the report is
 byte-identical to stepping each run on its own. Only the local step and the
-fusion step depend on the tracker: EKF locals are stacks fused by
-``fuse_many``; IMM locals step run by run, and each run fuses its locals'
-mixtures with ``fuse_pair``. NEES is scored on each track's leading
-position-velocity marginal. ``TRACKFUSE_THREADS`` splits the runs into one
-contiguous block per worker process without changing the report.
+fusion step depend on the tracker: EKF locals are fused by ``fuse_many``, the
+IMM locals' mixtures by one ``fuse_pair`` call per strategy and fusion step.
+NEES is scored on each track's leading position-velocity marginal.
+``TRACKFUSE_THREADS`` splits the runs into one contiguous block per worker
+process without changing the report.
 
 Estimation quality is reported at fusion instants: position/velocity RMSE
 across runs and the average normalized estimation error squared (NEES) with
@@ -50,8 +50,7 @@ from .filters import (
     truncate_state,
 )
 from .fusion import fuse_many, fuse_pair
-from .gaussians import (GaussianDensity, GaussianMixture, _matvec, _mixture_moments, _scalar,
-                        moment_match)
+from .gaussians import GaussianDensity, GaussianMixture, _matvec, _scalar, moment_match
 from .models import MotionModel, wrap_angle
 from .scenarios import (
     ImmTracker,
@@ -248,17 +247,16 @@ def _score(track: GaussianDensity, truth: np.ndarray, dims: int) -> tuple:
 def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
     """All ``runs`` of a study, stepped together from material drawn up front.
 
-    Each step advances the local banks (stacks of EKFs, or IMMs run by run),
+    Each step advances the local banks (one EKF or IMM stack per sensor),
     then the centralized tracks, then, at a fusion step, every distributed
     strategy's fusion. Without feedback one bank of locals serves every
     distributed strategy; with feedback each routes into a bank of its own.
     An EKF fusion centre folds its predicted last fused track in as one more
     operand: that track carries the locals' history, so re-fusing the locals
     double-counts unless the rule accounts for it, which is what separates
-    the conservative rules from the naive product. Each IMM run fuses its two
-    locals' mixtures, then routes or prunes, and the match is scored. Each
-    run's arithmetic is that of the run on its own; if several runs or
-    strategies would fail, the first failure in step order is raised.
+    the conservative rules from the naive product. IMM mixtures are fused,
+    routed or pruned, and scored moment-matched. The error raised is the
+    first by step, bank, sensor (or strategy), then the stack's first failing check.
     Returns, per strategy, the scores, the seconds spent fusing and the
     fusion calls (one per run and fusion step).
     """
@@ -284,19 +282,17 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
     bank_of = {name: name if cfg.feedback else distributed[0] for name in distributed}
     starts = _start_mean(states[:, None, 0], perts, top)  # [R, sensors, top]
     cov0 = np.broadcast_to(_init_cov(cfg, top, dims), (n_runs, top, top))
-    banks = {key: ([[_imm_prior(cfg, models, mean) for mean in run] for run in starts] if imm
-                   else [GaussianDensity(starts[:, s], cov0) for s in range(len(cfg.sensors))])
+    banks = {key: [_imm_prior(cfg, models, starts[:, s]) if imm else
+                   GaussianDensity(starts[:, s], cov0) for s in range(len(cfg.sensors))]
              for key in dict.fromkeys(bank_of.values())}
     scores = {name: np.full((3, n_runs, n_fuse), np.nan) for name in strategies}
     fuse_seconds = dict.fromkeys(strategies, 0.0)
     for k in range(1, cfg.n_steps + 1):
         zs = [z[:, k - 1] for z in meas]
         for key, bank in banks.items():
-            banks[key] = ([[imm_step(loc, sensor, z[r])
-                            for loc, sensor, z in zip(run, cfg.sensors, zs)]
-                           for r, run in enumerate(bank)] if imm else
-                          [ekf_update(ekf_predict(loc, models[0]), sensor, z)
-                           for loc, sensor, z in zip(bank, cfg.sensors, zs)])
+            banks[key] = [imm_step(loc, sensor, z) if imm else
+                          ekf_update(ekf_predict(loc, models[0]), sensor, z)
+                          for loc, sensor, z in zip(bank, cfg.sensors, zs)]
         for name, model in central.items():
             track = ekf_predict(tracks[name], model)
             for sensor, z in zip(cfg.sensors, zs):
@@ -305,20 +301,19 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
         if k % cfg.fusion_every:
             continue
         slot = k // cfg.fusion_every - 1
-        outputs = {key: [[imm_output(loc) for loc in run] for run in bank]
+        outputs = {key: [imm_output(loc) for loc in bank]
                    for key, bank in banks.items()} if imm else {}
         for name in distributed:
             if imm:
                 tic = time.perf_counter()
-                fused = [fuse_pair(a, b, name, cfg.omega) for a, b in outputs[bank_of[name]]]
+                fused = fuse_pair(*outputs[bank_of[name]], name, cfg.omega)
                 fuse_seconds[name] += time.perf_counter() - tic
                 if cfg.feedback:
-                    banks[name] = [[route_feedback(loc, mix, idx) for idx, loc in enumerate(run)]
-                                   for run, mix in zip(banks[name], fused)]
-                else:
-                    fused = [prune_mixture(mix, cfg.prune_to)
-                             if mix.n_components > cfg.prune_to else mix for mix in fused]
-                tracks[name] = _matched(fused)
+                    banks[name] = [route_feedback(loc, fused, idx)
+                                   for idx, loc in enumerate(banks[name])]
+                elif fused.n_components > cfg.prune_to:
+                    fused = prune_mixture(fused, cfg.prune_to)
+                tracks[name] = moment_match(fused)
             else:
                 track, operands = tracks.get(name), banks[bank_of[name]]
                 if track is not None:
@@ -338,14 +333,6 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
             for name in strategies}
 
 
-def _matched(mixtures: list) -> GaussianDensity:
-    """The stack of each run's moment-matched mixture (one component count)."""
-    return GaussianDensity(*_mixture_moments(
-        np.stack([mix.weights for mix in mixtures]),
-        np.stack([mix.components.mean for mix in mixtures]),
-        np.stack([mix.components.cov for mix in mixtures])))
-
-
 def _models(cfg: ScenarioConfig) -> tuple[MotionModel, ...]:
     """The tracker's motion models: the EKF's NCV, or the IMM's NCV and NCA."""
     dims, tr = cfg.sensors[0].spatial_dims, cfg.tracker
@@ -356,12 +343,12 @@ def _models(cfg: ScenarioConfig) -> tuple[MotionModel, ...]:
 
 
 def _imm_prior(cfg: ScenarioConfig, models: tuple, mean: np.ndarray) -> ImmState:
-    """A local IMM tracker at ``mean`` (NCA state) with equal mode probabilities."""
-    dims = cfg.sensors[0].spatial_dims
+    """Local IMM trackers at ``mean[..., n]`` (NCA states), mode probabilities equal."""
+    dims, lead = cfg.sensors[0].spatial_dims, mean.shape[:-1]
     cov = _init_cov(cfg, models[1].state_dim, dims)
-    dens = tuple(GaussianDensity(mean[:m.state_dim], cov[:m.state_dim, :m.state_dim])
-                 for m in models)
-    return ImmState(dens, np.full(2, 0.5), models, cfg.tracker.transition,
+    dens = tuple(GaussianDensity(mean[..., :n], np.broadcast_to(cov[:n, :n], lead + (n, n)))
+                 for n in (m.state_dim for m in models))
+    return ImmState(dens, np.full(lead + (2,), 0.5), models, cfg.tracker.transition,
                     cfg.tracker.pad_var)
 
 

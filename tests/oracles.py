@@ -913,8 +913,9 @@ def ref_route_feedback(state, fed, operand_idx):
 # Reference copies of the mixture code as it stood when a mixture held a tuple
 # of component densities: evaluation, pruning and the arithmetic mean walk the
 # components one at a time, and moment matching stacks them first. Only how
-# they read ``.components`` is adjusted (component ``k`` is ``[..., k]`` of
-# the stack). The package's versions must reproduce them bit for bit.
+# they read ``.components`` and ``.weights`` is adjusted (component ``k`` is
+# ``[..., k]`` of the stack, its weight ``weights[..., k]``). The package's
+# versions must reproduce them bit for bit.
 
 def ref_mixture_pdf(mixture, x):
     vals = [w * c.pdf(x) for w, c in zip(mixture.weights, mixture.components)]
@@ -962,13 +963,13 @@ def ref_fuse_amd(inputs, weights):
     for pos, (wt, inp) in enumerate(zip(weights, inputs)):
         norm = _ref_as_mixture(inp)
         for k in range(norm.n_components):
-            out_w.append(wt * norm.weights[k])
+            out_w.append(wt * norm.weights[..., k])
             out_c.append(norm.components[..., k])
             src = norm.tags[k] if norm.tags is not None else ""
             out_t.append(_ref_provenance(n_inputs, pos, src))
             any_tags = any_tags or norm.tags is not None
     tags = tuple(out_t) if any_tags else None
-    return GaussianMixture(np.asarray(out_w), tuple(out_c), tags)
+    return GaussianMixture(np.stack(out_w, axis=-1), tuple(out_c), tags)
 
 
 def ref_stacked_moment_match(mixture):

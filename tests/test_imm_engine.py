@@ -69,8 +69,9 @@ def test_high_noise_preset_matches():
 
 def test_the_pair_quotient_fallback_fires_in_a_compared_study(monkeypatch):
     """Mixture hmd divides a cross pair whose gap test fails by the pair's own
-    two-component pool (``fusion._group_moments``); this study takes that
-    path 24 times and still matches the run-by-run path."""
+    two-component pool (``fusion._group_moments``, one call per fusion step
+    for the failing pairs of every run); this study takes that path for 24
+    cross pairs and still matches the run-by-run path."""
     calls = []
     group_moments = fusion._group_moments
 
@@ -82,7 +83,7 @@ def test_the_pair_quotient_fallback_fires_in_a_compared_study(monkeypatch):
     monkeypatch.setattr(fusion, "_group_moments", counted)
     report = run_scenario(cfg)
     monkeypatch.undo()
-    assert len(calls) == 24
+    assert sum(len(weights) for weights, _, _ in calls) == 24
     assert report.csv_text() == ref_imm_study(cfg).csv_text()
 
 

@@ -4,7 +4,9 @@ Evaluation, pruning, the arithmetic mean with moment matching, and powers of
 a component stack must reproduce the reference copies in ``oracles.py``,
 which walk the components one at a time, bit for bit. Joining densities into
 a stack and indexing a stack must keep each member's bits, stay read-only and
-run no new covariance check.
+run no new covariance check. Pruning and the mixture rules of ``fuse_pair``
+take stacks of mixtures (one weight vector per member) and must give each
+member what the call on that member alone, and the reference copy, give it.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from trackfuse import (
     apply_feedback,
     density_to_dict,
     fuse_amd,
+    fuse_pair,
     moment_match,
     prune_mixture,
     scaled_power,
@@ -213,12 +216,94 @@ def test_component_k_of_a_stack_of_mixtures_is_its_last_leading_axis(rng):
                           _stored_stack([single.components[k] for single in singles]))
 
 
-def test_prune_rejects_a_stack_of_mixtures(rng):
-    """Weight ties break by each run's own traces, so one ``keep`` does not
-    serve every run."""
-    _, stacked = _stack_of_mixtures(rng, 3, 3, 2)
-    with pytest.raises(ValueError, match="not a stack"):
-        prune_mixture(stacked, 2)
+def _mixture_stack(singles):
+    """The stack of one-run mixtures of one shape: per-member weights and
+    their stored component arrays, unchecked; the first member's tags."""
+    return GaussianMixture(np.stack([m.weights for m in singles]),
+                           _stored_stack([m.components for m in singles]), singles[0].tags)
+
+
+def _same_member(stack, r, want) -> bool:
+    """Member ``r`` of a stack of mixtures has ``want``'s weights and components."""
+    return (stack.weights[r].tobytes() == want.weights.tobytes()
+            and all(getattr(stack.components, f)[r].tobytes()
+                    == getattr(want.components, f).tobytes() for f in FIELDS))
+
+
+@settings(max_examples=80, deadline=None)
+@given(DIMS, st.integers(2, 6), st.integers(1, 4), st.integers(1, 5), st.booleans(), SEEDS)
+def test_prune_of_a_stack_equals_per_member_calls(dim, count, target, runs, tagged, seed):
+    """Each member keeps what it keeps alone, weight and trace ties included
+    (weights from three values; every other seed gives all components one
+    covariance); a pruned stack is untagged, since kept positions differ."""
+    rng = np.random.default_rng(seed)
+    tags = tuple(f"m{k}" for k in range(count)) if tagged else None
+    singles = []
+    for _ in range(runs):
+        mix = _mixture(rng, count, dim, tags, rng.choice([0.1, 0.2, 0.3], size=count))
+        if seed % 2:
+            shared = ref.random_spd(rng, dim)
+            mix = GaussianMixture(mix.weights, [GaussianDensity(rng.standard_normal(dim), shared)
+                                                for _ in range(count)], tags)
+        singles.append(mix)
+    pruned = prune_mixture(_mixture_stack(singles), target)
+    assert pruned.tags == (tags if count <= target else None)
+    for r, single in enumerate(singles):
+        alone = prune_mixture(single, target)
+        assert _same_mixture(alone, ref.ref_prune_mixture(single, target))
+        assert _same_member(pruned, r, alone)
+
+
+RULES = {
+    "naive": lambda a, b, w: ref.ref_mixture_product(a.normalized(), b.normalized()),
+    "gmd": ref.ref_fuse_pcf,
+    "amd": lambda a, b, w: ref.ref_fuse_amd([a, b], [w, 1.0 - w]),
+    "hmd": ref.ref_fuse_hmd_mixture,
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+@settings(max_examples=40, deadline=None)
+@given(DIMS, st.tuples(COUNTS, COUNTS), st.integers(1, 5), st.sampled_from([0.3, 0.5]),
+       st.booleans(), SEEDS)
+def test_fuse_pair_of_mixture_stacks_equals_per_member_calls(rule, dim, counts, runs, w,
+                                                             tagged, seed):
+    """One ``fuse_pair`` call fuses each member of two stacks of mixtures as
+    the call on that member's pair does, and as the per-pair loop does."""
+    rng = np.random.default_rng(seed)
+    tags = [("ncv", "nca", "ncj", "nci")[:n] if tagged else None for n in counts]
+    a = [_mixture(rng, counts[0], dim, tags[0]) for _ in range(runs)]
+    b = [_mixture(rng, counts[1], dim, tags[1]) for _ in range(runs)]
+    fused = fuse_pair(_mixture_stack(a), _mixture_stack(b), rule, w)
+    for r in range(runs):
+        alone = fuse_pair(a[r], b[r], rule, w)
+        assert _same_mixture(alone, RULES[rule](a[r], b[r], w))
+        assert _same_member(fused, r, alone) and fused.tags == alone.tags
+
+
+def _pair_members():
+    """2-d mixture pairs whose hmd cross pairs fall back to their own pools:
+    none, none though near the tolerance, and all."""
+    from test_cross_kernel import _all_fallback_pair, _near_tolerance_pair, _no_fallback_pair
+    return {"none": _no_fallback_pair(), "near": _near_tolerance_pair(),
+            "all": _all_fallback_pair()}
+
+
+@pytest.mark.parametrize("members", [("none", "all"), ("all", "near", "none"),
+                                     ("near", "all", "all"), ("all",)])
+def test_hmd_of_a_stack_takes_the_pair_pool_fallback_per_member(members):
+    """Only the members whose pairs fail the gap test use their own pools."""
+    pairs = _pair_members()
+    a = [GaussianMixture(pairs[m][0].weights, pairs[m][0].components, ("ncv", "nca"))
+         for m in members]
+    b = [GaussianMixture(pairs[m][1].weights, pairs[m][1].components, ("ncv", "nca"))
+         for m in members]
+    fused = fuse_pair(_mixture_stack(a), _mixture_stack(b), "hmd", 0.3)
+    for r, name in enumerate(members):
+        seen = []
+        want = ref.ref_fuse_hmd_mixture(a[r], b[r], 0.3, seen)
+        assert seen == [name == "all"] * 4
+        assert _same_member(fused, r, want) and fused.tags == want.tags
 
 
 def test_apply_feedback_of_a_stack_of_mixtures_gives_each_run_its_components(rng):
@@ -231,7 +316,8 @@ def test_apply_feedback_of_a_stack_of_mixtures_gives_each_run_its_components(rng
     for mode in range(2):
         alone = [apply_feedback(state, single).densities[mode] for single in singles]
         assert _same_bits(fed.densities[mode], _stored_stack(alone))
-    assert fed.mode_probs.tobytes() == apply_feedback(state, singles[0]).mode_probs.tobytes()
+    for r, single in enumerate(singles):
+        assert fed.mode_probs[r].tobytes() == apply_feedback(state, single).mode_probs.tobytes()
 
 
 def test_json_rejects_a_stack_of_mixtures(rng):

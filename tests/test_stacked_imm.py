@@ -13,7 +13,11 @@ the old routines in ``oracles``:
   sqrt(pad_var) I)`` and reproduces the covariance, and it is accepted or
   rejected exactly when the public constructor would accept or reject it;
 - a truncated stack gives each member the bits and the verdict the member
-  gets alone.
+  gets alone;
+- a stack of IMM trackers (one member per run) steps, outputs, routes and
+  applies feedback member by member: each member gets the bits it gets
+  alone and that the reference copies give it, the zero-weight feedback
+  rule included where only some members hit it.
 
 None of this depends on the platform's LAPACK. Whether its factorization of
 the padded or truncated matrix has the same bits as the derived factor does;
@@ -22,6 +26,7 @@ recorded on.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,17 +39,23 @@ from trackfuse import (
     ImmState,
     MotionModel,
     NotPositiveDefinite,
+    apply_feedback,
     bearing_sensor,
+    fuse_pair,
+    imm_output,
     imm_step,
     moment_match,
+    route_feedback,
     truncate_state,
     zero_pad,
 )
 
 from oracles import (
     LinearSensor,
+    random_gaussian,
     ref_imm_step,
     ref_moment_match,
+    ref_route_feedback,
     ref_truncate_state,
     ref_zero_pad,
 )
@@ -281,3 +292,171 @@ def test_imm_step_equals_the_mixture_per_mode_cycle(case):
         assert new.models is state.models and new.transition is state.transition
         assert new.pad_var == state.pad_var
         state = new
+
+
+# ---------------------------------------------------------------------------
+# Stacks of IMM trackers: one member per Monte Carlo run, sharing the models,
+# transition and padding variance.
+
+
+def _stored_stack(densities):
+    """The densities' stored arrays stacked on a new leading axis, unchecked."""
+    return GaussianDensity._view(*(np.stack([getattr(d, f) for d in densities])
+                                   for f in ("mean", "cov", "chol")))
+
+
+def _state_stack(states):
+    """One ``ImmState`` holding ``states`` (of one model set) as its members."""
+    first = states[0]
+    return ImmState(tuple(_stored_stack([s.densities[m] for s in states])
+                          for m in range(len(first.models))),
+                    np.stack([s.mode_probs for s in states]), first.models,
+                    first.transition, first.pad_var)
+
+
+def _same_state_member(stack, r, state) -> bool:
+    return (_same_bits(stack.mode_probs[r], state.mode_probs)
+            and all(_same_member(a, r, b) for a, b in zip(stack.densities, state.densities)))
+
+
+@st.composite
+def imm_stacks(draw):
+    """``imm_cases`` with 1-5 trackers that share the models, transition and
+    ``pad_var``, and one measurement per tracker and step."""
+    state, sensor, _ = draw(imm_cases())
+    members = [state] + [
+        ImmState(tuple(draw(densities(m.state_dim)) for m in state.models),
+                 _distribution(draw, len(state.models)), state.models, state.transition,
+                 state.pad_var)
+        for _ in range(draw(st.integers(0, 4)))]
+    truth = [m.densities[0].mean[:sensor.spatial_dims] for m in members]
+    zs = [np.stack([np.atleast_1d(sensor.measure(t + draw(st.floats(-5.0, 5.0))))
+                    for t in truth]) for _ in range(draw(st.integers(1, 3)))]
+    return members, sensor, zs
+
+
+@settings(max_examples=100, deadline=None)
+@given(imm_stacks())
+def test_imm_step_of_a_stack_equals_per_member_calls(case):
+    """Each member steps as it steps alone and as the per-mode cycle steps it;
+    its mixture output is the one it outputs alone. If members fail, the
+    stack raises what one of them raises."""
+    members, sensor, zs = case
+    stack = _state_stack(members)
+    for z in zs:
+        with np.errstate(all="ignore"):
+            new = _outcome(imm_step, stack, sensor, z)
+            alone = [_outcome(imm_step, m, sensor, z[r]) for r, m in enumerate(members)]
+            refs = [_outcome(ref_imm_step, m, sensor, z[r]) for r, m in enumerate(members)]
+        if any(isinstance(a, type) for a in alone):
+            assert new in [a for a in alone if isinstance(a, type)]
+            return
+        for r, (one, (ref_densities, ref_probs)) in enumerate(zip(alone, refs)):
+            assert _same_state_member(new, r, one)
+            assert _same_bits(one.mode_probs, ref_probs)
+            assert all(_same_density(a, b) for a, b in zip(one.densities, ref_densities))
+        out = imm_output(new)
+        assert out.tags == tuple(m.kind for m in stack.models)
+        for r, one in enumerate(alone):
+            single = imm_output(one)
+            assert _same_bits(out.weights[r], single.weights)
+            assert _same_member(out.components, r, single.components)
+        stack, members = new, alone
+
+
+def _routing_locals(rng, runs, probs):
+    ncv = MotionModel("ncv", 1.0, 0.5, 1)
+    nca = MotionModel("nca", 1.0, 2.0, 1)
+    return [ImmState((random_gaussian(rng, 2), random_gaussian(rng, 3)), np.array(p),
+                     (ncv, nca), np.array([[0.9, 0.1], [0.2, 0.8]]), pad_var=0.5)
+            for p in probs[:runs]]
+
+
+PROBS = [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5], [0.9, 0.1], [0.2, 0.8]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["naive", "gmd", "pcf", "hmd", "amd"]), st.integers(1, 5),
+       st.sampled_from([0.3, 0.5]), st.integers(0, 2**32 - 1))
+def test_route_feedback_of_a_stack_equals_per_member_calls(strategy, runs, w, seed):
+    """Fusing two stacks of locals and routing the stacked result back gives
+    each member what routing its own fused mixture gives it, and what the
+    per-mode loop gives it."""
+    rng = np.random.default_rng(seed)
+    a, b = _routing_locals(rng, runs, PROBS), _routing_locals(rng, runs, PROBS[::-1])
+    stacks = [_state_stack(a), _state_stack(b)]
+    fused = fuse_pair(imm_output(stacks[0]), imm_output(stacks[1]), strategy, w)
+    for idx, (stack, members) in enumerate(zip(stacks, (a, b))):
+        routed = route_feedback(stack, fused, idx)
+        for r, member in enumerate(members):
+            mix = fuse_pair(imm_output(a[r]), imm_output(b[r]), strategy, w)
+            alone = route_feedback(member, mix, idx)
+            want = ref_route_feedback(member, mix, idx)
+            assert _same_state_member(routed, r, alone)
+            assert _same_bits(alone.mode_probs, want.mode_probs)
+            assert all(_same_density(x, y) for x, y in zip(alone.densities, want.densities))
+
+
+def test_route_feedback_applies_the_zero_weight_rule_per_member(rng):
+    """In member 0 every component involving operand 0's nca mode has weight
+    0; that member keeps the mode's density at weight 0, the others route as
+    usual, each as it routes alone."""
+    members = _routing_locals(rng, 3, PROBS)
+    comps = [tuple(random_gaussian(rng, 3) for _ in range(4)) for _ in members]
+    weights = [np.array([0.6, 0.4, 0.0, 0.0]), np.array([0.1, 0.2, 0.3, 0.4]),
+               np.array([0.0, 0.0, 0.5, 0.5])]
+    tags = ("ncv|ncv", "ncv|nca", "nca|ncv", "nca|nca")
+    singles = [GaussianMixture(w, c, tags) for w, c in zip(weights, comps)]
+    fed = GaussianMixture(np.stack(weights), _stored_stack([m.components for m in singles]),
+                          tags)
+    stack = _state_stack(members)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        routed = [route_feedback(stack, fed, idx) for idx in range(2)]
+        alone = [[route_feedback(m, f, idx) for m, f in zip(members, singles)]
+                 for idx in range(2)]
+    for idx in range(2):
+        for r in range(3):
+            assert _same_state_member(routed[idx], r, alone[idx][r])
+    assert routed[0].mode_probs[0].tolist() == [1.0, 0.0]
+    assert routed[0].mode_probs[2].tolist() == [0.0, 1.0]
+    assert _same_member(routed[0].densities[1], 0, members[0].densities[1])
+    assert _same_member(routed[0].densities[0], 2, members[2].densities[0])
+    want = ref_route_feedback(members[1], singles[1], 0)
+    assert _same_state_member(routed[0], 1, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_apply_feedback_of_a_stack_equals_per_member_calls(runs, seed):
+    rng = np.random.default_rng(seed)
+    members = _routing_locals(rng, runs, PROBS)
+    singles = [GaussianMixture(np.array(p), (random_gaussian(rng, 3), random_gaussian(rng, 3)),
+                               ("nca", "ncv")) for p in PROBS[:runs]]
+    fed = GaussianMixture(np.stack([m.weights for m in singles]),
+                          _stored_stack([m.components for m in singles]), ("nca", "ncv"))
+    applied = apply_feedback(_state_stack(members), fed)
+    for r, (member, single) in enumerate(zip(members, singles)):
+        assert _same_state_member(applied, r, apply_feedback(member, single))
+
+
+def test_a_stacked_state_checks_its_stack_shapes():
+    members = _routing_locals(np.random.default_rng(0), 2, PROBS)
+    stack = _state_stack(members)
+    with pytest.raises(ValueError, match="stack shape"):
+        ImmState(stack.densities, stack.mode_probs[:1], stack.models, stack.transition)
+    with pytest.raises(ValueError, match="distribution"):
+        ImmState(stack.densities, np.array([[0.5, 0.5], [0.5, 0.6]]), stack.models,
+                 stack.transition)
+
+
+def test_a_state_pads_its_modes_once():
+    """``imm_output`` and the next ``imm_step`` share one padding; the
+    stepped state pads its own modes."""
+    state = _routing_locals(np.random.default_rng(1), 1, PROBS)[0]
+    assert imm_output(state).components is state._padded()
+    assert state._padded() is state._padded()
+    stepped = imm_step(state, LinearSensor(np.array([[1.0]]), np.array([[1.0]])),
+                       np.array([0.5]))
+    assert stepped._padded() is not state._padded()
+    assert stepped._padded().mean[..., 0, :2].tobytes() == stepped.densities[0].mean.tobytes()
