@@ -6,9 +6,13 @@ per Monte Carlo run, each with its own measurement) as it would step alone,
 with one sensor-model call for the whole stack. The IMM keeps one density
 per motion model; models of different state dimension interact by
 zero-padding the shorter states up to the longest one (padded entries get a
-configured variance) wherever cross-mode moments are formed, and truncating
-back afterwards. The IMM functions, too, step, prune and route each member of
-a stack as they do one alone; if members fail, the first failing check raises.
+configured variance, with no cross terms). A cycle mixes in that common
+space and then predicts and updates every mode in one pass over a padded
+``[..., M, D]`` stack (each transition extended by an identity block, each
+process noise by a zero one), truncating back afterwards. The IMM functions,
+too, step, prune and route each member of a stack as they do one alone; if
+members fail, the first failing check raises (see :func:`imm_step` for the
+cycle's order).
 """
 
 from __future__ import annotations
@@ -59,10 +63,15 @@ def _identity(dim: int) -> np.ndarray:
 
 
 def ekf_predict(track: GaussianDensity, motion: MotionModel) -> GaussianDensity:
-    """One motion-model prediction step (of each member of a stack)."""
+    """One motion-model prediction step (of each member of a stack).
+
+    ``motion`` supplies ``transition`` and ``noise``: one model's ``[n, n]``
+    matrices, or stacks of them that broadcast against the track's leading
+    axes (an IMM's padded modes, one model per mode).
+    """
     f = motion.transition
     return GaussianDensity(_matvec(f, track.mean),
-                           symmetrize(f @ track.cov @ f.T + motion.noise))
+                           symmetrize(f @ track.cov @ f.swapaxes(-1, -2) + motion.noise))
 
 
 def _joseph_update(track: GaussianDensity, meas: MeasurementModel, z) -> tuple:
@@ -135,14 +144,21 @@ def zero_pad(track: GaussianDensity, target_dim: int, pad_var: float) -> Gaussia
 
 def truncate_state(track: GaussianDensity, dim: int) -> GaussianDensity:
     """Marginal over the leading ``dim`` state entries (of each member of a
-    stack; ``track`` itself when ``dim`` is its whole dimension); its factor
-    is the leading block of ``track.chol``."""
+    stack; ``track`` itself when ``dim`` is its whole dimension), a view.
+
+    Its factor is the leading block of ``track.chol``. Nothing is checked
+    again: its pivots are the parent's leading pivots, and its floor,
+    ``1e-12`` times its largest variance, is at most the parent's. A ``dim``
+    below 1 or above ``track.dim`` raises ``ValueError``.
+    """
     if dim > track.dim:
         raise ValueError("cannot truncate to a larger dimension")
+    if dim < 1:
+        raise ValueError("cannot truncate to fewer than one state entry")
     if dim == track.dim:
         return track
-    return GaussianDensity._derived(track.mean[..., :dim], track.cov[..., :dim, :dim],
-                                    track.chol[..., :dim, :dim])
+    return GaussianDensity._view(track.mean[..., :dim], track.cov[..., :dim, :dim],
+                                 track.chol[..., :dim, :dim])
 
 
 def _check_mode_probs(probs: np.ndarray) -> None:
@@ -168,6 +184,11 @@ class ImmState:
     the models, transition and ``pad_var``. ``transition[i, j]`` is the probability of
     switching from mode ``i`` to mode ``j`` over one step. ``pad_var`` is the variance
     assigned to zero-padded entries when modes of different dimension are combined.
+
+    The modes zero-padded to the common space form one ``[..., M, D]`` stack, built
+    once per state: a state :func:`imm_step` returns already holds it (its modes are
+    views of it), any other state pads its modes when first asked. The padded motion
+    models are built once per model set and passed on to every state that follows.
     """
 
     densities: tuple[GaussianDensity, ...]
@@ -193,18 +214,21 @@ class ImmState:
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "transition", trans)
 
-    def _advance(self, densities: tuple[GaussianDensity, ...],
-                 mode_probs: np.ndarray) -> "ImmState":
+    def _advance(self, densities: tuple[GaussianDensity, ...], mode_probs: np.ndarray,
+                 padded: GaussianDensity | None = None) -> "ImmState":
         """This state with new mode densities and probabilities.
 
         Only the new fields are checked; the models, transition and
-        ``pad_var`` are carried over as already validated, the padding is not.
+        ``pad_var`` are carried over as already validated, and so is their
+        :meth:`_layout`. The padding is not, unless ``padded`` is the new
+        densities' :meth:`_padded` stack.
         """
         _check_mode_probs(mode_probs)
         _check_mode_dims(densities, self.models, mode_probs.shape[:-1])
         state = object.__new__(ImmState)
         state.__dict__.update(densities=densities, mode_probs=mode_probs, models=self.models,
-                              transition=self.transition, pad_var=self.pad_var)
+                              transition=self.transition, pad_var=self.pad_var,
+                              _lay=self.__dict__.get("_lay"), _pad=padded)
         return state
 
     @property
@@ -213,43 +237,120 @@ class ImmState:
 
     def _padded(self) -> GaussianDensity:
         """The modes zero-padded to the common space, one ``[..., M, d]`` stack, built once."""
-        if "_pad" not in self.__dict__:
+        if self.__dict__.get("_pad") is None:
             self.__dict__["_pad"] = _joined(
                 [zero_pad(d, self.max_dim, self.pad_var) for d in self.densities], np.stack)
         return self.__dict__["_pad"]
+
+    def _layout(self) -> "_PaddedModes":
+        """The models' padded layout, built once per model set (call after
+        :meth:`_padded`, which validates ``pad_var`` where a mode is padded)."""
+        if self.__dict__.get("_lay") is None:
+            self.__dict__["_lay"] = _PaddedModes.of(self.models, self.pad_var)
+        return self.__dict__["_lay"]
+
+
+@dataclass(frozen=True)
+class _PaddedModes:
+    """Where each mode's own entries sit in the common ``[M, D]`` space, and
+    its motion model padded to that space: ``transition[j]`` is ``F_j`` with
+    an identity trailing block and ``noise[j]`` is ``Q_j`` with a zero one, so
+    a padded state steps its own block as the model does and keeps its padding.
+    """
+
+    keep: np.ndarray         # [M, D]: entry inside mode j's own block
+    keep_cov: np.ndarray     # [M, D, D]
+    pad_cov: np.ndarray      # [M, D, D]: pad_var on the padded diagonal, else 0
+    pad_chol: np.ndarray     # [M, D, D]: its factor
+    transition: np.ndarray   # [M, D, D]
+    noise: np.ndarray        # [M, D, D]
+
+    @classmethod
+    def of(cls, models: tuple[MotionModel, ...], pad_var: float) -> "_PaddedModes":
+        dims = np.array([m.state_dim for m in models])
+        top = int(dims.max())
+        keep = np.arange(top) < dims[:, None]
+        keep_cov = keep[:, :, None] & keep[:, None, :]
+        padded = np.eye(top, dtype=bool) & ~keep_cov
+        root = math.sqrt(pad_var) if padded.any() else 0.0
+        transition = np.where(padded, 1.0, 0.0)
+        noise = np.zeros(transition.shape)
+        for j, (model, dim) in enumerate(zip(models, dims)):
+            transition[j, :dim, :dim] = model.transition
+            noise[j, :dim, :dim] = model.noise
+        return cls(keep, keep_cov, np.where(padded, pad_var, 0.0), np.where(padded, root, 0.0),
+                   transition, noise)
+
+    def repad(self, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> tuple:
+        """``zero_pad(truncate_state(stack[..., j], d_j))`` of every mode of a
+        ``[..., M, D]`` stack's arrays: each mode's own block kept, the rest reset."""
+        return (np.where(self.keep, mean, 0.0), np.where(self.keep_cov, cov, self.pad_cov),
+                np.where(self.keep_cov, chol, self.pad_chol))
 
 
 def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState:
     """One interacting multiple-model cycle: mix, predict, update, reweight.
 
     Mixing forms, for each destination mode, the moment-matched Gaussian of
-    the incoming mode densities under the transition-conditioned weights
-    (in the zero-padded common space when dimensions differ). The mode
+    the incoming mode densities under the transition-conditioned weights, in
+    the zero-padded common space. Each mixed mode is then reset to its own
+    block plus the padding (``zero_pad(truncate_state(mixed_j, d_j))``), and
+    all modes are predicted with their padded models and updated with
+    ``z[..., m]`` in one pass over the ``[..., M, D]`` stack; each mode's
+    own block gets the bits a prediction and update in its own space give.
+    The new state's modes are the leading blocks of the updated stack, which,
+    re-padded, is also its :meth:`ImmState._padded` stack. The mode
     probabilities are reweighted in log space, shifted by their maximum, so
-    their total is at least 1 even when every likelihood underflows; a
-    non-finite log-likelihood raises :class:`ModeLikelihoodDegenerate`.
+    their total is at least 1 even when every likelihood underflows.
+
+    Checks run stage by stage over the whole stack: the mixing weights, the
+    mixed covariances, the predicted ones, the innovation factorization, the
+    updated covariances (each in full; the re-padded updated ones' pivot
+    floor too) and the likelihoods. The first failing stage raises what its
+    first failing member raises, members in row-major order (run, then mode). The
+    padded predicted and updated covariances face :func:`zero_pad`'s floor,
+    ``1e-12 * max(max variance, pad_var)``, which no mode's own block check
+    is stricter than and which the next cycle's padding would apply anyway:
+    a mode that would fail it there fails one cycle earlier.
+
+    Raises
+    ------
+    NotPositiveDefinite, NotSymmetric
+        If a mixed, predicted or updated covariance fails its check.
+    SingularInnovation
+        If an innovation covariance cannot be factored.
+    ModeLikelihoodDegenerate
+        If a mode log-likelihood is not finite.
     """
     mu = state.mode_probs
     trans = state.transition
-    cbar = np.maximum(mu @ trans, np.finfo(float).tiny)
+    # One (1, M) @ (M, M) product per member: a member's mixing weights do
+    # not depend on how many members share the stack.
+    cbar = np.maximum((mu[..., None, :] @ trans)[..., 0, :], np.finfo(float).tiny)
     pad = state._padded()
+    layout = state._layout()
 
-    new_densities = []
-    logliks = np.empty(mu.shape)
-    for j, model in enumerate(state.models):
-        mixed = GaussianDensity(*_mixture_moments(trans[:, j] * mu / cbar[..., j, None],
-                                                  pad.mean, pad.cov))
-        mode_track = truncate_state(mixed, model.state_dim)
-        predicted = ekf_predict(mode_track, model)
-        updated, logliks[..., j] = ekf_update_with_loglik(predicted, meas, z)
-        new_densities.append(updated)
-
+    means, covs = zip(*(_mixture_moments(trans[:, j] * mu / cbar[..., j, None],
+                                         pad.mean, pad.cov)
+                        for j in range(len(state.models))))
+    cov = np.stack(covs, axis=-3)
+    # Each re-padded mode keeps a block of a checked mixed covariance. Only
+    # the prediction reads it, and that checks its result in full; a pivot
+    # floor test here could reject a mode whose own block passes before its
+    # process noise is added, since pad_var may exceed its variances.
+    mixed = GaussianDensity._view(*layout.repad(np.stack(means, axis=-2), cov,
+                                                assert_spd(cov)))
+    z = np.atleast_1d(np.asarray(z, dtype=float))[..., None, :]
+    updated, logliks = ekf_update_with_loglik(ekf_predict(mixed, layout), meas, z)
+    padded = GaussianDensity._derived(*layout.repad(updated.mean, updated.cov, updated.chol))
     if not np.all(np.isfinite(logliks)):
         raise ModeLikelihoodDegenerate("non-finite mode likelihood")
+    densities = tuple(truncate_state(padded[..., j], model.state_dim)
+                      for j, model in enumerate(state.models))
     log_mu = np.log(cbar) + logliks
     log_mu -= log_mu.max(axis=-1, keepdims=True)
     new_mu = np.exp(log_mu)
-    return state._advance(tuple(new_densities), new_mu / new_mu.sum(axis=-1, keepdims=True))
+    return state._advance(densities, new_mu / new_mu.sum(axis=-1, keepdims=True), padded)
 
 
 def imm_output(state: ImmState) -> GaussianMixture:

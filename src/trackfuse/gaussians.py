@@ -29,13 +29,18 @@ instead of a fresh factorization: a leading marginal
 (``filters.truncate_state``) takes the leading block of the parent's factor
 (of each member's, for a stack), and a zero-padded state
 (``filters.zero_pad``) takes ``blockdiag(parent factor, sqrt(pad_var) I)``.
-Both are Cholesky factors of their covariances, and both still run
-:func:`assert_spd`'s pivot floor test on the derived pivots (per member), so
-they are accepted or rejected as a fresh check would decide. OpenBLAS's
-unblocked factorization computes a leading block without looking at the rows
-below it, so for the presets' sizes (up to 6) a derived factor has the same
-bits as a fresh one; a LAPACK that orders its operations
-differently agrees to round-off. Matrices that are not yet a density
+Both are Cholesky factors of their covariances. A zero-padded state still
+runs :func:`assert_spd`'s pivot floor test on the derived pivots (per
+member), so it is accepted or rejected as a fresh check would decide; a
+leading marginal is a plain view, since its pivots are the parent's leading
+pivots and its floor can only be lower. ``filters.imm_step`` checks its
+padded mode stacks the same way: the mixed, predicted and updated
+covariances in full, and the re-padded updated stack's pivot floor, which
+is the floor the next step's padding would test. OpenBLAS's unblocked
+factorization computes a leading block without looking at the rows below
+it, so for the presets' sizes (up to 6) a derived factor has the same bits
+as a fresh one; a LAPACK that orders its operations differently agrees to
+round-off. Matrices that are not yet a density
 (a precision sum, a division gap, a product or division scale term's
 covariance) pass the full check in :func:`assert_spd` or :func:`spd_inv`; a
 scale term's log density comes from that check's factor.

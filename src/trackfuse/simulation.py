@@ -82,7 +82,19 @@ _IMM_STRATEGIES = _EKF_STRATEGIES + ("centralized_ca", "pcf")
 
 def nees_bounds(n_runs: int, dim: int, sided: int = 2,
                 alpha: float = 0.05) -> tuple[float, float]:
-    """Chi-square bounds for the run-averaged NEES of a consistent estimator."""
+    """Chi-square bounds for the run-averaged NEES of a consistent estimator.
+
+    ``sided=2`` puts ``alpha / 2`` in each tail; ``sided=1`` gives the bounds
+    ``(0, upper)`` with ``alpha`` in the upper tail. ``n_runs`` and ``dim``
+    must be positive and ``alpha`` must lie in (0, 1); anything else raises
+    ``ValueError``.
+    """
+    if sided not in (1, 2):
+        raise ValueError(f"sided must be 1 or 2, got {sided!r}")
+    if not (n_runs >= 1 and dim >= 1):
+        raise ValueError(f"need at least one run and one dimension, got {n_runs} and {dim}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     # chi2.ppf's own formula, 2 gammaincinv(dof / 2, q), without importing
     # scipy.stats (most of the package's import time).
     q = (alpha / 2.0, 1.0 - alpha / 2.0) if sided == 2 else (0.0, 1.0 - alpha)

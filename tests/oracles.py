@@ -305,6 +305,8 @@ def ref_zero_pad(track, target_dim, pad_var):
 def ref_truncate_state(track, dim):
     if dim > track.dim:
         raise ValueError("cannot truncate to a larger dimension")
+    if dim < 1:
+        raise ValueError("cannot truncate to fewer than one state entry")
     if dim == track.dim:
         return track
     return GaussianDensity(track.mean[:dim], track.cov[:dim, :dim])
@@ -330,23 +332,28 @@ def ref_ekf_update_with_loglik(track, meas, z):
 
 
 def ref_imm_step(state, meas, z):
-    """Old ``imm_step``; returns the new ``(densities, mode_probs)``."""
+    """Old ``imm_step``; returns the new ``(densities, mode_probs)``.
+
+    Its stages run over all modes in turn (mix and check, predict and check,
+    update), so a failure raises at the stage ``imm_step`` documents for it.
+    """
     n = len(state.models)
     mu = state.mode_probs
     trans = state.transition
     cbar = np.maximum(trans.T @ mu, np.finfo(float).tiny)
     padded = [ref_zero_pad(d, state.max_dim, state.pad_var) for d in state.densities]
-    densities = []
-    logliks = np.empty(n)
-    for j, model in enumerate(state.models):
-        mean, cov = ref_moment_match(trans[:, j] * mu / cbar[j],
-                                     [d.mean for d in padded], [d.cov for d in padded])
-        mode_track = ref_truncate_state(GaussianDensity(mean, cov), model.state_dim)
+    mixed = [GaussianDensity(*ref_moment_match(trans[:, j] * mu / cbar[j],
+                                               [d.mean for d in padded],
+                                               [d.cov for d in padded]))
+             for j in range(n)]
+    predicted = []
+    for mix, model in zip(mixed, state.models):
+        mode_track = ref_truncate_state(mix, model.state_dim)
         f = model.transition
-        predicted = GaussianDensity(f @ mode_track.mean,
-                                    _ref_symmetrize(f @ mode_track.cov @ f.T + model.noise))
-        updated, logliks[j] = ref_ekf_update_with_loglik(predicted, meas, z)
-        densities.append(updated)
+        predicted.append(GaussianDensity(f @ mode_track.mean,
+                                         _ref_symmetrize(f @ mode_track.cov @ f.T + model.noise)))
+    densities, logliks = zip(*(ref_ekf_update_with_loglik(p, meas, z) for p in predicted))
+    logliks = np.array(logliks)
     if not np.all(np.isfinite(logliks)):
         raise ModeLikelihoodDegenerate("non-finite mode likelihood")
     log_mu = np.log(cbar) + logliks

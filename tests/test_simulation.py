@@ -66,6 +66,26 @@ def test_nees_bounds_tighten_with_more_runs():
     assert lo_few < lo_many < 4 < hi_many < hi_few
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"sided": 0}, "sided"),
+    ({"sided": 3}, "sided"),
+    ({"n_runs": 0}, "at least one run"),
+    ({"n_runs": -2}, "at least one run"),
+    ({"dim": 0}, "at least one run"),
+    ({"alpha": 0.0}, "alpha"),
+    ({"alpha": 1.0}, "alpha"),
+    ({"alpha": 1.5}, "alpha"),
+    ({"alpha": -0.05}, "alpha"),
+    ({"alpha": float("nan")}, "alpha"),
+])
+def test_nees_bounds_reject_bad_arguments(kwargs, match):
+    """Before the checks, ``sided`` 0 or 3 gave one-sided bounds, no runs gave
+    ``(nan, nan)`` and ``alpha=1.5`` gave a lower bound above the upper one."""
+    args = dict(n_runs=50, dim=4, sided=2, alpha=0.05) | kwargs
+    with pytest.raises(ValueError, match=match):
+        nees_bounds(**args)
+
+
 def test_nees_bounds_equal_chi2_ppf_exactly():
     # nees_bounds evaluates the chi-square quantile by scipy.stats' own
     # formula without importing scipy.stats; the bounds must keep their bits.
