@@ -147,16 +147,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    division_fn = None
-    if args.break_division:
-        from .gaussians import gaussian_division
-
-        def division_fn(num, den):
-            out = gaussian_division(num, den)
-            broken = GaussianDensity(out.density.mean + 1.0, 1.5 * out.density.cov)
-            return type(out)(out.log_scale, broken)
-
-    results = run_suite(trials=args.trials, seed=args.seed, division_fn=division_fn)
+    results = run_suite(trials=args.trials, seed=args.seed)
     width = max(len(r.name) for r in results)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -208,11 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     val = sub.add_parser("validate", help="run the property-check suite")
-    val.add_argument("--trials", type=int, default=1000,
+    val.add_argument("--trials", type=_positive_int, default=1000,
                      help="randomized trials per check (10 for a fast pass)")
     val.add_argument("--seed", type=int, default=0)
-    val.add_argument("--break-division", action="store_true",
-                     help=argparse.SUPPRESS)
     val.set_defaults(func=_cmd_validate)
     return parser
 

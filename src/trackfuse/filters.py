@@ -3,13 +3,12 @@
 The EKF update uses the Joseph-form covariance and wraps angular innovation
 components. The EKF steps also step each member of a stacked density (one
 per Monte Carlo run, each with its own measurement) as it would step alone,
-with one sensor-model call for the whole stack. The IMM keeps one density
-per motion model; models of different state dimension interact by
-zero-padding the shorter states up to the longest one (padded entries get a
-configured variance, with no cross terms). A cycle mixes in that common
-space and then predicts and updates every mode in one pass over a padded
-``[..., M, D]`` stack (each transition extended by an identity block, each
-process noise by a zero one), truncating back afterwards. The IMM functions,
+with one sensor-model call for the whole stack. The IMM holds its modes as
+one stack ``[..., M, D]`` zero-padded to the longest model's dimension: each
+mode keeps its own block, and its padded entries get a configured variance,
+with no cross terms. A cycle mixes, predicts and updates every mode in one
+pass over that stack (each transition extended by an identity block, each
+process noise by a zero one), then resets each mode's padding. The IMM functions,
 too, step, prune and route each member of a stack as they do one alone; if
 members fail, the first failing check raises (see :func:`imm_step` for the
 cycle's order).
@@ -18,7 +17,7 @@ cycle's order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -167,87 +166,70 @@ def _check_mode_probs(probs: np.ndarray) -> None:
         raise ValueError("mode probabilities must be a distribution")
 
 
-def _check_mode_dims(densities, models, lead: tuple) -> None:
-    for dens, model in zip(densities, models):
-        if dens.dim != model.state_dim:
-            raise ValueError("mode density dimension does not match its model")
-        if dens.mean.shape[:-1] != lead:
-            raise ValueError("mode densities and probabilities must share one stack shape")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ImmState:
     """Mode-conditioned densities with probabilities and the Markov transition.
 
-    ``models[k]`` generates ``densities[k]``, of probability ``mode_probs[..., k]``: one
+    ``models[k]`` generates mode ``k``, of probability ``mode_probs[..., k]``: one
     density ``[d_k]``, or a stack ``[..., d_k]`` of trackers (one per run) that share
     the models, transition and ``pad_var``. ``transition[i, j]`` is the probability of
     switching from mode ``i`` to mode ``j`` over one step. ``pad_var`` is the variance
     assigned to zero-padded entries when modes of different dimension are combined.
 
-    The modes zero-padded to the common space form one ``[..., M, D]`` stack, built
-    once per state: a state :func:`imm_step` returns already holds it (its modes are
-    views of it), any other state pads its modes when first asked. The padded motion
-    models are built once per model set and passed on to every state that follows.
+    The modes are stored once, as one stack ``modes[..., M, D]`` in the common
+    space: mode ``k`` keeps its own ``d_k`` block, with ``pad_var`` on the padded
+    diagonal and no cross terms. The constructor pads ``densities`` with
+    :func:`zero_pad`, whose failure it raises, and lays the models out once for
+    every state that follows; ``densities`` reads each mode's own block as a view.
     """
 
-    densities: tuple[GaussianDensity, ...]
+    modes: GaussianDensity
     mode_probs: np.ndarray
     models: tuple[MotionModel, ...]
     transition: np.ndarray
-    pad_var: float = 1.0
+    pad_var: float
+    _lay: "_PaddedModes" = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        probs = np.atleast_1d(np.asarray(self.mode_probs, dtype=float))
-        trans = np.atleast_2d(np.asarray(self.transition, dtype=float))
-        n = len(self.densities)
-        if len(self.models) != n or probs.shape[-1:] != (n,) or trans.shape != (n, n):
+    def __init__(self, densities, mode_probs, models, transition, pad_var: float = 1.0):
+        densities, models = tuple(densities), tuple(models)
+        probs = np.atleast_1d(np.asarray(mode_probs, dtype=float))
+        trans = np.atleast_2d(np.asarray(transition, dtype=float))
+        n = len(densities)
+        if len(models) != n or probs.shape[-1:] != (n,) or trans.shape != (n, n):
             raise ValueError("densities, models, mode_probs and transition disagree")
         _check_mode_probs(probs)
         if not np.isfinite(trans).all() or (trans < 0.0).any():
             raise ValueError("transition entries must be finite and nonnegative")
         if np.max(np.abs(np.sum(trans, axis=1) - 1.0)) > 1e-9:
             raise ValueError("transition rows must sum to 1")
-        _check_mode_dims(self.densities, self.models, probs.shape[:-1])
-        object.__setattr__(self, "densities", tuple(self.densities))
-        object.__setattr__(self, "mode_probs", probs)
-        object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(self, "transition", trans)
+        for dens, model in zip(densities, models):
+            if dens.dim != model.state_dim:
+                raise ValueError("mode density dimension does not match its model")
+            if dens.mean.shape[:-1] != probs.shape[:-1]:
+                raise ValueError("mode densities and probabilities must share one stack shape")
+        top = max(m.state_dim for m in models)
+        self.__dict__.update(
+            modes=_joined([zero_pad(d, top, pad_var) for d in densities], np.stack),
+            mode_probs=probs, models=models, transition=trans, pad_var=pad_var,
+            _lay=_PaddedModes.of(models, pad_var))
 
-    def _advance(self, densities: tuple[GaussianDensity, ...], mode_probs: np.ndarray,
-                 padded: GaussianDensity | None = None) -> "ImmState":
-        """This state with new mode densities and probabilities.
-
-        Only the new fields are checked; the models, transition and
-        ``pad_var`` are carried over as already validated, and so is their
-        :meth:`_layout`. The padding is not, unless ``padded`` is the new
-        densities' :meth:`_padded` stack.
-        """
+    def _advance(self, modes: GaussianDensity, mode_probs: np.ndarray) -> "ImmState":
+        """This state with new re-padded, floor-tested modes and new probabilities
+        (checked here); the models, transition, ``pad_var`` and layout carry over."""
         _check_mode_probs(mode_probs)
-        _check_mode_dims(densities, self.models, mode_probs.shape[:-1])
         state = object.__new__(ImmState)
-        state.__dict__.update(densities=densities, mode_probs=mode_probs, models=self.models,
-                              transition=self.transition, pad_var=self.pad_var,
-                              _lay=self.__dict__.get("_lay"), _pad=padded)
+        state.__dict__.update(vars(self), modes=modes, mode_probs=mode_probs)
         return state
 
     @property
+    def densities(self) -> tuple[GaussianDensity, ...]:
+        """Each mode's own density, the leading ``d_k`` block of its padded mode (a view)."""
+        return tuple(truncate_state(self.modes[..., k], model.state_dim)
+                     for k, model in enumerate(self.models))
+
+    @property
     def max_dim(self) -> int:
-        return max(m.state_dim for m in self.models)
-
-    def _padded(self) -> GaussianDensity:
-        """The modes zero-padded to the common space, one ``[..., M, d]`` stack, built once."""
-        if self.__dict__.get("_pad") is None:
-            self.__dict__["_pad"] = _joined(
-                [zero_pad(d, self.max_dim, self.pad_var) for d in self.densities], np.stack)
-        return self.__dict__["_pad"]
-
-    def _layout(self) -> "_PaddedModes":
-        """The models' padded layout, built once per model set (call after
-        :meth:`_padded`, which validates ``pad_var`` where a mode is padded)."""
-        if self.__dict__.get("_lay") is None:
-            self.__dict__["_lay"] = _PaddedModes.of(self.models, self.pad_var)
-        return self.__dict__["_lay"]
+        return self.modes.dim
 
 
 @dataclass(frozen=True)
@@ -298,9 +280,8 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
     all modes are predicted with their padded models and updated with
     ``z[..., m]`` in one pass over the ``[..., M, D]`` stack; each mode's
     own block gets the bits a prediction and update in its own space give.
-    The new state's modes are the leading blocks of the updated stack, which,
-    re-padded, is also its :meth:`ImmState._padded` stack. The mode
-    probabilities are reweighted in log space, shifted by their maximum, so
+    The updated stack, re-padded the same way, is the new state's ``modes``. The
+    mode probabilities are reweighted in log space, shifted by their maximum, so
     their total is at least 1 even when every likelihood underflows.
 
     Checks run stage by stage over the whole stack: the mixing weights, the
@@ -310,7 +291,7 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
     first failing member raises, members in row-major order (run, then mode). The
     padded predicted and updated covariances face :func:`zero_pad`'s floor,
     ``1e-12 * max(max variance, pad_var)``, which no mode's own block check
-    is stricter than and which the next cycle's padding would apply anyway:
+    is stricter than and which a per-mode cycle's next padding would apply:
     a mode that would fail it there fails one cycle earlier.
 
     Raises
@@ -327,8 +308,7 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
     # One (1, M) @ (M, M) product per member: a member's mixing weights do
     # not depend on how many members share the stack.
     cbar = np.maximum((mu[..., None, :] @ trans)[..., 0, :], np.finfo(float).tiny)
-    pad = state._padded()
-    layout = state._layout()
+    pad, layout = state.modes, state._lay
 
     means, covs = zip(*(_mixture_moments(trans[:, j] * mu / cbar[..., j, None],
                                          pad.mean, pad.cov)
@@ -345,17 +325,15 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
     padded = GaussianDensity._derived(*layout.repad(updated.mean, updated.cov, updated.chol))
     if not np.all(np.isfinite(logliks)):
         raise ModeLikelihoodDegenerate("non-finite mode likelihood")
-    densities = tuple(truncate_state(padded[..., j], model.state_dim)
-                      for j, model in enumerate(state.models))
     log_mu = np.log(cbar) + logliks
     log_mu -= log_mu.max(axis=-1, keepdims=True)
     new_mu = np.exp(log_mu)
-    return state._advance(densities, new_mu / new_mu.sum(axis=-1, keepdims=True), padded)
+    return state._advance(padded, new_mu / new_mu.sum(axis=-1, keepdims=True))
 
 
 def imm_output(state: ImmState) -> GaussianMixture:
     """Mode mixture in the common (padded) space, tagged by model kind."""
-    return GaussianMixture(state.mode_probs, state._padded(), tuple(m.kind for m in state.models))
+    return GaussianMixture(state.mode_probs, state.modes, tuple(m.kind for m in state.models))
 
 
 def prune_mixture(mixture: GaussianMixture, target_count: int) -> GaussianMixture:
@@ -404,7 +382,8 @@ def route_feedback(state: ImmState, fed: GaussianMixture,
     probability, and a mode whose components all have weight 0 in a member
     (their fused weights underflowed) keeps its density there with weight 0.
     The prepared one-component-per-mode mixture is then applied with
-    :func:`apply_feedback`.
+    :func:`apply_feedback`, so a routed mode whose re-padded covariance
+    fails the pivot floor raises here, at this fusion step.
 
     A product-style fused mixture involves every recipient mode in several
     cross hypotheses, so each mode receives the full fused information. A
@@ -415,9 +394,8 @@ def route_feedback(state: ImmState, fed: GaussianMixture,
         raise ValueError("feedback mixture must carry provenance tags")
     kinds = tuple(m.kind for m in state.models)
     groups = _routes(fed.tags, operand_idx, kinds)
-    pad = state._padded()
     weights = np.where([bool(g) for g in groups], 0.0, state.mode_probs)
-    mean, cov, chol = pad.mean.copy(), pad.cov.copy(), pad.chol.copy()
+    mean, cov, chol = state.modes.mean.copy(), state.modes.cov.copy(), state.modes.chol.copy()
     comps = fed.components
     for size in dict.fromkeys(len(g) for g in groups if g):
         modes = np.array([m for m, g in enumerate(groups) if len(g) == size])
@@ -435,17 +413,23 @@ def apply_feedback(state: ImmState, fed: GaussianMixture) -> ImmState:
     """Replace each mode density with the fed component matching its model tag.
 
     ``fed`` must carry exactly one component per local mode (see
-    :func:`route_feedback`); components live in the padded common space and are
-    truncated back to each mode's own dimension. Mode probabilities are taken
-    from the fed weights.
+    :func:`route_feedback`), in the state's padded dimension ``D``. Each mode
+    keeps its own block of its component, padded again; a mode whose padding
+    fails the pivot floor raises :class:`NotPositiveDefinite`. Mode
+    probabilities are taken from the fed weights.
     """
     if fed.tags is None or fed.n_components != len(state.models):
         raise ValueError("feedback mixture must have one tagged component per mode")
     for model in state.models:
         if fed.tags.count(model.kind) != 1:
             raise ValueError(f"feedback must have exactly one component tagged {model.kind!r}")
+    if fed.dim != state.max_dim:
+        raise ValueError(f"feedback components must live in the state's padded dimension "
+                         f"D = {state.max_dim}, got {fed.dim}")
     order = [fed.tags.index(model.kind) for model in state.models]
-    densities = tuple(truncate_state(fed.components[..., i], model.state_dim)
-                      for i, model in zip(order, state.models))
+    comps = fed.components
+    modes = GaussianDensity._derived(*state._lay.repad(
+        np.take(comps.mean, order, -2), np.take(comps.cov, order, -3),
+        np.take(comps.chol, order, -3)))
     probs = np.take(fed.weights, order, -1)
-    return state._advance(densities, probs / probs.sum(axis=-1, keepdims=True))
+    return state._advance(modes, probs / probs.sum(axis=-1, keepdims=True))

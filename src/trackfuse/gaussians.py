@@ -33,10 +33,11 @@ Both are Cholesky factors of their covariances. A zero-padded state still
 runs :func:`assert_spd`'s pivot floor test on the derived pivots (per
 member), so it is accepted or rejected as a fresh check would decide; a
 leading marginal is a plain view, since its pivots are the parent's leading
-pivots and its floor can only be lower. ``filters.imm_step`` checks its
-padded mode stacks the same way: the mixed, predicted and updated
-covariances in full, and the re-padded updated stack's pivot floor, which
-is the floor the next step's padding would test. OpenBLAS's unblocked
+pivots and its floor can only be lower. An IMM bank, one padded stack
+``modes[R, M, D]`` under ``mode_probs[R, M]``, is padded once when a
+``filters.ImmState`` is built; ``filters.imm_step`` checks its mixed, predicted
+and updated covariances in full and, as ``filters.apply_feedback`` does, the
+pivot floor of the stack it re-pads. OpenBLAS's unblocked
 factorization computes a leading block without looking at the rows below
 it, so for the presets' sizes (up to 6) a derived factor has the same bits
 as a fresh one; a LAPACK that orders its operations differently agrees to

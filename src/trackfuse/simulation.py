@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincinv
 
-from .errors import ConfigError
+from .errors import ConfigError, NotPositiveDefinite
 from .filters import (
     ImmState,
     ekf_predict,
@@ -268,7 +268,8 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
     double-counts unless the rule accounts for it, which is what separates
     the conservative rules from the naive product. IMM mixtures are fused,
     routed or pruned, and scored moment-matched. The error raised is the
-    first by step, bank, sensor (or strategy), then the stack's first failing check.
+    first by step, bank, sensor (or strategy: a routed mode whose padding
+    fails raises at its routing), then the stack's first failing check.
     Returns, per strategy, the scores, the seconds spent fusing and the
     fusion calls (one per run and fusion step).
     """
@@ -423,6 +424,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             _imm_prior(cfg, _models(cfg), np.zeros(3 * cfg.sensors[0].spatial_dims))
         except ValueError as exc:
             raise ConfigError(f"IMM tracker: {exc}") from None
+        except NotPositiveDefinite as exc:
+            raise ConfigError(f"IMM tracker: the initial covariance, padded with pad_var = "
+                              f"{cfg.tracker.pad_var}, fails: {exc}") from None
 
     workers = int(os.environ.get("TRACKFUSE_THREADS", "1") or "1")
     workers = max(1, min(workers, cfg.runs))

@@ -172,11 +172,13 @@ def _check_pd_margin(rng, trials) -> CheckResult:
 
 def run_suite(trials: int = 1000, seed: int = 0,
               division_fn: Callable | None = None) -> list[CheckResult]:
-    """Run every property check; ``trials`` scales the randomized counts.
+    """Run every property check; ``trials`` (at least 1) scales the randomized counts.
 
     ``division_fn`` exists as a test hook: substituting a corrupted division
     must make the round-trip check fail.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     division_fn = division_fn or gaussian_division
     small = max(2, min(5, trials))

@@ -334,18 +334,20 @@ def ref_ekf_update_with_loglik(track, meas, z):
 def ref_imm_step(state, meas, z):
     """Old ``imm_step``; returns the new ``(densities, mode_probs)``.
 
-    Its stages run over all modes in turn (mix and check, predict and check,
-    update), so a failure raises at the stage ``imm_step`` documents for it.
+    Its stages run over all modes in turn (mixing weights, mixed covariance
+    checks, predict and check, update), so a failure raises at the stage
+    ``imm_step`` documents for it: a mode whose mixing weights sum to zero
+    raises before any mode's mixed covariance is checked.
     """
     n = len(state.models)
     mu = state.mode_probs
     trans = state.transition
     cbar = np.maximum(trans.T @ mu, np.finfo(float).tiny)
     padded = [ref_zero_pad(d, state.max_dim, state.pad_var) for d in state.densities]
-    mixed = [GaussianDensity(*ref_moment_match(trans[:, j] * mu / cbar[j],
-                                               [d.mean for d in padded],
-                                               [d.cov for d in padded]))
-             for j in range(n)]
+    moments = [ref_moment_match(trans[:, j] * mu / cbar[j], [d.mean for d in padded],
+                                [d.cov for d in padded])
+               for j in range(n)]
+    mixed = [GaussianDensity(*m) for m in moments]
     predicted = []
     for mix, model in zip(mixed, state.models):
         mode_track = ref_truncate_state(mix, model.state_dim)

@@ -4,6 +4,7 @@ Commands run in-process through ``main(argv)`` so exit codes and output can
 be asserted directly; one subprocess test checks the installed entry point.
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -12,7 +13,10 @@ import numpy as np
 import pytest
 
 from trackfuse import GaussianDensity, GaussianMixture, density_from_dict, density_to_dict
+import trackfuse.cli
 from trackfuse.cli import main
+from trackfuse.gaussians import gaussian_division
+from trackfuse.validation import run_suite
 
 FAST_CONFIG = """
 [scenario]
@@ -329,11 +333,34 @@ def test_validate_passes_with_few_trials(capsys):
     assert "all 7 checks passed" in captured.err
 
 
-def test_validate_detects_broken_division(capsys):
-    assert main(["validate", "--trials", "5", "--break-division"]) == 5
+def test_validate_detects_broken_division(capsys, monkeypatch):
+    def broken_division(num, den):
+        out = gaussian_division(num, den)
+        broken = GaussianDensity(out.density.mean + 1.0, 1.5 * out.density.cov)
+        return type(out)(out.log_scale, broken)
+
+    monkeypatch.setattr(trackfuse.cli, "run_suite",
+                        functools.partial(run_suite, division_fn=broken_division))
+    assert main(["validate", "--trials", "5"]) == 5
     captured = capsys.readouterr()
     assert any(line.startswith("FAIL") for line in captured.out.split("\n"))
     assert "checks failed" in captured.err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_validate_rejects_vacuous_trial_counts_as_usage_errors(trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--trials", trials])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err and "positive integer" in captured.err
+    assert "checks passed" not in captured.err and not captured.out
+
+
+def test_validate_has_no_hidden_break_division_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--trials", "5", "--break-division"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

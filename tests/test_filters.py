@@ -378,6 +378,16 @@ def test_apply_feedback_validation(rng):
                                               tags=("ncv", "ncv")))
 
 
+@pytest.mark.parametrize("dim", [4, 8])
+def test_apply_feedback_requires_components_in_the_padded_dimension(dim):
+    """Components of the NCV mode's own dimension, or of a dimension above
+    the state's padded one (D = 6), are rejected rather than truncated."""
+    comp = GaussianDensity(np.zeros(dim), np.eye(dim))
+    with pytest.raises(ValueError, match="padded dimension D = 6, got " + str(dim)):
+        apply_feedback(_mixed_dim_state(), GaussianMixture(np.array([0.5, 0.5]), (comp, comp),
+                                                           tags=("ncv", "nca")))
+
+
 def test_route_feedback_moment_matches_involving_components():
     state = _mixed_dim_state()
     comps = tuple(GaussianDensity(np.full(6, float(k)), np.eye(6) * (1.0 + k))

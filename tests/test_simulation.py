@@ -540,6 +540,18 @@ def test_rejects_an_imm_transition_the_tracker_rejects(no_run_starts, transition
         run_scenario(cfg)
 
 
+def test_names_a_pad_var_whose_padding_fails_before_any_run(no_run_starts):
+    """``pad_var = 1e20`` is positive and finite, but it lifts the padded
+    pivot floor, ``1e-12 * pad_var``, above the initial NCV variances. The
+    trial prior's padding fails, so the study stops before any run with a
+    ConfigError that names ``pad_var``, not a bare NotPositiveDefinite from
+    deep inside the first run."""
+    cfg = load_preset("scenario2", runs=1, duration_s=10)
+    cfg = dataclasses.replace(cfg, tracker=dataclasses.replace(cfg.tracker, pad_var=1e20))
+    with pytest.raises(ConfigError, match=r"IMM tracker: .*pad_var = 1e\+20, fails: .*singular"):
+        run_scenario(cfg)
+
+
 # ---------------------------------------------------------------------------
 # IMM pipelines (mixture fusion, pruning, feedback routing)
 

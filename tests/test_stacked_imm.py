@@ -12,6 +12,9 @@ the old routines in ``oracles``:
   and the padded stack a stepped state carries is the one padding its modes
   gives; where the padded stack fails ``zero_pad``'s pivot floor, the step
   raises one cycle before the reference's next padding would;
+- a state is built exactly when padding each of its modes passes, where the
+  reference cycle's first padding would raise; every state holds its modes
+  only as that one padded stack;
 - a derived density has the same mean and covariance bits as the old one, its
   factor is exactly the parent's leading block or ``blockdiag(parent,
   sqrt(pad_var) I)`` and reproduces the covariance, and a padded one is
@@ -258,8 +261,9 @@ def _distribution(draw, n):
 
 @st.composite
 def imm_cases(draw, pad_vars=st.floats(1e-2, 1e2)):
-    """A two- or three-mode IMM state (NCV and NCA, possibly of different
-    dimension), a sensor and a few measurements."""
+    """The constructor arguments of a two- or three-mode IMM state (NCV and
+    NCA, possibly of different dimension), a sensor and a few measurements.
+    The test builds the state (see :func:`_built`): its padding may fail."""
     spatial = draw(st.integers(1, 2))
     kinds = draw(st.lists(st.sampled_from(["ncv", "nca"]), min_size=2, max_size=3))
     models = tuple(MotionModel(k, dt=draw(st.floats(0.5, 2.0)),
@@ -268,8 +272,7 @@ def imm_cases(draw, pad_vars=st.floats(1e-2, 1e2)):
     dens = tuple(draw(densities(m.state_dim)) for m in models)
     n = len(models)
     transition = np.stack([_distribution(draw, n) for _ in range(n)])
-    state = ImmState(dens, _distribution(draw, n), models, transition,
-                     pad_var=draw(pad_vars))
+    args = (dens, _distribution(draw, n), models, transition, draw(pad_vars))
     if spatial == 1:
         sensor = LinearSensor(np.array([[1.0]]), np.array([[draw(st.floats(0.1, 10.0))]]))
     else:
@@ -278,7 +281,21 @@ def imm_cases(draw, pad_vars=st.floats(1e-2, 1e2)):
     truth = dens[0].mean[:spatial]
     zs = [np.atleast_1d(sensor.measure(truth + draw(st.floats(-5.0, 5.0))))
           for _ in range(draw(st.integers(1, 4)))]
-    return state, sensor, zs
+    return args, sensor, zs
+
+
+def _built(densities, mode_probs, models, transition, pad_var):
+    """``ImmState(...)``, or the type of the exception it raised. It raises
+    :class:`NotPositiveDefinite` exactly when padding some mode with the
+    reference ``ref_zero_pad`` fails, which is where the reference cycle's
+    first padding raises, and builds the state otherwise."""
+    state = _outcome(ImmState, densities, mode_probs, models, transition, pad_var)
+    top = max(m.state_dim for m in models)
+    with np.errstate(all="ignore"):
+        fails = any(_outcome(ref_zero_pad, d, top, pad_var) is NotPositiveDefinite
+                    for d in densities)
+    assert state is NotPositiveDefinite if fails else isinstance(state, ImmState)
+    return state
 
 
 def _fails_one_cycle_early(new, ref, state) -> bool:
@@ -295,7 +312,10 @@ def _fails_one_cycle_early(new, ref, state) -> bool:
 @settings(max_examples=100, deadline=None)
 @given(imm_cases())
 def test_imm_step_equals_the_mixture_per_mode_cycle(case):
-    state, sensor, zs = case
+    args, sensor, zs = case
+    state = _built(*args)
+    if isinstance(state, type):
+        return
     for z in zs:
         with np.errstate(all="ignore"):
             ref = _outcome(ref_imm_step, state, sensor, z)
@@ -322,13 +342,18 @@ def _stored_stack(densities):
                                    for f in ("mean", "cov", "chol")))
 
 
+def _stack_of(cases):
+    """One ``ImmState`` built from its members' constructor arguments (of
+    one model set): each mode's member densities stacked, unchecked."""
+    dens, probs, *shared = zip(*cases)
+    return ImmState(tuple(_stored_stack(mode) for mode in zip(*dens)), np.stack(probs),
+                    *(field[0] for field in shared))
+
+
 def _state_stack(states):
     """One ``ImmState`` holding ``states`` (of one model set) as its members."""
-    first = states[0]
-    return ImmState(tuple(_stored_stack([s.densities[m] for s in states])
-                          for m in range(len(first.models))),
-                    np.stack([s.mode_probs for s in states]), first.models,
-                    first.transition, first.pad_var)
+    return _stack_of([(s.densities, s.mode_probs, s.models, s.transition, s.pad_var)
+                      for s in states])
 
 
 def _same_state_member(stack, r, state) -> bool:
@@ -338,22 +363,23 @@ def _same_state_member(stack, r, state) -> bool:
 
 @st.composite
 def imm_stacks(draw):
-    """``imm_cases`` with 1-5 trackers that share the models, transition and
-    a ``pad_var`` from 1e-3 to 1e3, and one measurement per tracker and step."""
-    state, sensor, _ = draw(imm_cases(st.floats(1e-3, 1e3)))
-    members = [state] + [
-        ImmState(tuple(draw(densities(m.state_dim)) for m in state.models),
-                 _distribution(draw, len(state.models)), state.models, state.transition,
-                 state.pad_var)
+    """``imm_cases`` with the constructor arguments of 1-5 trackers that
+    share the models, transition and a ``pad_var`` from 1e-3 to 1e3, and one
+    measurement per tracker and step."""
+    (dens, probs, models, transition, pad_var), sensor, _ = draw(
+        imm_cases(st.floats(1e-3, 1e3)))
+    cases = [(dens, probs, models, transition, pad_var)] + [
+        (tuple(draw(densities(m.state_dim)) for m in models),
+         _distribution(draw, len(models)), models, transition, pad_var)
         for _ in range(draw(st.integers(0, 4)))]
-    truth = [m.densities[0].mean[:sensor.spatial_dims] for m in members]
+    truth = [c[0][0].mean[:sensor.spatial_dims] for c in cases]
     zs = [np.stack([np.atleast_1d(sensor.measure(t + draw(st.floats(-5.0, 5.0))))
                     for t in truth]) for _ in range(draw(st.integers(1, 3)))]
-    return members, sensor, zs
+    return cases, sensor, zs
 
 
 def _fresh_padding(state):
-    """What padding the state's modes afresh gives: the old ``_padded()``."""
+    """What padding the state's own mode densities afresh with ``zero_pad`` gives."""
     return _joined([zero_pad(d, state.max_dim, state.pad_var) for d in state.densities],
                    np.stack)
 
@@ -367,9 +393,14 @@ def test_imm_step_of_a_stack_equals_per_member_calls(case):
     state carries into the next cycle is, bit for bit, the one padding its
     modes afresh gives. If members fail, the stack raises what one of them
     raises alone, and the per-mode cycle raises that too, or passes and its
-    next padding fails."""
-    members, sensor, zs = case
-    stack = _state_stack(members)
+    next padding fails. A stack whose member's padding fails is not built,
+    as that member is not."""
+    cases, sensor, zs = case
+    members = [_built(*args) for args in cases]
+    stack = _outcome(_stack_of, cases)
+    if any(isinstance(m, type) for m in members):
+        assert stack is NotPositiveDefinite
+        return
     for z in zs:
         with np.errstate(all="ignore"):
             new = _outcome(imm_step, stack, sensor, z)
@@ -384,7 +415,7 @@ def test_imm_step_of_a_stack_equals_per_member_calls(case):
             assert _same_state_member(new, r, one)
             assert _same_bits(one.mode_probs, ref_probs)
             assert all(_same_density(a, b) for a, b in zip(one.densities, ref_densities))
-        assert _same_density(new._padded(), _fresh_padding(new))
+        assert _same_density(new.modes, _fresh_padding(new))
         out = imm_output(new)
         assert out.tags == tuple(m.kind for m in stack.models)
         for r, one in enumerate(alone):
@@ -566,13 +597,79 @@ def test_a_stacked_state_checks_its_stack_shapes():
                  stack.transition)
 
 
-def test_a_state_pads_its_modes_once():
-    """``imm_output`` and the next ``imm_step`` share one padding; the
-    stepped state pads its own modes."""
-    state = _routing_locals(np.random.default_rng(1), 1, PROBS)[0]
-    assert imm_output(state).components is state._padded()
-    assert state._padded() is state._padded()
-    stepped = imm_step(state, LinearSensor(np.array([[1.0]]), np.array([[1.0]])),
-                       np.array([0.5]))
-    assert stepped._padded() is not state._padded()
-    assert stepped._padded().mean[..., 0, :2].tobytes() == stepped.densities[0].mean.tobytes()
+def _holds_one_padded_stack(state) -> bool:
+    """``state`` stores its modes once, as the ``[..., M, D]`` stack padding
+    its own mode densities afresh gives, bit for bit; ``densities`` are views
+    of that stack and ``imm_output`` hands the stack on as it is."""
+    return (set(vars(state)) == {"modes", "mode_probs", "models", "transition", "pad_var",
+                                 "_lay"}
+            and _same_density(state.modes, _fresh_padding(state))
+            and all(np.shares_memory(d.cov, state.modes.cov) for d in state.densities)
+            and imm_output(state).components is state.modes)
+
+
+@pytest.mark.parametrize("runs", [None, 3])
+def test_every_state_holds_one_padded_mode_stack(runs):
+    """States from the constructor, ``imm_step``, ``route_feedback`` and
+    ``apply_feedback``, one tracker or a stack of three, each hold one
+    padded ``modes`` stack and no per-mode densities."""
+    rng = np.random.default_rng(1)
+    a, b = (_routing_locals(rng, runs or 1, probs) for probs in (PROBS, PROBS[::-1]))
+    a, b = (_state_stack(s) if runs else s[0] for s in (a, b))
+    sensor = LinearSensor(np.array([[1.0]]), np.array([[1.0]]))
+    z = np.full((runs, 1) if runs else (1,), 0.5)
+    stepped = imm_step(a, sensor, z)
+    fused = fuse_pair(imm_output(stepped), imm_output(imm_step(b, sensor, z)), "hmd", 0.5)
+    routed = route_feedback(stepped, fused, 0)
+    applied = apply_feedback(routed, GaussianMixture(
+        routed.mode_probs[..., ::-1], routed.modes[..., ::-1], ("nca", "ncv")))
+    for state in (a, stepped, routed, applied):
+        assert _holds_one_padded_stack(state)
+    assert _same_density(applied.modes, routed.modes)
+
+
+def test_the_constructor_pads_once_and_rejects_a_failing_padding():
+    """A mode whose padding fails the pivot floor, or models of different
+    dimension with a ``pad_var`` that is not positive and finite, raise
+    ``NotPositiveDefinite`` when the state is built, not at its first step."""
+    models = (MotionModel("ncv", 1.0, 0.5, 1), MotionModel("nca", 1.0, 2.0, 1))
+    near = GaussianDensity(np.zeros(2), np.diag([1e-10, 0.5]))  # above its own floor
+    dens = (near, GaussianDensity(np.zeros(3), np.eye(3)))
+    probs, transition = np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.2, 0.8]])
+    with pytest.raises(NotPositiveDefinite, match="singular"):
+        ref_zero_pad(near, 3, 1e3)
+    with pytest.raises(NotPositiveDefinite, match="singular"):
+        ImmState(dens, probs, models, transition, pad_var=1e3)
+    assert _holds_one_padded_stack(ImmState(dens, probs, models, transition, pad_var=1.0))
+    for pad_var in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(NotPositiveDefinite, match="padding variance"):
+            ImmState(dens, probs, models, transition, pad_var=pad_var)
+    # Modes of one dimension are never padded, so pad_var is not read.
+    same = (MotionModel("ncv", 1.0, 0.5, 1), MotionModel("ncv", 1.0, 2.0, 1))
+    ImmState((near, near), probs, same, transition, pad_var=math.nan)
+
+
+def test_a_routed_mode_whose_padding_fails_raises_at_its_fusion_step():
+    """Feedback leaves the NCV mode a position variance of 1e-10: above its
+    own floor but below the padded one, 1e-12 times ``pad_var`` = 1e3. Routing
+    raises now, where the old per-mode state raised only at the next step's
+    padding (and not at all after the last fusion step); the same feedback
+    under ``pad_var`` = 1 routes."""
+    rng = np.random.default_rng(5)
+    models = (MotionModel("ncv", 1.0, 0.5, 1), MotionModel("nca", 1.0, 2.0, 1))
+    comps = (GaussianDensity(np.zeros(3), np.diag([1e-10, 1.0, 1.0])),
+             random_gaussian(rng, 3))
+    fed = GaussianMixture(np.array([0.5, 0.5]), comps, ("ncv|nca", "nca|ncv"))
+    for pad_var, fails in ((1e3, True), (1.0, False)):
+        state = ImmState((random_gaussian(rng, 2), random_gaussian(rng, 3)),
+                         np.array([0.5, 0.5]), models, np.eye(2), pad_var=pad_var)
+        with np.errstate(all="ignore"):
+            ref = _outcome(ref_zero_pad, truncate_state(comps[0], 2), 3, pad_var)
+        assert (ref is NotPositiveDefinite) == fails
+        if fails:
+            with pytest.raises(NotPositiveDefinite, match="singular"):
+                route_feedback(state, fed, 0)
+        else:
+            routed = route_feedback(state, fed, 0)
+            assert _same_bits(routed.densities[0].cov, comps[0].cov[:2, :2])
+            assert _holds_one_padded_stack(routed)

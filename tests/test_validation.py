@@ -1,5 +1,7 @@
 """Tests for the randomized property-check suite."""
 
+import pytest
+
 from trackfuse import GaussianDensity, ScaledGaussian
 from trackfuse.validation import CheckResult, run_suite
 
@@ -47,3 +49,10 @@ def test_full_strength_suite_passes():
     results = run_suite(trials=200, seed=0)
     failures = [f"{r.name}: {r.detail}" for r in results if not r.passed]
     assert not failures, failures
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_suite_rejects_fewer_than_one_trial(trials):
+    """No trials would check nothing and report every check passed."""
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_suite(trials=trials)
