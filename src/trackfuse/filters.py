@@ -27,12 +27,12 @@ from .gaussians import (
     GaussianDensity,
     GaussianMixture,
     _chol_logdet,
+    _factor,
     _group_moments,
     _joined,
     _matvec,
     _mixture_moments,
     _scalar,
-    assert_spd,
     symmetrize,
 )
 from .models import MeasurementModel, MotionModel, wrap_angle
@@ -69,8 +69,8 @@ def ekf_predict(track: GaussianDensity, motion: MotionModel) -> GaussianDensity:
     axes (an IMM's padded modes, one model per mode).
     """
     f = motion.transition
-    return GaussianDensity(_matvec(f, track.mean),
-                           symmetrize(f @ track.cov @ f.swapaxes(-1, -2) + motion.noise))
+    return GaussianDensity._made(_matvec(f, track.mean),
+                                 symmetrize(f @ track.cov @ f.swapaxes(-1, -2) + motion.noise))
 
 
 def _joseph_update(track: GaussianDensity, meas: MeasurementModel, z) -> tuple:
@@ -93,7 +93,7 @@ def _joseph_update(track: GaussianDensity, meas: MeasurementModel, z) -> tuple:
     imkh = _identity(dim) - gain @ jac
     cov = symmetrize(imkh @ track.cov @ imkh.swapaxes(-1, -2)
                      + gain @ meas.noise_cov @ gain.swapaxes(-1, -2))
-    return GaussianDensity(mean, cov), chol, innov
+    return GaussianDensity._made(mean, cov), chol, innov
 
 
 def ekf_update_with_loglik(track: GaussianDensity, meas: MeasurementModel,
@@ -296,7 +296,7 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
 
     Raises
     ------
-    NotPositiveDefinite, NotSymmetric
+    NotPositiveDefinite
         If a mixed, predicted or updated covariance fails its check.
     SingularInnovation
         If an innovation covariance cannot be factored.
@@ -319,7 +319,7 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
     # floor test here could reject a mode whose own block passes before its
     # process noise is added, since pad_var may exceed its variances.
     mixed = GaussianDensity._view(*layout.repad(np.stack(means, axis=-2), cov,
-                                                assert_spd(cov)))
+                                                _factor(cov)))
     z = np.atleast_1d(np.asarray(z, dtype=float))[..., None, :]
     updated, logliks = ekf_update_with_loglik(ekf_predict(mixed, layout), meas, z)
     padded = GaussianDensity._derived(*layout.repad(updated.mean, updated.cov, updated.chol))
@@ -404,7 +404,7 @@ def route_feedback(state: ImmState, fed: GaussianMixture,
         at, pick = (*lead, modes[g]), (*(i[:, None] for i in lead), idx[g])
         weights[at], mean[at], cov[at] = _group_moments(fed.weights[pick], comps.mean[pick],
                                                         comps.cov[pick])
-        chol[at] = assert_spd(cov[at])
+        chol[at] = _factor(cov[at])
     prepared = GaussianMixture(weights, GaussianDensity._view(mean, cov, chol), kinds)
     return apply_feedback(state, prepared.normalized())
 

@@ -38,11 +38,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonPositiveDefiniteResult, NotPositiveDefinite, NotSymmetric
+from .errors import NonPositiveDefiniteResult, NotPositiveDefinite
 from .gaussians import (
     _TINY,
     GaussianDensity,
     GaussianMixture,
+    _chol_inv,
+    _factor,
     _factor_logpdf,
     _group_moments,
     _joined,
@@ -50,11 +52,9 @@ from .gaussians import (
     _mixture_moments,
     _products,
     _quotients,
-    assert_spd,
     gaussian_product,
     moment_match,
     scaled_power,
-    spd_inv,
     symmetrize,
 )
 from . import pooling
@@ -242,20 +242,20 @@ def _hmd_pair(a: GaussianDensity, b: GaussianDensity, v: float,
     lam_a, lam_b, lam_eq = a.precision, b.precision, eq.precision
     prec = symmetrize(lam_a + lam_b - lam_eq)
     try:
-        cov = spd_inv(prec)
-    except (NotPositiveDefinite, NotSymmetric) as exc:
+        cov = _chol_inv(_factor(prec))
+    except NotPositiveDefinite as exc:
         raise NonPositiveDefiniteResult(
             "harmonic fusion produced a non-positive-definite covariance") from exc
     mean = _matvec(cov, _matvec(lam_a, a.mean) + _matvec(lam_b, b.mean)
                    - _matvec(lam_eq, eq.mean))
-    fused = GaussianDensity(mean, cov)
+    fused = GaussianDensity._made(mean, cov)
     diagnostics: dict = {}
     if with_diagnostics:
-        cov_naive = spd_inv(symmetrize(lam_a + lam_b))
+        cov_naive = _chol_inv(_factor(symmetrize(lam_a + lam_b)))
         diagnostics["pd_margin"] = float(
             np.min(np.linalg.eigvalsh(symmetrize(eq.cov - cov_naive))))
-        log_s = float(_factor_logpdf(a.mean, assert_spd(a.cov + b.cov), b.mean[None])[0])
-        log_d = -float(_factor_logpdf(mean, assert_spd(cov + eq.cov), eq.mean[None])[0])
+        log_s = float(_factor_logpdf(a.mean, _factor(a.cov + b.cov), b.mean[None])[0])
+        log_d = -float(_factor_logpdf(mean, _factor(cov + eq.cov), eq.mean[None])[0])
         diagnostics["norm_const"] = float(np.exp(log_s + log_d))
     return FusionResult(fused, "hmd", diagnostics)
 
@@ -293,7 +293,7 @@ def fuse_hmd_mixture(a, b, w: float = 0.5) -> GaussianMixture:
         return mix_a if w else mix_b
     pool_w = np.concatenate(((1.0 - w) * mix_a.weights, w * mix_b.weights), axis=-1)
     pool = _joined([mix_a.components, mix_b.components], np.concatenate)
-    eq = GaussianDensity(*_mixture_moments(pool_w, pool.mean, pool.cov))
+    eq = GaussianDensity._made(*_mixture_moments(pool_w, pool.mean, pool.cov))
     ia, ib, tags, (mean, cov, _, log_s) = _cross_products(mix_a, mix_b)
     den_mean = np.repeat(eq.mean[..., None, :], ia.size, -2)
     den_cov = np.repeat(eq.cov[..., None, :, :], ia.size, -3)
@@ -305,7 +305,7 @@ def fuse_hmd_mixture(a, b, w: float = 0.5) -> GaussianMixture:
         at = tuple(i[:, None] for i in lead) + (np.stack((ia[k], mix_a.n_components + ib[k]), -1),)
         pairs = pool[at]
         _, den_mean[local], den_cov[local] = _group_moments(pool_w[at], pairs.mean, pairs.cov)
-        assert_spd(den_cov[local])
+        _factor(den_cov[local])
     quot_mean, quot_cov, quot_chol, quot_s = _quotients(mean, cov, den_mean, den_cov)
     log_w = _log_weight(np.take(mix_a.weights, ia, -1) * np.take(mix_b.weights, ib, -1))
     return _fused_mixture(log_w + log_s + quot_s, quot_mean, quot_cov, quot_chol, tags)
@@ -393,8 +393,8 @@ def fuse_many(densities: Sequence[GaussianDensity], strategy: str,
         lams = [d.precision for d in densities]
         lam = sum(w * L for w, L in zip(weights, lams))
         info = sum(w * _matvec(L, d.mean) for w, L, d in zip(weights, lams, densities))
-        cov = spd_inv(symmetrize(lam))
-        return GaussianDensity(_matvec(cov, info), cov)
+        cov = _chol_inv(_factor(symmetrize(lam)))
+        return GaussianDensity._made(_matvec(cov, info), cov)
     if strategy == "amd":
         return fuse_amd(list(densities), weights)
     if strategy == "hmd":

@@ -15,41 +15,26 @@ numbers equal the one-density result bit for bit. A :class:`GaussianMixture`
 holds its components as one such stack, ``[..., M, d]``, the component axis
 last among the leading axes.
 
-Validation contract: a :class:`GaussianDensity` built through its constructor
-checks its covariance once with :func:`assert_spd` (finite entries of at most
-half the float maximum, symmetry, Cholesky factorization, pivot floor) and
-keeps that check's factor for every later use of the matrix (``logpdf``,
-:func:`scaled_power`, ``precision``). Mean, covariance, factor and precision
-are read-only arrays (mean and covariance copied), so the factor never goes
-stale. A stack joined from checked densities, or indexed (``stack[k]``,
-``stack[keep]``), is read-only and checks nothing again.
+Validation contract, two rules:
 
-Two kinds of density carry a factor derived from an already validated one
-instead of a fresh factorization: a leading marginal
-(``filters.truncate_state``) takes the leading block of the parent's factor
-(of each member's, for a stack), and a zero-padded state
-(``filters.zero_pad``) takes ``blockdiag(parent factor, sqrt(pad_var) I)``.
-Both are Cholesky factors of their covariances. A zero-padded state still
-runs :func:`assert_spd`'s pivot floor test on the derived pivots (per
-member), so it is accepted or rejected as a fresh check would decide; a
-leading marginal is a plain view, since its pivots are the parent's leading
-pivots and its floor can only be lower. An IMM bank, one padded stack
-``modes[R, M, D]`` under ``mode_probs[R, M]``, is padded once when a
-``filters.ImmState`` is built; ``filters.imm_step`` checks its mixed, predicted
-and updated covariances in full and, as ``filters.apply_feedback`` does, the
-pivot floor of the stack it re-pads. OpenBLAS's unblocked
-factorization computes a leading block without looking at the rows below
-it, so for the presets' sizes (up to 6) a derived factor has the same bits
-as a fresh one; a LAPACK that orders its operations differently agrees to
-round-off. Matrices that are not yet a density
-(a precision sum, a division gap, a product or division scale term's
-covariance) pass the full check in :func:`assert_spd` or :func:`spd_inv`; a
-scale term's log density comes from that check's factor.
+- the boundary runs the full check: the :class:`GaussianDensity` constructor,
+  :func:`assert_spd` and :func:`spd_inv` test a caller's matrix for finite
+  entries of at most half the float maximum, symmetry within a relative 1e-9,
+  a Cholesky factorization and a pivot floor;
+- a package-made covariance is factored once where it is made: the algebra
+  symmetrizes what it computes, so the symmetry test cannot fail on it, and
+  :func:`_factor` runs the other tests and returns the factor a
+  :meth:`GaussianDensity._view` stores.
 
-:func:`assert_spd` also validates a ``[..., d, d]`` stack (the covariances of
-a stacked density, or one matrix per cross pair of a mixture fusion) and
-gives every member the verdict the 2-D check gives it; if members fail, the
-first failing one raises.
+A density keeps its factor for every later use (``logpdf``,
+:func:`scaled_power`, ``precision``); its arrays are read-only, so the factor
+never goes stale. Joining, indexing or truncating densities
+(``filters.truncate_state``) checks nothing again, and a zero-padded state
+(``filters.zero_pad``) extends its parent's factor by ``sqrt(pad_var) I`` and
+tests only the pivot floor. For the presets' sizes (up to 6) OpenBLAS's
+unblocked factorization gives such derived factors the bits of fresh ones.
+Both checks take a ``[..., d, d]`` stack and give every member its 2-D
+verdict; if members fail, the first failing one raises.
 """
 
 from __future__ import annotations
@@ -83,7 +68,6 @@ _EIG_FLOOR = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
 _TINY = np.finfo(float).tiny
 _HALF_MAX = np.finfo(float).max / 2.0
-_FLOAT = np.dtype(float)
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -114,61 +98,48 @@ def assert_spd(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2]:
         raise NotPositiveDefinite(f"expected a square matrix, got shape {cov.shape}")
-    shape = cov.shape
-    if cov.ndim > 2:
-        if cov.size != shape[-1] ** 2:
-            return _assert_spd_stack(cov)
-        cov = cov.reshape(shape[-2:])  # one member: the 2-D check costs less
-    peak = float(abs(cov).max())
-    # The maximum propagates NaN, so one comparison catches NaN, infinity and
-    # entries whose symmetric part ``(cov + cov.T) / 2`` would overflow.
-    if not peak <= _HALF_MAX:
-        raise NotPositiveDefinite(
-            "covariance has a non-finite entry or one above half the float maximum")
-    scale = max(1.0, peak)
-    asym = abs(cov - cov.T).max()
-    if asym > _SYM_RTOL * scale:
+    peak = abs(cov).max(axis=(-2, -1))
+    # NaN fails the comparisons. A member beyond the bound fails it before its
+    # symmetry is tested (its symmetric part could overflow).
+    bounded = peak <= _HALF_MAX
+    asym = abs(cov - cov.swapaxes(-1, -2)).max(axis=(-2, -1)) if bounded.all() else math.inf
+    if not (bounded & (asym <= _SYM_RTOL * np.maximum(peak, 1.0))).all():
+        if cov.ndim > 2:  # the first failing member raises its own error
+            for member in cov.reshape((-1,) + cov.shape[-2:]):
+                assert_spd(member)
+        if not bounded:
+            _factor(cov)  # raises the bound's error
         raise NotSymmetric("covariance is not symmetric within 1e-9 relative tolerance")
     # An exactly symmetric matrix is its own symmetric part.
+    exact = asym == 0.0
+    return _factor(cov if exact.all() else np.where(exact[..., None, None], cov, symmetrize(cov)))
+
+
+def _factor(cov: np.ndarray) -> np.ndarray:
+    """The checks of :func:`assert_spd` but symmetry, on a symmetric ``cov``
+    or ``[..., d, d]`` stack: its (stacked) Cholesky factor, or the error the
+    first failing member raises alone."""
     try:
-        chol = np.linalg.cholesky(cov if asym == 0.0 else symmetrize(cov))
+        return _cholesky(cov)
+    except NotPositiveDefinite:
+        if cov.ndim == 2:
+            raise
+    members = cov.reshape((-1,) + cov.shape[-2:])
+    return np.array([_cholesky(m) for m in members]).reshape(cov.shape)
+
+
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """:func:`_factor` of every member at once; the error does not say which failed."""
+    # The maximum propagates NaN, so one comparison catches NaN, infinity and
+    # entries whose symmetric part ``(cov + cov.T) / 2`` would overflow.
+    if not abs(cov).max(initial=0.0) <= _HALF_MAX:
+        raise NotPositiveDefinite(
+            "covariance has a non-finite entry or one above half the float maximum")
+    try:
+        chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("covariance is not positive definite") from exc
     _check_pivot_floor(chol, cov)
-    return chol.reshape(shape)
-
-
-def _assert_spd_stack(cov: np.ndarray) -> np.ndarray:
-    """:func:`assert_spd` of every matrix in a ``[..., d, d]`` stack.
-
-    If every member passes, the stacked factorization returns each member's
-    factor. Otherwise the members are checked one by one in order, so the
-    first failing member raises what the 2-D check raises for it.
-    """
-    chol = _passing_stack_factor(cov)
-    if chol is not None:
-        return chol
-    members = cov.reshape((-1,) + cov.shape[-2:])
-    return np.array([assert_spd(m) for m in members]).reshape(cov.shape)
-
-
-def _passing_stack_factor(cov: np.ndarray) -> np.ndarray | None:
-    """The stacked factors if every member passes the tests of the 2-D
-    check, computed from the same per-member quantities; None otherwise."""
-    peak = abs(cov).max(axis=(-2, -1))
-    if not (peak <= _HALF_MAX).all():
-        return None
-    scale = np.maximum(peak, 1.0)
-    asym = abs(cov - cov.swapaxes(-1, -2)).max(axis=(-2, -1))
-    if (asym > _SYM_RTOL * scale).any():
-        return None
-    exact = asym == 0.0
-    sym = cov if exact.all() else np.where(exact[..., None, None], cov, symmetrize(cov))
-    try:
-        chol = np.linalg.cholesky(sym)
-        _check_pivot_floor(chol, cov)
-    except (np.linalg.LinAlgError, NotPositiveDefinite):
-        return None
     return chol
 
 
@@ -237,11 +208,8 @@ class GaussianDensity:
     chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean, cov = self.mean, self.cov
-        if type(mean) is not np.ndarray or mean.dtype is not _FLOAT or mean.ndim == 0:
-            mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        if type(cov) is not np.ndarray or cov.dtype is not _FLOAT or cov.ndim < 2:
-            cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if cov.shape != mean.shape + mean.shape[-1:]:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean shape {mean.shape}: "
@@ -261,6 +229,12 @@ class GaussianDensity:
         density = object.__new__(cls)
         density._store(mean, cov, chol)
         return density
+
+    @classmethod
+    def _made(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianDensity":
+        """A :meth:`_view` of package-made arrays, ``cov`` symmetrized where it was
+        computed: its factor comes from :func:`_factor`, its one check."""
+        return cls._view(mean, cov, _factor(cov))
 
     @classmethod
     def _derived(cls, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> "GaussianDensity":
@@ -434,13 +408,11 @@ def gaussian_division(num: GaussianDensity, den: GaussianDensity) -> ScaledGauss
 
 def _scaled(kernel, a: GaussianDensity, b: GaussianDensity) -> ScaledGaussian:
     """``kernel`` (:func:`_products` or :func:`_quotients`) of two densities or
-    stacks; the result density stores what the constructor would store for
-    the covariance the kernel checked: copied mean, symmetrized cov, factor."""
+    stacks; the result density is a view of the kernel's arrays and factor."""
     if a.dim != b.dim:
         raise ValueError("operands must share one dimension")
     mean, cov, chol, log_s = kernel(a.mean, a.cov, b.mean, b.cov)
-    density = GaussianDensity._view(mean.copy(), symmetrize(cov), chol)
-    return ScaledGaussian(_scalar(log_s), density)
+    return ScaledGaussian(_scalar(log_s), GaussianDensity._view(mean, cov, chol))
 
 
 def _products(a_means, a_covs, b_means, b_covs) -> tuple:
@@ -455,8 +427,8 @@ def _products(a_means, a_covs, b_means, b_covs) -> tuple:
     cov = symmetrize(a_covs @ gain[..., 1:])
     # The scale's covariance is checked like a density's, but no density of
     # it is built: the log density comes straight from the factor.
-    log_scale = _factor_logpdf(a_means, assert_spd(sum_cov), b_means[..., None, :])[..., 0]
-    return mean, cov, assert_spd(cov), log_scale
+    log_scale = _factor_logpdf(a_means, _factor(sum_cov), b_means[..., None, :])[..., 0]
+    return mean, cov, _factor(cov), log_scale
 
 
 def _quotients(num_means, num_covs, den_means, den_covs) -> tuple:
@@ -464,8 +436,8 @@ def _quotients(num_means, num_covs, den_means, den_covs) -> tuple:
     the gaps ``M - N`` are checked first."""
     gap = symmetrize(den_covs - num_covs)
     try:
-        assert_spd(gap)
-    except (NotSymmetric, NotPositiveDefinite) as exc:
+        _factor(gap)
+    except NotPositiveDefinite as exc:
         raise NonPositiveDefiniteResult(
             "division requires the numerator precision to exceed the denominator's"
         ) from exc
@@ -474,8 +446,8 @@ def _quotients(num_means, num_covs, den_means, den_covs) -> tuple:
     info_mean = (np.linalg.solve(num_covs, num_means[..., None])
                  - np.linalg.solve(den_covs, den_means[..., None]))
     mean = (cov @ info_mean)[..., 0]
-    log_scale = -_factor_logpdf(mean, assert_spd(cov + den_covs), den_means[..., None, :])[..., 0]
-    return mean, cov, assert_spd(cov), log_scale
+    log_scale = -_factor_logpdf(mean, _factor(cov + den_covs), den_means[..., None, :])[..., 0]
+    return mean, cov, _factor(cov), log_scale
 
 
 def scaled_power(d: GaussianDensity, w: float) -> ScaledGaussian:
@@ -483,7 +455,7 @@ def scaled_power(d: GaussianDensity, w: float) -> ScaledGaussian:
     of a stack, with one log scale per member).
 
     The result is ``s N(x; m, C / w)`` with
-    ``s = sqrt(|2 pi C / w| / |2 pi C|^w)``; ``C / w`` is checked in full.
+    ``s = sqrt(|2 pi C / w| / |2 pi C|^w)``; ``C / w`` is factored afresh.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("power weight must lie in (0, 1]")
@@ -491,7 +463,7 @@ def scaled_power(d: GaussianDensity, w: float) -> ScaledGaussian:
         return ScaledGaussian(0.0, d)
     logdet = _chol_logdet(d.chol)
     log_scale = 0.5 * (1.0 - w) * (d.dim * _LOG_2PI + logdet) - 0.5 * d.dim * math.log(w)
-    return ScaledGaussian(_scalar(log_scale), GaussianDensity(d.mean, d.cov / w))
+    return ScaledGaussian(_scalar(log_scale), GaussianDensity._made(d.mean, d.cov / w))
 
 
 def moment_match(mixture: GaussianMixture) -> GaussianDensity:
@@ -502,7 +474,7 @@ def moment_match(mixture: GaussianMixture) -> GaussianDensity:
     component covariances. A stack of mixtures gives the stack of matches.
     """
     comps = mixture.components
-    return GaussianDensity(*_mixture_moments(mixture.weights, comps.mean, comps.cov))
+    return GaussianDensity._made(*_mixture_moments(mixture.weights, comps.mean, comps.cov))
 
 
 def _joined(densities: tuple, join) -> GaussianDensity:

@@ -375,8 +375,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         sensors, strategies or runs, a strategy the tracker kind does not
         run, a bad ``dt_s``, ``track_loss_m``, ``prune_to``, ``omega``,
         ``fusion_every``, ``nees_sided``, tracker initial standard deviation,
-        IMM ``pad_var`` or IMM ``transition``, no fusion step, or a mixture
-        fusion setup with other than two sensors.
+        IMM ``pad_var`` or IMM ``transition`` (a zero column too), initial
+        standard deviations whose covariance fails its check (a square that
+        overflows), no fusion step, or a mixture fusion setup with other than
+        two sensors.
     """
     if not cfg.sensors:
         raise ConfigError("at least one sensor required")
@@ -419,20 +421,32 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         raise ConfigError("feedback routing is defined for the IMM tracker only")
     if imm and len(cfg.sensors) != 2 and any(s not in _CENTRAL for s in cfg.strategies):
         raise ConfigError("mixture fusion supports exactly two sensors")
-    if imm:
-        try:  # the checks every local IMM tracker gets, on a trial prior
-            _imm_prior(cfg, _models(cfg), np.zeros(3 * cfg.sensors[0].spatial_dims))
-        except ValueError as exc:
-            raise ConfigError(f"IMM tracker: {exc}") from None
-        except NotPositiveDefinite as exc:
-            raise ConfigError(f"IMM tracker: the initial covariance, padded with pad_var = "
-                              f"{cfg.tracker.pad_var}, fails: {exc}") from None
+    models, dims = _models(cfg), cfg.sensors[0].spatial_dims
+    try:  # the checks every local tracker gets, on a trial prior
+        with np.errstate(over="ignore"):  # a variance that overflows fails the check
+            if imm:
+                _imm_prior(cfg, models, np.zeros(models[-1].state_dim))
+            else:
+                GaussianDensity(np.zeros(models[0].state_dim),
+                                _init_cov(cfg, models[0].state_dim, dims))
+    except ValueError as exc:
+        raise ConfigError(f"IMM tracker: {exc}") from None
+    except NotPositiveDefinite as exc:
+        stds = ", ".join(f"{key} = {value:g}" for key, value in positive.items()
+                         if key.startswith("tracker.init"))
+        padded = f", padded with pad_var = {cfg.tracker.pad_var}," if imm else ""
+        raise ConfigError(f"{'IMM' if imm else 'EKF'} tracker: the initial covariance of "
+                          f"{stds}{padded} fails: {exc}") from None
+    if imm and not np.asarray(cfg.tracker.transition, dtype=float).sum(axis=0).all():
+        raise ConfigError("tracker.transition has a zero column: no mode switches into "
+                          "that mode, so its mixing is undefined")
 
     workers = int(os.environ.get("TRACKFUSE_THREADS", "1") or "1")
     workers = max(1, min(workers, cfg.runs))
     if workers > 1:
         # Each worker steps one contiguous block of runs.
         size = -(-cfg.runs // workers)
+        size += size % 2  # even block starts keep every run's memory alignment class
         blocks = [range(a, min(a + size, cfg.runs)) for a in range(0, cfg.runs, size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_study, [cfg] * len(blocks), blocks))

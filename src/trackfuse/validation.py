@@ -20,6 +20,7 @@ from .gaussians import (
     gaussian_division,
     gaussian_product,
     moment_match,
+    spd_inv,
 )
 from .pooling import grid_points, kl_divergence, log_harmonic_mean
 
@@ -161,8 +162,7 @@ def _check_pd_margin(rng, trials) -> CheckResult:
         b = _random_gaussian(rng, dim)
         w = float(rng.uniform(0.01, 0.99))
         eq = moment_match(GaussianMixture(np.array([w, 1.0 - w]), (a, b)))
-        lam = np.linalg.inv(a.cov) + np.linalg.inv(b.cov)
-        naive_cov = np.linalg.inv(lam)
+        naive_cov = spd_inv(np.linalg.inv(a.cov) + np.linalg.inv(b.cov))
         gap = 0.5 * (eq.cov - naive_cov + (eq.cov - naive_cov).T)
         worst = min(worst, float(np.min(np.linalg.eigvalsh(gap))))
     return CheckResult("matched pool covariance dominates the product's",

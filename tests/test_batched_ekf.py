@@ -30,9 +30,8 @@ from trackfuse import (
     moment_match,
     run_scenario,
 )
-from trackfuse import gaussians
+from trackfuse import filters, fusion, gaussians, simulation
 
-import oracles
 from oracles import (
     LinearSensor,
     random_gaussian,
@@ -157,12 +156,19 @@ def test_single_operand_fusion_passes_any_name_through_like_the_scalar_path():
 
 
 def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch):
-    """The engine passes, per run, exactly the matrices the scalar path
-    passes to ``assert_spd`` (densities, precision sums, the product scale
-    term naive discards), each as often. The engine advances strategies
-    together, so the order differs."""
+    """The engine factors, per run, exactly the matrices the scalar path
+    checks (densities, precision sums, the product scale term naive
+    discards), each as often. The engine advances strategies together, so
+    the order differs."""
     cfg = _radar(runs=3, duration_s=12.0)
-    check = gaussians.assert_spd
+    check = gaussians._factor
+
+    def record_with(record):
+        # Every check ends in ``_factor``: the full one (the density
+        # constructor, ``assert_spd``, ``spd_inv``) and the package's own.
+        for module in (gaussians, filters, fusion):
+            monkeypatch.setattr(module, "_factor", record)
+
     scalar = []
 
     def record_scalar(cov):
@@ -172,10 +178,7 @@ def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch
         scalar[-1].append(cov)
         return check(cov)
 
-    # The oracle checks through the package (density constructor, spd_inv)
-    # and through its own binding (the product's scale term).
-    monkeypatch.setattr(gaussians, "assert_spd", record_scalar)
-    monkeypatch.setattr(oracles, "assert_spd", record_scalar)
+    record_with(record_scalar)
     for r in range(cfg.runs):
         scalar.append([])
         ref_ekf_run(cfg, r)
@@ -189,8 +192,9 @@ def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch
         stacked.append(cov)
         return check(cov)
 
-    monkeypatch.setattr(gaussians, "assert_spd", record_stack)
-    run_scenario(cfg)
+    record_with(record_stack)
+    # The engine itself: run_scenario's gate also checks one trial prior.
+    simulation._run_study(cfg, range(cfg.runs))
     assert len(stacked) > 0
     for r, checked in enumerate(scalar):
         assert (sorted((m.shape, m.tobytes()) for m in checked)

@@ -246,11 +246,12 @@ def test_per_member_weights_match_one_mixture_at_a_time(seed, dim, n_groups, siz
         assert cov[g].tobytes() == old_cov.tobytes()
 
 
-def _checked_matrices(monkeypatch, module, fn):
-    """The matrices ``fn`` passes to ``module.assert_spd`` (and through the
-    density constructor), one entry per 2-D matrix or stack member."""
+def _checked_matrices(monkeypatch, fn):
+    """The matrices ``fn`` checks, one entry per 2-D matrix or stack member:
+    every check ends in ``_factor``, the full one (the density constructor,
+    ``assert_spd``, ``spd_inv``) and the package's own."""
     checked = []
-    check = gaussians.assert_spd
+    check = gaussians._factor
 
     def record(cov):
         cov = np.asarray(cov)
@@ -258,8 +259,8 @@ def _checked_matrices(monkeypatch, module, fn):
         return check(cov)
 
     with monkeypatch.context() as patch:
-        patch.setattr(gaussians, "assert_spd", record)
-        patch.setattr(module, "assert_spd", record)
+        for module in (gaussians, filters, fusion):
+            patch.setattr(module, "_factor", record)
         fn()
     return sorted(checked)
 
@@ -272,16 +273,15 @@ def test_every_matrix_the_loop_checks_is_checked(monkeypatch, rule, pair):
     covariances, gaps and pair pools the per-pair loop checks, each as often."""
     a, b = pair()
     new, old = RULES[rule]
-    assert (_checked_matrices(monkeypatch, fusion, lambda: new(a, b, 0.3))
-            == _checked_matrices(monkeypatch, ref, lambda: old(a, b, 0.3)))
+    assert (_checked_matrices(monkeypatch, lambda: new(a, b, 0.3))
+            == _checked_matrices(monkeypatch, lambda: old(a, b, 0.3)))
 
 
 def test_routing_checks_every_matched_mode(monkeypatch, rng):
     state = _imm_state(rng, [0.6, 0.4])
     fed = fuse_hmd_mixture(imm_output(state), imm_output(_imm_state(rng, [0.5, 0.5])))
-    assert (_checked_matrices(monkeypatch, filters, lambda: route_feedback(state, fed, 0))
-            == _checked_matrices(monkeypatch, ref,
-                                 lambda: ref.ref_route_feedback(state, fed, 0)))
+    assert (_checked_matrices(monkeypatch, lambda: route_feedback(state, fed, 0))
+            == _checked_matrices(monkeypatch, lambda: ref.ref_route_feedback(state, fed, 0)))
 
 
 def test_fused_components_are_what_the_constructor_builds():

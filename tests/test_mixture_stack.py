@@ -163,15 +163,16 @@ def test_joined_and_indexed_stacks_keep_each_member_unchecked(dim, count, runs, 
     members = [_stack([ref.random_gaussian(rng, dim) for _ in range(runs)]) if runs > 1
                else ref.random_gaussian(rng, dim) for _ in range(count)]
     checks = []
-    original = gaussians.assert_spd
-    gaussians.assert_spd = lambda cov: checks.append(cov) or original(cov)
+    original = gaussians._factor
+    # Every check, the full one too, ends in ``_factor``.
+    gaussians._factor = lambda cov: checks.append(cov) or original(cov)
     try:
         mix = GaussianMixture(np.full(count, 1.0 / count), members)
         comps = mix.components
         picked = [comps[..., k] for k in range(count)]
         keep = comps[..., np.arange(count)[::-1]]
     finally:
-        gaussians.assert_spd = original
+        gaussians._factor = original
     assert checks == []
     lead = (runs,) if runs > 1 else ()
     assert comps.mean.shape == lead + (count, dim)

@@ -552,6 +552,28 @@ def test_names_a_pad_var_whose_padding_fails_before_any_run(no_run_starts):
         run_scenario(cfg)
 
 
+def test_names_an_imm_transition_with_a_zero_column_before_any_run(no_run_starts):
+    """``[[1, 0], [1, 0]]`` is a Markov matrix, but no mode switches into the
+    second mode: its mixing weights are all 0, and the first IMM step used to
+    fail with a bare ValueError about a mixture of zero total weight."""
+    cfg = load_preset("scenario2", runs=1, duration_s=10)
+    cfg = dataclasses.replace(cfg, tracker=dataclasses.replace(
+        cfg.tracker, transition=[[1.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ConfigError, match="tracker.transition has a zero column"):
+        run_scenario(cfg)
+
+
+def test_names_an_ekf_start_up_value_whose_variance_overflows_before_any_run(no_run_starts):
+    """``init_pos_std = 1e200`` is positive and finite, but its square is not:
+    the EKF trial prior fails, so the study stops with a ConfigError that
+    names the value, not a bare NotPositiveDefinite from the first run."""
+    cfg = load_preset("scenario1", runs=1)
+    cfg = dataclasses.replace(cfg, tracker=dataclasses.replace(cfg.tracker, init_pos_std=1e200))
+    with pytest.raises(ConfigError, match=r"EKF tracker: .*tracker\.init_pos_std = 1e\+200.*"
+                                          r" fails: .*non-finite"):
+        run_scenario(cfg)
+
+
 # ---------------------------------------------------------------------------
 # IMM pipelines (mixture fusion, pruning, feedback routing)
 

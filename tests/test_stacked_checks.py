@@ -10,6 +10,11 @@ stacked check must give each member the 2-D verdict:
 - a stack with bad members (non-finite, asymmetric beyond ``1e-9``,
   indefinite, under the pivot floor, or too large to symmetrize) raises the
   exception class ``GaussianDensity`` raises for the first bad one.
+
+The package factors the covariances it computes, which it has symmetrized,
+with ``_factor``, the checks of ``assert_spd`` but symmetry. On an exactly
+symmetric stack it must give ``assert_spd``'s verdict: the same factor bit for
+bit, or the error (class and message) of the first failing member alone.
 """
 
 import math
@@ -19,7 +24,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trackfuse import GaussianDensity, NotPositiveDefinite, NotSymmetric, assert_spd
+from trackfuse import (
+    GaussianDensity,
+    NotPositiveDefinite,
+    NotSymmetric,
+    assert_spd,
+    density_from_dict,
+    spd_inv,
+)
+from trackfuse.gaussians import _factor
 
 
 def _outcome(fn, *args):
@@ -28,6 +41,29 @@ def _outcome(fn, *args):
         return fn(*args)
     except Exception as exc:  # noqa: BLE001 - any exception type must agree
         return type(exc)
+
+
+def _verdict(fn, *args):
+    """``fn(*args)``'s shape and bits, or the class and message of what it raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - class and message must agree
+        return type(exc), str(exc)
+    return out.shape, out.tobytes()
+
+
+def _exactly_symmetric(stack) -> bool:
+    return np.array_equal(stack, stack.swapaxes(-1, -2), equal_nan=True)
+
+
+def _check_factor_like_assert_spd(stack):
+    members = stack.reshape((-1,) + stack.shape[-2:])
+    with np.errstate(all="ignore"):
+        got = _verdict(_factor, stack)
+        assert got == _verdict(assert_spd, stack)
+        failed = [v for v in (_verdict(_factor, m) for m in members) if isinstance(v[0], type)]
+    if failed:
+        assert got == failed[0]
 
 
 def _same_bits(a, b) -> bool:
@@ -39,6 +75,7 @@ HALF_MAX = np.finfo(float).max / 2.0
 
 KINDS = ("valid", "near_symmetric", "nan", "inf", "asymmetric", "indefinite",
          "pivot_floor", "huge")
+SYMMETRIC_KINDS = tuple(k for k in KINDS if k not in ("near_symmetric", "asymmetric"))
 
 
 def _member(draw, dim: int, kind: str) -> np.ndarray:
@@ -87,6 +124,8 @@ def _check_like_the_2d_path(stack):
     for member, ref in zip(members, refs):
         if abs(member).max() > HALF_MAX:
             assert ref is NotPositiveDefinite
+    if _exactly_symmetric(stack):
+        _check_factor_like_assert_spd(stack)
     failed = [r for r in refs if isinstance(r, type)]
     if failed:
         assert new is failed[0]
@@ -104,6 +143,12 @@ def test_stacked_check_gives_every_member_the_2d_verdict(stack):
     _check_like_the_2d_path(stack)
 
 
+@settings(max_examples=300, deadline=None)
+@given(stacks(kinds=SYMMETRIC_KINDS))
+def test_exactly_symmetric_stacks_get_the_2d_verdict_from_both_checks(stack):
+    _check_like_the_2d_path(stack)
+
+
 @settings(max_examples=100, deadline=None)
 @given(stacks(kinds=("valid", "near_symmetric")))
 def test_valid_stacks_return_each_members_factor(stack):
@@ -112,6 +157,8 @@ def test_valid_stacks_return_each_members_factor(stack):
     expected = [np.linalg.cholesky(m if (m == m.T).all() else 0.5 * (m + m.T))
                 for m in members]
     assert _same_bits(factors, np.stack(expected).reshape(stack.shape))
+    if _exactly_symmetric(stack):
+        assert _same_bits(_factor(stack), factors)
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -130,6 +177,18 @@ def test_one_bad_member_raises_its_own_error(bad, error, position):
         GaussianDensity(np.zeros(2), bad)
     with pytest.raises(error):
         assert_spd(stack)
+    if _exactly_symmetric(bad):
+        _check_factor_like_assert_spd(stack)
+        with pytest.raises(error):
+            _factor(stack)
+
+
+def test_the_boundary_still_tests_symmetry():
+    bad = [[1.0, 0.5], [0.0, 1.0]]
+    for check in (lambda: GaussianDensity(np.zeros(2), bad), lambda: assert_spd(bad),
+                  lambda: spd_inv(bad), lambda: density_from_dict({"mean": [0, 0], "cov": bad})):
+        with pytest.raises(NotSymmetric):
+            check()
 
 
 def test_the_first_bad_member_decides_the_error():
