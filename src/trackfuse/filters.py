@@ -275,10 +275,12 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
 
     Mixing forms, for each destination mode, the moment-matched Gaussian of
     the incoming mode densities under the transition-conditioned weights, in
-    the zero-padded common space. Each mixed mode is then reset to its own
-    block plus the padding (``zero_pad(truncate_state(mixed_j, d_j))``), and
-    all modes are predicted with their padded models and updated with
-    ``z[..., m]`` in one pass over the ``[..., M, D]`` stack; each mode's
+    the zero-padded common space, all modes in one pass on C-contiguous
+    ``[..., M, M]`` weights (numpy's matmul takes a Fortran-ordered row on its
+    own loop, not BLAS, and gives other bits). Each mixed mode is then reset
+    to its own block plus the padding (``zero_pad(truncate_state(mixed_j,
+    d_j))``), and all modes are predicted with their padded models and updated
+    with ``z[..., m]`` in one pass over the ``[..., M, D]`` stack; each mode's
     own block gets the bits a prediction and update in its own space give.
     The updated stack, re-padded the same way, is the new state's ``modes``. The
     mode probabilities are reweighted in log space, shifted by their maximum, so
@@ -309,17 +311,13 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
     # not depend on how many members share the stack.
     cbar = np.maximum((mu[..., None, :] @ trans)[..., 0, :], np.finfo(float).tiny)
     pad, layout = state.modes, state._lay
-
-    means, covs = zip(*(_mixture_moments(trans[:, j] * mu / cbar[..., j, None],
-                                         pad.mean, pad.cov)
-                        for j in range(len(state.models))))
-    cov = np.stack(covs, axis=-3)
+    weights = np.ascontiguousarray(trans.T * mu[..., None, :] / cbar[..., :, None])
+    mean, cov = _mixture_moments(weights, pad.mean[..., None, :, :], pad.cov[..., None, :, :, :])
     # Each re-padded mode keeps a block of a checked mixed covariance. Only
     # the prediction reads it, and that checks its result in full; a pivot
     # floor test here could reject a mode whose own block passes before its
     # process noise is added, since pad_var may exceed its variances.
-    mixed = GaussianDensity._view(*layout.repad(np.stack(means, axis=-2), cov,
-                                                _factor(cov)))
+    mixed = GaussianDensity._view(*layout.repad(mean, cov, _factor(cov)))
     z = np.atleast_1d(np.asarray(z, dtype=float))[..., None, :]
     updated, logliks = ekf_update_with_loglik(ekf_predict(mixed, layout), meas, z)
     padded = GaussianDensity._derived(*layout.repad(updated.mean, updated.cov, updated.chol))

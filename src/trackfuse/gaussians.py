@@ -34,7 +34,9 @@ never goes stale. Joining, indexing or truncating densities
 tests only the pivot floor. For the presets' sizes (up to 6) OpenBLAS's
 unblocked factorization gives such derived factors the bits of fresh ones.
 Both checks take a ``[..., d, d]`` stack and give every member its 2-D
-verdict; if members fail, the first failing one raises.
+verdict; if members fail, the first failing one raises. The floor rule is per
+member, but no member's floor exceeds the one of the stack's largest entry: a
+stack whose smallest squared pivot clears that is settled by one comparison.
 """
 
 from __future__ import annotations
@@ -132,28 +134,27 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
     """:func:`_factor` of every member at once; the error does not say which failed."""
     # The maximum propagates NaN, so one comparison catches NaN, infinity and
     # entries whose symmetric part ``(cov + cov.T) / 2`` would overflow.
-    if not abs(cov).max(initial=0.0) <= _HALF_MAX:
+    peak = abs(cov).max(initial=0.0)
+    if not peak <= _HALF_MAX:
         raise NotPositiveDefinite(
             "covariance has a non-finite entry or one above half the float maximum")
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("covariance is not positive definite") from exc
-    _check_pivot_floor(chol, cov)
+    _check_pivot_floor(chol, cov, peak)
     return chol
 
 
-def _check_pivot_floor(chol: np.ndarray, cov: np.ndarray) -> None:
+def _check_pivot_floor(chol: np.ndarray, cov: np.ndarray, peak: float) -> None:
     """Reject ``cov`` (or a stack with such a member) as numerically singular
-    if a squared pivot of its factor ``chol`` is at most
-    ``1e-12 * max(diag(cov))``."""
-    pivots, diag = chol.diagonal(0, -2, -1), cov.diagonal(0, -2, -1)
-    if pivots.size == pivots.shape[-1]:  # one matrix, without the stacked reductions' overhead
-        singular = (pivots * pivots).min() <= _EIG_FLOOR * max(diag.max(), _TINY)
-    else:
-        floor = _EIG_FLOOR * np.maximum(diag.max(axis=-1), _TINY)
-        singular = ((pivots * pivots).min(axis=-1) <= floor).any()
-    if singular:
+    if a squared pivot of its factor ``chol`` is at most ``1e-12 * max(diag(cov))``.
+    ``peak`` is at least every variance: a stack clearing ``1e-12 * peak`` passes at once."""
+    squared = chol.diagonal(0, -2, -1) ** 2
+    if squared.min(initial=math.inf) > _EIG_FLOOR * max(peak, _TINY):
+        return
+    floor = _EIG_FLOOR * np.maximum(cov.diagonal(0, -2, -1).max(axis=-1), _TINY)
+    if (squared.min(axis=-1) <= floor).any():
         raise NotPositiveDefinite("covariance is numerically singular")
 
 
@@ -214,6 +215,8 @@ class GaussianDensity:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean shape {mean.shape}: "
                 "a mean vector [d], or a stack of them [..., d], needs covariances [..., d, d]")
+        if not mean.shape[-1]:
+            raise ValueError("a density needs at least one dimension")
         chol = assert_spd(cov)
         self._store(mean.copy(), symmetrize(cov), chol)
 
@@ -240,7 +243,7 @@ class GaussianDensity:
     def _derived(cls, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> "GaussianDensity":
         """A :meth:`_view` whose factor is derived from a checked one (its leading block,
         or a block-diagonal extension): only the pivot floor, its one failure mode, is tested."""
-        _check_pivot_floor(chol, cov)
+        _check_pivot_floor(chol, cov, cov.diagonal(0, -2, -1).max(initial=0.0))
         return cls._view(mean, cov, chol)
 
     def __getitem__(self, index) -> "GaussianDensity":
@@ -318,6 +321,8 @@ class GaussianMixture:
         if not isinstance(components, GaussianDensity):
             components = _joined(tuple(components), np.stack)
         lead = components.mean.shape[:-1]
+        if lead[-1:] == (0,):
+            raise ValueError("a mixture needs at least one component")
         if components.mean.ndim < 2 or weights.shape not in (lead, lead[-1:]):
             raise ValueError("one weight per component required")
         if (weights < -1e-15).any() or not np.isfinite(weights).all():

@@ -244,6 +244,44 @@ def ref_assert_spd(cov):
     return chol
 
 
+def ref_pivot_floor(chol, cov):
+    """The pivot floor test as it stood before a passing stack was settled by
+    one comparison: each member's smallest squared pivot against its own
+    floor, ``1e-12 * max(max(diag), tiny)``."""
+    pivots, diag = chol.diagonal(0, -2, -1), cov.diagonal(0, -2, -1)
+    if pivots.size == pivots.shape[-1]:
+        singular = (pivots * pivots).min() <= 1e-12 * max(diag.max(), np.finfo(float).tiny)
+    else:
+        floor = 1e-12 * np.maximum(diag.max(axis=-1), np.finfo(float).tiny)
+        singular = ((pivots * pivots).min(axis=-1) <= floor).any()
+    if singular:
+        raise NotPositiveDefinite("covariance is numerically singular")
+
+
+def ref_factor(cov):
+    """The package's ``_factor`` as it stood with :func:`ref_pivot_floor`: the
+    stacked Cholesky factor of a symmetric ``[..., d, d]`` stack, or the error
+    its first failing member raises alone."""
+    def factor(mat):
+        if not abs(mat).max(initial=0.0) <= np.finfo(float).max / 2.0:
+            raise NotPositiveDefinite(
+                "covariance has a non-finite entry or one above half the float maximum")
+        try:
+            chol = np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite("covariance is not positive definite") from exc
+        ref_pivot_floor(chol, mat)
+        return chol
+
+    try:
+        return factor(cov)
+    except NotPositiveDefinite:
+        if cov.ndim == 2:
+            raise
+    members = cov.reshape((-1,) + cov.shape[-2:])
+    return np.array([factor(m) for m in members]).reshape(cov.shape)
+
+
 def ref_spd_inv(mat):
     chol = ref_assert_spd(mat)
     inv_chol = np.linalg.inv(chol)

@@ -254,14 +254,19 @@ def test_density_validation_rejects_bad_shapes():
         GaussianDensity(np.zeros((2, 2)), np.eye(2))
     with pytest.raises(NotPositiveDefinite):
         GaussianDensity(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for lead in ((), (3,)):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            GaussianDensity(np.zeros(lead + (0,)), np.zeros(lead + (0, 0)))
 
 
 def test_mixture_validation():
     comp = GaussianDensity(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError, match="one weight per component"):
         GaussianMixture(np.array([0.5]), (comp, comp))
-    with pytest.raises(ValueError, match="at least one"):
-        GaussianMixture(np.array([]), ())
+    for empty in ((), GaussianDensity(np.zeros((0, 2)), np.zeros((0, 2, 2))),
+                  GaussianDensity(np.zeros((3, 0, 2)), np.zeros((3, 0, 2, 2)))):
+        with pytest.raises(ValueError, match="a mixture needs at least one component"):
+            GaussianMixture(np.zeros(0), empty)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         GaussianMixture(np.array([0.5, -0.5]), (comp, comp))
     with pytest.raises(ValueError, match="share one dimension"):

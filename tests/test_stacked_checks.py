@@ -15,6 +15,14 @@ The package factors the covariances it computes, which it has symmetrized,
 with ``_factor``, the checks of ``assert_spd`` but symmetry. On an exactly
 symmetric stack it must give ``assert_spd``'s verdict: the same factor bit for
 bit, or the error (class and message) of the first failing member alone.
+
+``_factor`` and ``GaussianDensity._derived`` settle a stack whose smallest
+squared pivot clears the floor of its largest entry with one comparison, and
+test each member against its own floor otherwise. Both must reach the verdict
+of the per-member floor kept in ``oracles`` (``ref_pivot_floor``,
+``ref_factor``): near-floor members anywhere in the stack, a largest entry in
+another member than the near-singular one, padding variances that dominate
+the stack, and stacks of one or no member.
 """
 
 import math
@@ -32,7 +40,10 @@ from trackfuse import (
     density_from_dict,
     spd_inv,
 )
+from trackfuse.filters import zero_pad
 from trackfuse.gaussians import _factor
+
+from oracles import ref_factor, ref_pivot_floor
 
 
 def _outcome(fn, *args):
@@ -204,3 +215,125 @@ def test_the_first_bad_member_decides_the_error():
 def test_non_square_shapes_are_rejected(shape):
     with pytest.raises(NotPositiveDefinite, match="square"):
         assert_spd(np.ones(shape))
+
+
+# ---------------------------------------------------------------------------
+# The pivot floor: one comparison for a passing stack, each member's own floor
+# otherwise.
+
+
+def _derived_chol(stack, chol):
+    return GaussianDensity._derived(np.zeros(stack.shape[:-1]), stack, chol).chol
+
+
+def _ref_derived_chol(stack, chol):
+    ref_pivot_floor(chol, stack)
+    return chol
+
+
+def _check_like_the_reference_floor(stack):
+    """``_factor`` gives ``ref_factor``'s bits or error, which is the error of
+    the first member that fails alone; where ``stack`` factors, ``_derived`` of
+    its factor passes or fails exactly as ``ref_pivot_floor`` does."""
+    members = stack.reshape((-1,) + stack.shape[-2:])
+    with np.errstate(all="ignore"):
+        got = _verdict(_factor, stack)
+        assert got == _verdict(ref_factor, stack)
+        failed = [v for v in (_verdict(ref_factor, m) for m in members)
+                  if isinstance(v[0], type)]
+        if failed:
+            assert got == failed[0]
+        try:
+            chol = np.linalg.cholesky(stack)
+        except np.linalg.LinAlgError:
+            return
+        assert _verdict(_derived_chol, stack, chol) == _verdict(_ref_derived_chol, stack, chol)
+
+
+def _passes(fn, *args) -> bool:
+    with np.errstate(all="ignore"):
+        return not isinstance(_verdict(fn, *args)[0], type)
+
+
+@st.composite
+def scaled_stacks(draw):
+    """Valid and near-floor stacks whose members are scaled by up to 1e8 either
+    way, so the largest entry often sits in another member than a near-floor one."""
+    stack = draw(stacks(kinds=("valid", "pivot_floor")))
+    powers = draw(arrays(np.int64, stack.shape[:-2], elements=st.integers(-8, 8)))
+    return stack * (10.0 ** powers)[..., None, None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_stacks())
+def test_factor_and_derived_reach_the_per_member_floor_verdict(stack):
+    _check_like_the_reference_floor(stack)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 1.000001, 2.0])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_a_near_floor_member_gets_its_own_verdict_anywhere_in_the_stack(ratio, position):
+    """Among members of variances 1 to 5, one whose small variance is
+    ``ratio`` times the floor of its largest."""
+    stack = np.stack([np.eye(2) * (1.0 + r) for r in range(5)])
+    stack[position] = np.diag([1.0, ratio * 1e-12])
+    _check_like_the_reference_floor(stack)
+    _check_like_the_reference_floor(stack[position:position + 1])  # its own peak
+    if ratio != 1.0:
+        assert _passes(_factor, stack) == (ratio > 1.0)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 4.0, 1e6])
+@pytest.mark.parametrize("peak_at", [0, 3])
+def test_a_largest_entry_in_another_member_defers_to_each_members_floor(ratio, peak_at):
+    """Member 2 has a variance ``ratio`` times its own floor. Another
+    member's variances of 1e8 lift the stack's bound above it, so one
+    comparison cannot settle the stack and each member faces its own floor:
+    member 2 passes when ``ratio`` exceeds 1, as it does alone."""
+    stack = np.stack([np.eye(3) for _ in range(5)])
+    stack[2] = np.diag([1.0, 1.0, ratio * 1e-12])
+    stack[peak_at] = 1e8 * np.eye(3)
+    chol = np.sqrt(stack)  # the factor of a diagonal matrix
+    _check_like_the_reference_floor(stack)
+    assert _passes(_factor, stack) == _passes(_derived_chol, stack, chol) == (ratio > 1.0)
+    if ratio > 1.0:
+        assert _same_bits(_factor(stack), ref_factor(stack))
+
+
+@pytest.mark.parametrize("small, pad_var, passes", [
+    (1e-7, 1e4, True), (1e-7, 1e6, False), (1e-13, 1e-3, True), (1e-13, 1e2, False)])
+def test_a_padded_stack_gets_the_per_member_verdict(small, pad_var, passes):
+    """Padding members of variances 1 and one of variances ``small``: each
+    member's floor is ``1e-12 * max(its variances, pad_var)``, so a large
+    ``pad_var`` dominates the stack and lifts the small member's floor above
+    it; a small one leaves the floor of the stack's largest entry (1e-12)
+    above the small member's variances, but not its own floor."""
+    parent = np.stack([np.eye(2), small * np.eye(2), np.eye(2)])
+    track = GaussianDensity(np.zeros((3, 2)), parent)
+    cov = np.zeros((3, 4, 4))
+    cov[:, :2, :2] = parent
+    cov[:, 2, 2] = cov[:, 3, 3] = pad_var
+    chol = np.sqrt(cov)
+    with np.errstate(all="ignore"):
+        ref = _verdict(_ref_derived_chol, cov, chol)
+        assert _verdict(lambda: zero_pad(track, 4, pad_var).chol) == ref
+    assert _passes(_ref_derived_chol, cov, chol) == passes
+    _check_like_the_reference_floor(cov)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6])
+@pytest.mark.parametrize("runs", [0, 1])
+def test_stacks_of_one_or_no_member(dim, runs):
+    """A zero-member stack returns an empty factor, a one-member stack its
+    member's factor or its member's error (a 1x1 matrix is its own floor's
+    scale, so it cannot fall below it)."""
+    root = np.random.default_rng(dim).standard_normal((runs, dim, dim))
+    stack = root @ root.swapaxes(-1, -2) + np.eye(dim)
+    _check_like_the_reference_floor(stack)
+    assert _factor(stack).shape == (runs, dim, dim)
+    assert _derived_chol(stack, np.linalg.cholesky(stack)).shape == (runs, dim, dim)
+    if runs and dim > 1:
+        singular = np.diag(np.r_[np.ones(dim - 1), 1e-13])[None]
+        _check_like_the_reference_floor(singular)
+        with pytest.raises(NotPositiveDefinite, match="numerically singular"):
+            _factor(singular)
