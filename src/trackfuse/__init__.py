@@ -88,7 +88,6 @@ from .simulation import (
     track_loss_rate,
 )
 from .config import load_config, load_preset, loads_config
-from .benchmark import bench_fusion, summarize_ratios
 from .validation import CheckResult, run_suite
 
 __all__ = [
@@ -117,6 +116,6 @@ __all__ = [
     "StrategyMetrics", "compute_nees", "nees_bounds", "track_loss_rate",
     "run_scenario",
     "load_config", "loads_config", "load_preset",
-    # benchmarks and validation
-    "bench_fusion", "summarize_ratios", "run_suite", "CheckResult",
+    # validation
+    "run_suite", "CheckResult",
 ]

@@ -5,7 +5,6 @@ Subcommands:
 - ``fuse``: fuse two density JSON files with a chosen strategy;
 - ``simulate``: run a Monte Carlo scenario and write the metrics CSV plus a
   JSON summary;
-- ``bench``: time the fusion rules and write a timing CSV;
 - ``validate``: run the property-check suite and print a pass/fail table.
 
 Exit codes: 0 success, 2 bad arguments, configuration, or input parsing,
@@ -22,7 +21,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .benchmark import bench_csv_text, bench_fusion, summarize_ratios
 from .config import PRESET_NAMES, load_config, load_preset
 from .errors import ConfigError, NotPositiveDefinite, NotSymmetric, TrackfuseError
 from .fusion import FusionResult, fuse_hmd, fuse_pair
@@ -124,28 +122,6 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _positive_ints(text: str) -> tuple[int, ...]:
-    """argparse type: comma-separated integers of at least 1."""
-    return tuple(_positive_int(v) for v in text.split(","))
-
-
-def _cmd_bench(args) -> int:
-    rows = bench_fusion(dims=args.dims, counts=args.counts, repeats=args.repeats,
-                        seed=args.seed)
-    text = bench_csv_text(rows)
-    if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
-        _log(f"wrote {args.csv}")
-    else:
-        sys.stdout.write(text)
-    ratios = summarize_ratios(rows)
-    for dim, ratio in sorted(ratios["gaussian_hmd_over_gmd"].items()):
-        _log(f"  dim {dim}: hmd/gmd time ratio {ratio:.2f}")
-    for count, ratio in sorted(ratios["mixture_hmd_over_pcf"].items()):
-        _log(f"  {count} components: hmd/pcf time ratio {ratio:.2f}")
-    return EXIT_OK
-
-
 def _cmd_validate(args) -> int:
     results = run_suite(trials=args.trials, seed=args.seed)
     width = max(len(r.name) for r in results)
@@ -187,16 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated strategy override")
     sim.add_argument("--out-dir", default=".", help="directory for CSV/JSON output")
     sim.set_defaults(func=_cmd_simulate)
-
-    bench = sub.add_parser("bench", help="time the fusion rules")
-    bench.add_argument("--dims", type=_positive_ints, default="2,4,6,9",
-                       help="comma-separated state dimensions")
-    bench.add_argument("--counts", type=_positive_ints, default="1,2,4,8",
-                       help="comma-separated mixture component counts")
-    bench.add_argument("--repeats", type=_positive_int, default=200)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--csv", default=None, help="write CSV here instead of stdout")
-    bench.set_defaults(func=_cmd_bench)
 
     val = sub.add_parser("validate", help="run the property-check suite")
     val.add_argument("--trials", type=_positive_int, default=1000,

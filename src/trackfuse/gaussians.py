@@ -98,8 +98,9 @@ def assert_spd(cov: np.ndarray) -> np.ndarray:
         magnitude, factorization fails or the matrix is numerically singular.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2]:
-        raise NotPositiveDefinite(f"expected a square matrix, got shape {cov.shape}")
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] == 0:
+        raise NotPositiveDefinite("expected a square matrix of at least one dimension, "
+                                  f"got shape {cov.shape}")
     peak = abs(cov).max(axis=(-2, -1))
     # NaN fails the comparisons. A member beyond the bound fails it before its
     # symmetry is tested (its symmetric part could overflow).
@@ -555,6 +556,9 @@ def density_from_dict(data: dict):
         comps = tuple(density_from_dict(c) for c in data["components"])
         if not all(isinstance(c, GaussianDensity) for c in comps):
             raise ValueError("mixture components must be plain Gaussians")
-        tags = tuple(data["tags"]) if "tags" in data else None
+        tags = data.get("tags")
+        if "tags" in data and not (isinstance(tags, list)
+                                   and all(isinstance(t, str) for t in tags)):
+            raise ValueError("mixture tags must be a list of strings")
         return GaussianMixture(np.asarray(data["weights"], dtype=float), comps, tags)
     raise ValueError('density JSON needs keys {"mean","cov"} or {"weights","components"}')

@@ -441,7 +441,11 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         raise ConfigError("tracker.transition has a zero column: no mode switches into "
                           "that mode, so its mixing is undefined")
 
-    workers = int(os.environ.get("TRACKFUSE_THREADS", "1") or "1")
+    threads = os.environ.get("TRACKFUSE_THREADS", "")
+    try:
+        workers = int(threads or "1")
+    except ValueError:
+        raise ConfigError(f"TRACKFUSE_THREADS must be an integer, got {threads!r}") from None
     workers = max(1, min(workers, cfg.runs))
     if workers > 1:
         # Each worker steps one contiguous block of runs.

@@ -127,6 +127,17 @@ def test_fuse_rejects_a_mean_that_is_not_a_finite_vector(tmp_path, density_files
     assert "invalid density input" in err and "mean must be a vector of finite numbers" in err
 
 
+@pytest.mark.parametrize("tags", [[1, 2], "ab"])
+def test_fuse_rejects_tags_that_are_not_strings(tmp_path, capsys, tags):
+    comp = {"mean": [0.0], "cov": [[1.0]]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"weights": [0.5, 0.5], "components": [comp, comp],
+                               "tags": tags}), encoding="utf-8")
+    assert main(["fuse", str(bad), str(bad), "--strategy", "amd"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid density input" in err and "tags must be a list of strings" in err
+
+
 def test_fuse_rejects_missing_file(tmp_path, density_files):
     assert main(["fuse", str(tmp_path / "absent.json"), density_files[1]]) == 2
 
@@ -288,36 +299,19 @@ def test_simulate_unknown_preset_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-# ---------------------------------------------------------------------------
-# bench
+def test_simulate_non_integer_threads_exits_two(config_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TRACKFUSE_THREADS", "two")
+    assert main(["simulate", "--config", config_file, "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    _assert_one_error_line(capsys, "TRACKFUSE_THREADS must be an integer, got 'two'")
+    assert not (tmp_path / "out").exists()
 
 
-def test_bench_writes_csv(tmp_path, capsys):
-    csv_path = tmp_path / "bench.csv"
-    assert main(["bench", "--dims", "2", "--counts", "1", "--repeats", "2",
-                 "--csv", str(csv_path)]) == 0
-    lines = csv_path.read_text(encoding="utf-8").strip().split("\n")
-    assert lines[0] == "case,strategy,size,mean_s,repeats"
-    assert len(lines) == 1 + 4 + 3
-    err = capsys.readouterr().err
-    assert "hmd/gmd time ratio" in err
-
-
-def test_bench_prints_to_stdout_without_csv(capsys):
-    assert main(["bench", "--dims", "2", "--counts", "1",
-                 "--repeats", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("case,strategy,size,mean_s,repeats")
-
-
-@pytest.mark.parametrize("args", [["--repeats", "0"], ["--dims", "a"], ["--dims", "0"],
-                                  ["--counts", "2,-1"], ["--dims", ""]])
-def test_bench_rejects_bad_arguments_as_usage_errors(args, capsys):
+def test_bench_is_not_a_command(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--dims", "2", "--counts", "1", "--repeats", "2"] + args)
+        main(["bench"])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and args[0] in err
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

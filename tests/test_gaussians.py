@@ -239,6 +239,17 @@ def test_assert_spd_rejects_indefinite_and_singular():
         assert_spd(np.diag([1.0, 1e-15]))
     with pytest.raises(NotPositiveDefinite):
         assert_spd(np.zeros((2, 3)))
+    for empty in (np.zeros((0, 0)), np.zeros((3, 0, 0))):
+        with pytest.raises(NotPositiveDefinite, match=r"at least one dimension, got shape \("):
+            assert_spd(empty)
+    with pytest.raises(NotPositiveDefinite, match="at least one dimension"):
+        spd_inv(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_assert_spd_returns_an_empty_factor_for_a_zero_member_stack(dim):
+    assert assert_spd(np.zeros((0, dim, dim))).shape == (0, dim, dim)
+    assert spd_inv(np.zeros((0, dim, dim))).shape == (0, dim, dim)
 
 
 def test_spd_inverse_matches_numpy(rng):
@@ -334,6 +345,10 @@ def test_density_dict_rejects_malformed_input():
             "components": [{"weights": [1.0],
                             "components": [{"mean": [0.0], "cov": [[1.0]]}]}],
         })
+    for tags in ([1, 2], "ab", None):
+        with pytest.raises(ValueError, match="tags must be a list of strings"):
+            density_from_dict({"weights": [0.5, 0.5], "tags": tags,
+                               "components": [{"mean": [0.0], "cov": [[1.0]]}] * 2})
     with pytest.raises(TypeError):
         density_to_dict("not a density")
 

@@ -8,6 +8,7 @@ orchestration rather than at the primitives tested elsewhere.
 """
 
 import dataclasses
+import re
 import subprocess
 import sys
 
@@ -385,6 +386,25 @@ def test_process_pool_matches_serial(monkeypatch):
     monkeypatch.setenv("TRACKFUSE_THREADS", "2")
     parallel = run_scenario(cfg)
     assert serial.csv_text() == parallel.csv_text()
+
+
+@pytest.mark.parametrize("threads", [None, "", "0", "-1"])
+def test_empty_or_zero_threads_run_serially(monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("TRACKFUSE_THREADS", threads)
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", None)  # no pool may start
+    run_scenario(_toy_config(["naive"], runs=2))
+
+
+@pytest.mark.parametrize("threads", ["two", "1.5", "2 workers"])
+def test_non_integer_threads_is_a_config_error(monkeypatch, threads):
+    monkeypatch.setenv("TRACKFUSE_THREADS", threads)
+    monkeypatch.setattr(simulation, "_run_study", None)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"TRACKFUSE_THREADS must be an integer, got {threads!r}")):
+        run_scenario(_toy_config(["naive"], runs=2))
 
 
 # ---------------------------------------------------------------------------
