@@ -485,7 +485,7 @@ def moment_match(mixture: GaussianMixture) -> GaussianDensity:
 
 def _joined(densities: tuple, join) -> GaussianDensity:
     """One stack of ``densities``: ``join`` (``np.stack``, or ``np.concatenate``
-    of component stacks) of their stored arrays on the component axis, unchecked."""
+    of component stacks) of their stored arrays on the last leading axis, unchecked."""
     try:
         return GaussianDensity._view(*(join([getattr(d, f) for d in densities], axis=axis)
                                        for f, axis in (("mean", -2), ("cov", -3), ("chol", -3))))

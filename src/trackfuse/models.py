@@ -10,6 +10,9 @@ A measurement model takes one state ``[n]`` or a stack ``[..., n]`` (one
 state per Monte Carlo run, say): ``measure`` returns ``[..., m]`` and
 ``jacobian`` ``[..., m, state_dim]``, each member with the bits it gets
 alone. A stack with any member on the sensor raises what that member raises.
+A model may stack sensors of one kind, ``position[..., s]`` and
+``noise_cov[..., m, m]`` of equal leading shapes, broadcast against the states:
+each (run, sensor) member of ``[R, S, n]`` gets its own sensor's bits.
 """
 
 from __future__ import annotations
@@ -133,22 +136,22 @@ class MeasurementModel:
                            np.atleast_1d(np.asarray(self.position, dtype=float)))
         object.__setattr__(self, "noise_cov",
                            np.atleast_2d(np.asarray(self.noise_cov, dtype=float)))
-        if self.kind == "range_az_el":
-            if self.position.shape != (3,) or self.noise_cov.shape != (3, 3):
-                raise ValueError("range_az_el needs a 3-d position and 3x3 noise")
-        elif self.kind == "bearing":
-            if self.position.shape != (2,) or self.noise_cov.shape != (1, 1):
-                raise ValueError("bearing needs a 2-d position and 1x1 noise")
-        else:
+        if self.kind not in ("range_az_el", "bearing"):
             raise ValueError(f"unknown measurement model kind: {self.kind!r}")
+        dims, m = (3, 3) if self.kind == "range_az_el" else (2, 1)
+        if self.position.shape[-1:] != (dims,) or self.noise_cov.shape[-2:] != (m, m):
+            raise ValueError(f"{self.kind} needs a {dims}-d position and {m}x{m} noise")
+        if self.position.shape[:-1] != self.noise_cov.shape[:-2]:
+            raise ValueError(f"stacked positions {self.position.shape} and noise covariances "
+                             f"{self.noise_cov.shape} need equal leading shapes")
 
     @property
     def spatial_dims(self) -> int:
-        return self.position.size
+        return self.position.shape[-1]
 
     @property
     def meas_dim(self) -> int:
-        return self.noise_cov.shape[0]
+        return self.noise_cov.shape[-1]
 
     @property
     def angle_indices(self) -> tuple[int, ...]:

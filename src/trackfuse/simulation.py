@@ -50,8 +50,8 @@ from .filters import (
     truncate_state,
 )
 from .fusion import fuse_many, fuse_pair
-from .gaussians import GaussianDensity, GaussianMixture, _matvec, _scalar, moment_match
-from .models import MotionModel, wrap_angle
+from .gaussians import GaussianDensity, GaussianMixture, _joined, _matvec, _scalar, moment_match
+from .models import MeasurementModel, MotionModel, wrap_angle
 from .scenarios import (
     ImmTracker,
     NcvTruth,
@@ -248,30 +248,39 @@ def _start_mean(truth0: np.ndarray, pert: np.ndarray, state_dim: int) -> np.ndar
     return np.concatenate((truth0, pad), axis=-1)[..., :state_dim] + pert[..., :state_dim]
 
 
-def _score(track: GaussianDensity, truth: np.ndarray, dims: int) -> tuple:
-    """Squared position and velocity errors of ``track`` and the NEES of its
-    position-velocity marginal (per run for stacked inputs)."""
+def _score(tracks: list, truth: np.ndarray, dims: int) -> np.ndarray:
+    """Squared position and velocity errors and the NEES of the
+    position-velocity marginal of each of ``tracks`` (stacks over the runs),
+    scored as one stack: ``[3, runs, len(tracks)]``."""
+    track = _joined([truncate_state(t, 2 * dims) for t in tracks], np.stack)
+    truth = truth[:, None, :2 * dims]
     pos = np.sum((track.mean[..., :dims] - truth[..., :dims]) ** 2, axis=-1)
-    vel = np.sum((track.mean[..., dims:2 * dims] - truth[..., dims:2 * dims]) ** 2, axis=-1)
-    return pos, vel, compute_nees(truncate_state(track, 2 * dims), truth[..., :2 * dims])
+    vel = np.sum((track.mean[..., dims:] - truth[..., dims:]) ** 2, axis=-1)
+    return np.array([pos, vel, compute_nees(track, truth)])
 
 
 def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
     """All ``runs`` of a study, stepped together from material drawn up front.
 
-    Each step advances the local banks (one EKF or IMM stack per sensor),
-    then the centralized tracks, then, at a fusion step, every distributed
-    strategy's fusion. Without feedback one bank of locals serves every
-    distributed strategy; with feedback each routes into a bank of its own.
-    An EKF fusion centre folds its predicted last fused track in as one more
+    Each step advances the local banks, each ``list[sensor]`` of stacks over
+    the runs, then the centralized tracks, then, at a fusion step, every
+    distributed strategy's fusion. Without feedback one bank of locals
+    serves every distributed strategy; with feedback each routes into a bank
+    of its own. An EKF bank steps each sensor kind's locals as one
+    ``[runs, sensors, d]`` stack against the kind's stacked sensor model. An
+    EKF fusion centre folds its predicted last fused track in as one more
     operand: that track carries the locals' history, so re-fusing the locals
     double-counts unless the rule accounts for it, which is what separates
-    the conservative rules from the naive product. IMM mixtures are fused,
-    routed or pruned, and scored moment-matched. The error raised is the
-    first by step, bank, sensor (or strategy: a routed mode whose padding
-    fails raises at its routing), then the stack's first failing check.
-    Returns, per strategy, the scores, the seconds spent fusing and the
-    fusion calls (one per run and fusion step).
+    the conservative rules from the naive product. The centres predict as
+    one ``[runs, strategies, d]`` stack. IMM mixtures are fused, routed or
+    pruned, and scored moment-matched. All strategies score as one stack.
+    The error raised is the first by step, then by stage (an EKF bank's
+    kinds in order of first sensor, each predicted before it is updated; an
+    IMM bank by sensor; the centralized tracks; the centres; fusion by
+    strategy, a routed mode whose padding fails raising at its routing),
+    then the stack's first failing check, members in (run, sensor) or (run,
+    strategy) order. Returns, per strategy, the scores, the seconds spent
+    fusing and the fusion calls.
     """
     imm = isinstance(cfg.tracker, ImmTracker)
     dims = cfg.sensors[0].spatial_dims
@@ -281,6 +290,12 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
     states, perts, central_pert = np.stack(states), np.stack(perts), np.stack(central_pert)
     # One [R, n_steps, meas_dim] array per sensor.
     meas = [np.stack(z) for z in zip(*meas)]
+    of_kind = {a.kind: [s for s, b in enumerate(cfg.sensors) if b.kind == a.kind]
+               for a in cfg.sensors}
+    # Per sensor kind: its sensors, their stacked model and [R, n_steps, S, m] measurements.
+    kinds = [(idx, MeasurementModel(kind, np.stack([cfg.sensors[s].position for s in idx]),
+                                    np.stack([cfg.sensors[s].noise_cov for s in idx])),
+              np.stack([meas[s] for s in idx], axis=2)) for kind, idx in of_kind.items()]
     n_runs, n_fuse = len(runs), cfg.n_steps // cfg.fusion_every
 
     strategies = list(dict.fromkeys(cfg.strategies))
@@ -298,14 +313,19 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
     banks = {key: [_imm_prior(cfg, models, starts[:, s]) if imm else
                    GaussianDensity(starts[:, s], cov0) for s in range(len(cfg.sensors))]
              for key in dict.fromkeys(bank_of.values())}
-    scores = {name: np.full((3, n_runs, n_fuse), np.nan) for name in strategies}
+    scores = np.full((3, n_runs, len(strategies), n_fuse), np.nan)
     fuse_seconds = dict.fromkeys(strategies, 0.0)
     for k in range(1, cfg.n_steps + 1):
         zs = [z[:, k - 1] for z in meas]
         for key, bank in banks.items():
-            banks[key] = [imm_step(loc, sensor, z) if imm else
-                          ekf_update(ekf_predict(loc, models[0]), sensor, z)
-                          for loc, sensor, z in zip(bank, cfg.sensors, zs)]
+            if imm:
+                banks[key] = [imm_step(*args) for args in zip(bank, cfg.sensors, zs)]
+                continue
+            for idx, model, z in kinds:
+                joint = _joined([bank[s] for s in idx], np.stack)
+                joint = ekf_update(ekf_predict(joint, models[0]), model, z[:, k - 1])
+                for j, s in enumerate(idx):
+                    bank[s] = joint[:, j]
         for name, model in central.items():
             track = ekf_predict(tracks[name], model)
             for sensor, z in zip(cfg.sensors, zs):
@@ -316,6 +336,13 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
         slot = k // cfg.fusion_every - 1
         outputs = {key: [imm_output(loc) for loc in bank]
                    for key, bank in banks.items()} if imm else {}
+        # Every EKF fusion centre has a last fused track after the first fusion step.
+        centres = [] if imm else [name for name in distributed if name in tracks]
+        if centres:
+            joint = _joined([tracks[name] for name in centres], np.stack)
+            for _ in range(cfg.fusion_every):
+                joint = ekf_predict(joint, models[0])
+            tracks.update((name, joint[:, i]) for i, name in enumerate(centres))
         for name in distributed:
             if imm:
                 tic = time.perf_counter()
@@ -328,22 +355,19 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
                     fused = prune_mixture(fused, cfg.prune_to)
                 tracks[name] = moment_match(fused)
             else:
-                track, operands = tracks.get(name), banks[bank_of[name]]
-                if track is not None:
-                    for _ in range(cfg.fusion_every):
-                        track = ekf_predict(track, models[0])
-                    operands = [track] + operands
+                operands = banks[bank_of[name]]
+                if name in centres:
+                    operands = [tracks[name]] + operands
                 tic = time.perf_counter()
                 track = fuse_many(operands, name)
                 # amd's mixture is scored and carried forward moment-matched.
                 tracks[name] = moment_match(track) if isinstance(track, GaussianMixture) else track
                 fuse_seconds[name] += time.perf_counter() - tic
-        for name in strategies:
-            scores[name][:, :, slot] = _score(tracks[name], states[:, k], dims)
+        scores[..., slot] = _score([tracks[name] for name in strategies], states[:, k], dims)
 
-    return {name: (scores[name], fuse_seconds[name],
+    return {name: (scores[:, :, i], fuse_seconds[name],
                    0 if name in _CENTRAL else n_runs * n_fuse)
-            for name in strategies}
+            for i, name in enumerate(strategies)}
 
 
 def _models(cfg: ScenarioConfig) -> tuple[MotionModel, ...]:
@@ -377,8 +401,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         ``fusion_every``, ``nees_sided``, tracker initial standard deviation,
         IMM ``pad_var`` or IMM ``transition`` (a zero column too), initial
         standard deviations whose covariance fails its check (a square that
-        overflows), no fusion step, or a mixture fusion setup with other than
-        two sensors.
+        overflows), no fusion step, a mixture fusion setup with other than
+        two sensors, a first sensor (which sizes the tracker) of another
+        spatial dimension than the truth, or a sensor that reads more
+        position axes than the truth has.
     """
     if not cfg.sensors:
         raise ConfigError("at least one sensor required")
@@ -414,9 +440,16 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     if cfg.n_steps < cfg.fusion_every:
         raise ConfigError(f"{cfg.n_steps} steps hold no fusion step at "
                           f"fusion_every = {cfg.fusion_every}")
-    if imm and not isinstance(cfg.truth, SineTruth):
-        if cfg.sensors[0].spatial_dims != 2:
-            raise ConfigError("the IMM tracker is built for planar scenarios")
+    truth_dims = 2 if isinstance(cfg.truth, SineTruth) else cfg.truth.initial_position.size
+    if cfg.sensors[0].spatial_dims != truth_dims:
+        raise ConfigError(f"the first sensor's {cfg.sensors[0].spatial_dims}-d position "
+                          f"sizes the tracker, but the truth is {truth_dims}-d")
+    for i, sensor in enumerate(cfg.sensors, 1):
+        if sensor.spatial_dims > truth_dims:
+            raise ConfigError(f"sensor {i} ({sensor.kind}) reads {sensor.spatial_dims} "
+                              f"position axes, but the truth has {truth_dims}")
+    if imm and truth_dims != 2:
+        raise ConfigError("the IMM tracker is built for planar scenarios")
     if cfg.feedback and not imm:
         raise ConfigError("feedback routing is defined for the IMM tracker only")
     if imm and len(cfg.sensors) != 2 and any(s not in _CENTRAL for s in cfg.strategies):
@@ -465,10 +498,7 @@ def _report(cfg: ScenarioConfig, results: list) -> MetricsReport:
     fusion_steps = np.array([k for k in range(1, cfg.n_steps + 1)
                              if k % cfg.fusion_every == 0])
     times = fusion_steps * cfg.dt_s
-    dims = cfg.sensors[0].spatial_dims
-    # NEES scores position and velocity: the whole state of an EKF track and
-    # the leading marginal of an IMM estimate.
-    nees_dim = 2 * dims
+    nees_dim = 2 * cfg.sensors[0].spatial_dims  # of the position-velocity marginal
 
     metrics = {}
     timing = {}

@@ -155,11 +155,61 @@ def test_single_operand_fusion_passes_any_name_through_like_the_scalar_path():
     assert np.isfinite(report.metrics["amd"].rmse_pos).all()
 
 
+_BEARING = bearing_sensor([-2000.0, -1500.0], 2e-3)
+
+
+@pytest.mark.parametrize("order", ["radars then bearing", "radar, bearing, radar"])
+@pytest.mark.parametrize("runs", [1, 4])
+def test_mixed_sensor_kinds_match_the_scalar_path(order, runs):
+    # Each kind's sensors step as one stacked model; a bearing reads the
+    # radars' x and y.
+    radars = _radar().sensors
+    sensors = (radars + (_BEARING,) if order == "radars then bearing"
+               else (radars[0], _BEARING, radars[2]))
+    _assert_same_report(_radar(seed=7, runs=runs, sensors=sensors))
+
+
+def test_one_stacked_call_per_sensor_kind_centre_prediction_and_score(monkeypatch):
+    """Per step, one local prediction and update per sensor kind, each over
+    the kind's [runs, sensors, d] stack; per fusion step, one prediction of
+    the fusion centres' [runs, strategies, d] stack per filter step, and one
+    score of every strategy."""
+    cfg = _radar(runs=3, duration_s=12.0, fusion_every=2,
+                 sensors=_radar().sensors + (_BEARING,))
+    calls = {"predict": [], "update": [], "score": []}
+
+    def counting(key, fn, shape_of):
+        def wrapped(*args):
+            calls[key].append(shape_of(*args))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(simulation, "ekf_predict", counting(
+        "predict", simulation.ekf_predict, lambda track, model: track.mean.shape))
+    monkeypatch.setattr(simulation, "ekf_update", counting(
+        "update", simulation.ekf_update,
+        lambda track, sensor, z: (sensor.kind, track.mean.shape)))
+    monkeypatch.setattr(simulation, "_score", counting(
+        "score", simulation._score, lambda tracks, truth, dims: len(tracks)))
+    run_scenario(cfg)
+
+    steps, fusions, runs = cfg.n_steps, cfg.n_steps // cfg.fusion_every, cfg.runs
+    centre = (runs, len(STRATEGIES) - 1, 6)
+    local = [(kind, (runs, n, 6)) for kind, n in (("range_az_el", 3), ("bearing", 1))]
+    assert sorted(calls["update"]) == sorted(
+        local * steps + [(s.kind, (runs, 6)) for s in cfg.sensors] * steps)
+    assert sorted(calls["predict"]) == sorted(
+        [(runs, 3, 6), (runs, 1, 6), (runs, 6)] * steps
+        + [centre] * cfg.fusion_every * (fusions - 1))
+    assert calls["score"] == [len(STRATEGIES)] * fusions
+
+
 def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch):
     """The engine factors, per run, exactly the matrices the scalar path
     checks (densities, precision sums, the product scale term naive
-    discards), each as often. The engine advances strategies together, so
-    the order differs."""
+    discards), each as often. The engine advances strategies together, and
+    stacks a sensor kind's locals or the fusion centres' tracks behind the
+    run axis, so the order differs."""
     cfg = _radar(runs=3, duration_s=12.0)
     check = gaussians._factor
 
@@ -187,8 +237,9 @@ def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch
 
     def record_stack(cov):
         cov = np.array(cov)
-        # Every bank is a stack over the runs.
-        assert cov.shape[:-2] == (cfg.runs,)
+        # Every stack leads with the run axis: [runs, d, d], or
+        # [runs, sensors or strategies, d, d].
+        assert cov.ndim >= 3 and cov.shape[0] == cfg.runs
         stacked.append(cov)
         return check(cov)
 
@@ -197,8 +248,10 @@ def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch
     simulation._run_study(cfg, range(cfg.runs))
     assert len(stacked) > 0
     for r, checked in enumerate(scalar):
+        # Run r's block of each check, flattened into its [d, d] members.
+        members = [m for cov in stacked for m in cov[r].reshape((-1,) + cov.shape[-2:])]
         assert (sorted((m.shape, m.tobytes()) for m in checked)
-                == sorted((m[r].shape, m[r].tobytes()) for m in stacked))
+                == sorted((m.shape, m.tobytes()) for m in members))
 
 
 def _stack(densities):

@@ -16,7 +16,7 @@ from importlib import resources
 
 import pytest
 
-from trackfuse import fusion, load_preset, loads_config, run_scenario
+from trackfuse import fusion, load_preset, loads_config, run_scenario, simulation
 
 from oracles import ref_imm_study
 
@@ -85,6 +85,23 @@ def test_the_pair_quotient_fallback_fires_in_a_compared_study(monkeypatch):
     monkeypatch.undo()
     assert sum(len(weights) for weights, _, _ in calls) == 24
     assert report.csv_text() == ref_imm_study(cfg).csv_text()
+
+
+def test_every_strategy_is_scored_in_one_stack_per_fusion_step(monkeypatch):
+    # centralized_ca's NCA track and the NCV ones join as their
+    # position-velocity marginals.
+    cfg = _bearing(strategies=("hmd", "centralized_ca", "hmd", "pcf", "centralized_cv"),
+                   duration_s=12.0, fusion_every=3)
+    scored = []
+    score = simulation._score
+
+    def counted(tracks, truth, dims):
+        scored.append([t.dim for t in tracks])
+        return score(tracks, truth, dims)
+
+    monkeypatch.setattr(simulation, "_score", counted)
+    report = _assert_same_report(cfg)
+    assert scored == [[6, 6, 6, 4]] * report.steps.size
 
 
 @pytest.mark.parametrize("strategy", ["hmd", "naive"])

@@ -4,7 +4,8 @@ Process-noise matrices are checked against a Van Loan matrix-exponential
 oracle; measurement Jacobians are checked against central finite differences;
 the geometry of each sensor kind is checked at hand-placed targets. A stack
 of states is measured and linearised as each member is on its own, bit for
-bit.
+bit, and so is a stack of (run, sensor) members against a stacked model of
+the sensors.
 """
 
 import numpy as np
@@ -284,3 +285,78 @@ def test_a_stack_with_one_member_on_the_sensor_raises_the_one_state_error(
         assert want[0] is MeasurementSingular
         assert _outcome(fn, states) == want
         assert _outcome(fn, states[member[0]]) == want
+
+
+_DIMS = {"range_az_el": (3, 3), "bearing": (2, 1)}
+
+
+@st.composite
+def stacked_sensor_cases(draw):
+    """A sensor kind, ``S`` sensors of it (positions ``[S, s]``, diagonal
+    noises ``[S, m, m]``), states ``[R, S, n]`` near them (zero offsets drawn
+    often, so some members sit on their sensor) and a Jacobian width."""
+    kind = draw(st.sampled_from(sorted(_DIMS)))
+    s, m = _DIMS[kind]
+    runs, sensors = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    finite = st.floats(-1e4, 1e4, allow_subnormal=False)
+    positions = draw(arrays(float, (sensors, s), elements=finite))
+    sigmas = draw(arrays(float, (sensors, m), elements=st.floats(1e-4, 1e2)))
+    n = draw(st.sampled_from([1, 2, 3])) * s
+    states = draw(arrays(float, (runs, sensors, n),
+                         elements=st.one_of(st.just(0.0), finite)))
+    states[..., :s] += positions
+    width = draw(st.one_of(st.none(), st.integers(n, n + 3)))
+    return kind, positions, sigmas[..., None] * np.eye(m), states, width
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked_sensor_cases())
+def test_a_stacked_sensor_model_gives_each_member_its_own_sensors_bits(case):
+    kind, positions, noises, states, width = case
+    stacked = MeasurementModel(kind, positions, noises)
+    alone = [MeasurementModel(kind, p, q) for p, q in zip(positions, noises)]
+    assert (stacked.spatial_dims, stacked.meas_dim) == (alone[0].spatial_dims,
+                                                       alone[0].meas_dim)
+    for name, args in (("measure", ()), ("jacobian", (width,))):
+        # Tiny offsets may underflow to 0 / 0 in a member and its copy alike.
+        with np.errstate(all="ignore"):
+            got = _outcome(getattr(stacked, name), states, *args)
+            want = {idx: _outcome(getattr(alone[idx[1]], name), states[idx], *args)
+                    for idx in np.ndindex(states.shape[:-1])}
+        failed = [w for w in want.values() if isinstance(w, tuple)]
+        if failed:
+            # The first failing member in (run, sensor) order raises.
+            assert got == failed[0]
+            continue
+        for idx, member in want.items():
+            # Bit for bit; NaN's sign bit is not fixed by IEEE arithmetic.
+            nan = np.isnan(member)
+            assert (np.isnan(got[idx]) == nan).all()
+            assert got[idx][~nan].tobytes() == member[~nan].tobytes()
+
+
+@pytest.mark.parametrize("kind,positions,noises", [
+    ("bearing", np.zeros((3, 2)), np.ones((2, 1, 1))),
+    ("bearing", np.zeros((3, 2)), np.ones((1, 1))),
+    ("range_az_el", np.zeros(3), np.broadcast_to(np.eye(3), (2, 3, 3))),
+    ("range_az_el", np.zeros((2, 2, 3)), np.broadcast_to(np.eye(3), (2, 3, 3))),
+])
+def test_stacked_sensors_need_equal_leading_shapes(kind, positions, noises):
+    with pytest.raises(ValueError, match="equal leading shapes"):
+        MeasurementModel(kind, positions, noises)
+
+
+@pytest.mark.parametrize("kind", sorted(_DIMS))
+def test_a_member_on_its_own_sensor_raises_measurement_singular(kind):
+    s, m = _DIMS[kind]
+    positions = 1e3 * np.arange(3 * s, dtype=float).reshape(3, s)
+    stacked = MeasurementModel(kind, positions, np.broadcast_to(np.eye(m), (3, m, m)))
+    states = np.full((2, 3, 2 * s), 5e4)
+    states[1, 2, :s] = positions[2]
+    for fn in (stacked.measure, stacked.jacobian):
+        with pytest.raises(MeasurementSingular):
+            fn(states)
+    # At another sensor's position, a member is off its own sensor.
+    states[1, 2, :s] = positions[1]
+    assert np.isfinite(stacked.measure(states)).all()
+    assert np.isfinite(stacked.jacobian(states)).all()

@@ -466,6 +466,31 @@ def test_rejects_a_study_without_runs(no_run_starts):
         run_scenario(load_preset("scenario1", runs=0))
 
 
+_RADAR = range_az_el_sensor([0.0, 0.0, 0.0], 10.0, 0.01)
+_BEARING = bearing_sensor([0.0, 0.0], 1e-3)
+
+
+@pytest.mark.parametrize("build,message", [
+    # A radar after the bearings would read [x, y, vx] of the planar state.
+    (lambda s2, s1: dataclasses.replace(s2, sensors=s2.sensors + (_RADAR,),
+                                        strategies=("centralized",)),
+     "sensor 3 (range_az_el) reads 3 position axes, but the truth has 2"),
+    # Listed first, it sized the tracker and died in a bare broadcast error.
+    (lambda s2, s1: dataclasses.replace(s2, sensors=(_RADAR,) + s2.sensors,
+                                        strategies=("centralized",)),
+     "the first sensor's 3-d position sizes the tracker, but the truth is 2-d"),
+    # A bearing first ran a planar tracker on the 3-d truth.
+    (lambda s2, s1: dataclasses.replace(s1, sensors=(_BEARING,) + s1.sensors,
+                                        tracker=EkfTracker(q=[0.5, 0.5])),
+     "the first sensor's 2-d position sizes the tracker, but the truth is 3-d"),
+])
+def test_rejects_sensors_that_disagree_with_the_truth_on_dimension(no_run_starts, build,
+                                                                   message):
+    cfg = build(load_preset("scenario2", runs=1), load_preset("scenario1", runs=2))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_scenario(cfg)
+
+
 @pytest.mark.parametrize("dt_s", [0.0, -1.0, float("inf"), float("nan")])
 def test_rejects_a_time_step_that_is_not_positive_and_finite(no_run_starts, dt_s):
     with pytest.raises(ConfigError, match="dt_s must be positive and finite"):
