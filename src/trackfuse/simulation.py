@@ -1,10 +1,9 @@
 """Monte Carlo simulation of distributed tracking with track-to-track fusion.
 
-One run simulates the truth, generates every sensor's measurement noise and
-every tracker's initial perturbation up front, and then evaluates all
-requested strategies on that shared randomness (common random numbers keep
-strategy comparisons tight). Runs are seeded from a master seed through
-``numpy`` seed-sequence spawning, so results do not depend on execution order.
+Each run draws its random material (NCV truth, initial perturbations,
+measurement noise) up front from its own seed, spawned from the master seed,
+and every strategy is evaluated on it (common random numbers). A block of
+runs computes the sine truth once and measures each sensor kind in one call.
 
 One engine runs both tracker kinds. It takes the configuration and a block
 of run indices, steps all those runs together (the locals, then the
@@ -38,7 +37,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincinv
 
-from .errors import ConfigError, NotPositiveDefinite
+from .errors import ConfigError, NotPositiveDefinite, NotSymmetric
 from .filters import (
     ImmState,
     ekf_predict,
@@ -50,7 +49,8 @@ from .filters import (
     truncate_state,
 )
 from .fusion import fuse_many, fuse_pair
-from .gaussians import GaussianDensity, GaussianMixture, _joined, _matvec, _scalar, moment_match
+from .gaussians import (GaussianDensity, GaussianMixture, _joined, _matvec, _scalar,
+                        assert_spd, moment_match)
 from .models import MeasurementModel, MotionModel, wrap_angle
 from .scenarios import (
     ImmTracker,
@@ -72,7 +72,7 @@ __all__ = [
 
 CSV_HEADER = "step,time_s,strategy,rmse_pos_m,rmse_vel_mps,nees,nees_lo,nees_hi"
 
-_CENTRAL = {"centralized", "centralized_cv", "centralized_ca"}
+_CENTRAL = {"centralized": "ncv", "centralized_cv": "ncv", "centralized_ca": "nca"}
 # The strategies each engine runs: the EKF engine fuses stacked Gaussians
 # through ``fuse_many`` and runs every centralized track with NCV; the IMM
 # engine fuses mixtures through ``fuse_pair``.
@@ -202,50 +202,34 @@ def _init_cov(cfg: ScenarioConfig, state_dim: int, dims: int) -> np.ndarray:
     return np.diag(np.square(stds[:state_dim]).astype(float))
 
 
-def _truth_states(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(cfg.truth, NcvTruth):
-        return ncv_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s, rng)
-    return sine_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s)
-
-
-def _draw_measurements(cfg: ScenarioConfig, states: np.ndarray,
-                       rng: np.random.Generator) -> list:
-    """One ``[n_steps, meas_dim]`` array per sensor: each sensor measures the
-    path ``states[1:]`` in one call, and one draw, step-major with each
-    sensor's columns in sensor order, gives all the noise. That is the
-    documented step-by-step, sensor-by-sensor order only because numpy's
-    ``Generator`` draws normals one value at a time."""
-    dims = [s.meas_dim for s in cfg.sensors]
-    noise = np.split(rng.standard_normal((cfg.n_steps, sum(dims))), np.cumsum(dims)[:-1],
-                     axis=1)
-    out = []
-    for sensor, white in zip(cfg.sensors, noise):
-        z = sensor.measure(states[1:]) + _matvec(np.linalg.cholesky(sensor.noise_cov), white)
-        for idx in sensor.angle_indices:
-            z[:, idx] = wrap_angle(z[:, idx])
-        out.append(z)
-    return out
-
-
 def _draws(cfg: ScenarioConfig, run_idx: int, state_dim: int) -> tuple:
-    """One run's random material, drawn from its own seed sequence in the
-    documented order: truth, per-sensor initial perturbations, the central
-    perturbation, then measurement noise step by step."""
+    """One run's random material from its own seed sequence, in the documented
+    order: the NCV truth (``None`` for the sine path), the ``[sensors + 1, d]``
+    initial perturbations (the central one last), then the ``[n_steps, Σm]``
+    measurement noise step by step, each step's sensors in order; numpy's
+    ``Generator`` draws normals one by one, so array draws keep that order."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(run_idx,)))
-    dims = cfg.sensors[0].spatial_dims
-    states = _truth_states(cfg, rng)
-    init_chol = np.linalg.cholesky(_init_cov(cfg, state_dim, dims))
-    perturbations = [init_chol @ rng.standard_normal(state_dim)
-                     for _ in cfg.sensors]
-    central_pert = init_chol @ rng.standard_normal(state_dim)
-    meas = _draw_measurements(cfg, states, rng)
-    return states, perturbations, central_pert, meas
+    truth = (ncv_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s, rng)
+             if isinstance(cfg.truth, NcvTruth) else None)
+    perts = rng.standard_normal((len(cfg.sensors) + 1, state_dim))
+    return truth, perts, rng.standard_normal((cfg.n_steps, sum(s.meas_dim for s in cfg.sensors)))
 
 
-def _start_mean(truth0: np.ndarray, pert: np.ndarray, state_dim: int) -> np.ndarray:
-    """Initial track mean: the truth, zero-padded to the state, plus ``pert``."""
-    pad = np.zeros(truth0.shape[:-1] + (max(0, state_dim - truth0.shape[-1]),))
-    return np.concatenate((truth0, pad), axis=-1)[..., :state_dim] + pert[..., :state_dim]
+def _measurements(cfg: ScenarioConfig, truth: np.ndarray, white: np.ndarray) -> list:
+    """Per sensor kind, in order of first sensor: its sensors' indices, their
+    stacked model and ``[R, n_steps, S, m]`` measurements of ``truth[:, 1:]``
+    from one ``measure`` call, each sensor's noise its own columns of ``white``."""
+    cols = np.cumsum([0] + [s.meas_dim for s in cfg.sensors])
+    kinds = []
+    for kind in dict.fromkeys(s.kind for s in cfg.sensors):
+        idx = [s for s, sensor in enumerate(cfg.sensors) if sensor.kind == kind]
+        model = MeasurementModel(kind, np.stack([cfg.sensors[s].position for s in idx]),
+                                 np.stack([cfg.sensors[s].noise_cov for s in idx]))
+        noise = np.stack([white[..., cols[s]:cols[s + 1]] for s in idx], axis=2)
+        z = model.measure(truth[:, 1:, None]) + _matvec(np.linalg.cholesky(model.noise_cov), noise)
+        z[..., list(model.angle_indices)] = wrap_angle(z[..., list(model.angle_indices)])
+        kinds.append((idx, model, z))
+    return kinds
 
 
 def _score(tracks: list, truth: np.ndarray, dims: int) -> np.ndarray:
@@ -286,37 +270,34 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
     dims = cfg.sensors[0].spatial_dims
     models = _models(cfg)
     top = models[-1].state_dim
-    states, perts, central_pert, meas = zip(*(_draws(cfg, r, top) for r in runs))
-    states, perts, central_pert = np.stack(states), np.stack(perts), np.stack(central_pert)
-    # One [R, n_steps, meas_dim] array per sensor.
-    meas = [np.stack(z) for z in zip(*meas)]
-    of_kind = {a.kind: [s for s, b in enumerate(cfg.sensors) if b.kind == a.kind]
-               for a in cfg.sensors}
-    # Per sensor kind: its sensors, their stacked model and [R, n_steps, S, m] measurements.
-    kinds = [(idx, MeasurementModel(kind, np.stack([cfg.sensors[s].position for s in idx]),
-                                    np.stack([cfg.sensors[s].noise_cov for s in idx])),
-              np.stack([meas[s] for s in idx], axis=2)) for kind, idx in of_kind.items()]
     n_runs, n_fuse = len(runs), cfg.n_steps // cfg.fusion_every
+    truth, perts, white = zip(*(_draws(cfg, r, top) for r in runs))
+    if isinstance(cfg.truth, SineTruth):  # deterministic: one path serves every run
+        truth = (sine_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s),) * n_runs
+    states = np.stack(truth)
+    # [R, sensors + 1, top]: the truth, zero-padded, plus the initial perturbations.
+    starts = _matvec(np.linalg.cholesky(_init_cov(cfg, top, dims)), np.stack(perts))
+    starts[..., :states.shape[-1]] += states[:, None, 0]
+    kinds = _measurements(cfg, states, np.stack(white))
+    meas = {s: z[:, :, j] for idx, _, z in kinds for j, s in enumerate(idx)}  # [R, n_steps, m]
 
     strategies = list(dict.fromkeys(cfg.strategies))
-    central = {name: models[-1] if name == "centralized_ca" else models[0]
-               for name in strategies if name in _CENTRAL}
-    # The centralized tracks, and each fusion centre's last fused track.
-    tracks = {name: GaussianDensity(_start_mean(states[:, 0], central_pert, m.state_dim),
-                                    np.broadcast_to(_init_cov(cfg, m.state_dim, dims),
-                                                    (n_runs, m.state_dim, m.state_dim)))
-              for name, m in central.items()}
+    # The tracks scored: one centralized track per motion model, which each of
+    # its centralized strategies scores, and each fusion centre's last fused track.
+    track_of = {name: _CENTRAL.get(name, name) for name in strategies}
+    central = [m for m in models if m.kind in track_of.values()]
+    cov0 = np.broadcast_to(_init_cov(cfg, top, dims), (n_runs, top, top))
+    tracks = {m.kind: GaussianDensity(starts[:, -1, :m.state_dim],
+                                      cov0[:, :m.state_dim, :m.state_dim]) for m in central}
     distributed = [name for name in strategies if name not in _CENTRAL]
     bank_of = {name: name if cfg.feedback else distributed[0] for name in distributed}
-    starts = _start_mean(states[:, None, 0], perts, top)  # [R, sensors, top]
-    cov0 = np.broadcast_to(_init_cov(cfg, top, dims), (n_runs, top, top))
     banks = {key: [_imm_prior(cfg, models, starts[:, s]) if imm else
                    GaussianDensity(starts[:, s], cov0) for s in range(len(cfg.sensors))]
              for key in dict.fromkeys(bank_of.values())}
     scores = np.full((3, n_runs, len(strategies), n_fuse), np.nan)
     fuse_seconds = dict.fromkeys(strategies, 0.0)
     for k in range(1, cfg.n_steps + 1):
-        zs = [z[:, k - 1] for z in meas]
+        zs = [meas[s][:, k - 1] for s in range(len(cfg.sensors))]
         for key, bank in banks.items():
             if imm:
                 banks[key] = [imm_step(*args) for args in zip(bank, cfg.sensors, zs)]
@@ -326,11 +307,11 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
                 joint = ekf_update(ekf_predict(joint, models[0]), model, z[:, k - 1])
                 for j, s in enumerate(idx):
                     bank[s] = joint[:, j]
-        for name, model in central.items():
-            track = ekf_predict(tracks[name], model)
+        for model in central:
+            track = ekf_predict(tracks[model.kind], model)
             for sensor, z in zip(cfg.sensors, zs):
                 track = ekf_update(track, sensor, z)
-            tracks[name] = track
+            tracks[model.kind] = track
         if k % cfg.fusion_every:
             continue
         slot = k // cfg.fusion_every - 1
@@ -363,7 +344,7 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
                 # amd's mixture is scored and carried forward moment-matched.
                 tracks[name] = moment_match(track) if isinstance(track, GaussianMixture) else track
                 fuse_seconds[name] += time.perf_counter() - tic
-        scores[..., slot] = _score([tracks[name] for name in strategies], states[:, k], dims)
+        scores[..., slot] = _score([tracks[track_of[n]] for n in strategies], states[:, k], dims)
 
     return {name: (scores[:, :, i], fuse_seconds[name],
                    0 if name in _CENTRAL else n_runs * n_fuse)
@@ -401,10 +382,12 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         ``fusion_every``, ``nees_sided``, tracker initial standard deviation,
         IMM ``pad_var`` or IMM ``transition`` (a zero column too), initial
         standard deviations whose covariance fails its check (a square that
-        overflows), no fusion step, a mixture fusion setup with other than
-        two sensors, a first sensor (which sizes the tracker) of another
-        spatial dimension than the truth, or a sensor that reads more
-        position axes than the truth has.
+        overflows), a negative or non-finite process-noise density, no
+        fusion step, a mixture fusion setup with other than two sensors, a
+        first sensor (which sizes the tracker) of another spatial dimension
+        than the truth, a sensor that reads more position axes than the
+        truth has or whose noise covariance fails its check (a zero standard
+        deviation), or a sine ``wavelength_m`` of 0 or not finite.
     """
     if not cfg.sensors:
         raise ConfigError("at least one sensor required")
@@ -432,6 +415,13 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     for key, value in positive.items():
         if not (value > 0.0 and np.isfinite(value)):
             raise ConfigError(f"{key} must be positive and finite, got {value}")
+    densities = {f"tracker.{key}": getattr(cfg.tracker, key) for key in ("q", "q_ncv", "q_nca")
+                 if hasattr(cfg.tracker, key)}
+    densities["truth.q"] = getattr(cfg.truth, "q", 0.0)  # the sine path has none
+    for key, value in densities.items():
+        if not all(0.0 <= v < np.inf for v in np.ravel(value)):
+            raise ConfigError(f"{key} must be non-negative and finite, got "
+                              + ", ".join(f"{v:g}" for v in np.ravel(value)))
     if not imm and cfg.omega != 0.5:
         raise ConfigError("EKF studies fuse their operands with equal weights 1/n; "
                           f"omega must be 0.5, got {cfg.omega}")
@@ -448,6 +438,14 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         if sensor.spatial_dims > truth_dims:
             raise ConfigError(f"sensor {i} ({sensor.kind}) reads {sensor.spatial_dims} "
                               f"position axes, but the truth has {truth_dims}")
+        try:
+            assert_spd(sensor.noise_cov)
+        except (NotSymmetric, NotPositiveDefinite) as exc:
+            raise ConfigError(f"sensor {i} ({sensor.kind}): noise covariance fails: "
+                              f"{exc}") from None
+    wavelength = getattr(cfg.truth, "wavelength_m", 1.0)  # a sine path's; negative mirrors it
+    if not 0.0 < abs(wavelength) < np.inf:
+        raise ConfigError(f"truth.wavelength_m must be non-zero and finite, got {wavelength}")
     if imm and truth_dims != 2:
         raise ConfigError("the IMM tracker is built for planar scenarios")
     if cfg.feedback and not imm:

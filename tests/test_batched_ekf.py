@@ -174,6 +174,7 @@ def test_one_stacked_call_per_sensor_kind_centre_prediction_and_score(monkeypatc
     the kind's [runs, sensors, d] stack; per fusion step, one prediction of
     the fusion centres' [runs, strategies, d] stack per filter step, and one
     score of every strategy."""
+    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
     cfg = _radar(runs=3, duration_s=12.0, fusion_every=2,
                  sensors=_radar().sensors + (_BEARING,))
     calls = {"predict": [], "update": [], "score": []}
@@ -202,6 +203,25 @@ def test_one_stacked_call_per_sensor_kind_centre_prediction_and_score(monkeypatc
         [(runs, 3, 6), (runs, 1, 6), (runs, 6)] * steps
         + [centre] * cfg.fusion_every * (fusions - 1))
     assert calls["score"] == [len(STRATEGIES)] * fusions
+
+
+def test_centralized_and_centralized_cv_share_one_track(monkeypatch):
+    # Both names run the NCV model from the central perturbation: one track
+    # per step, scored under each name.
+    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
+    cfg = _radar(runs=3, strategies=("centralized", "hmd", "centralized_cv"))
+    predicted = []
+    predict = simulation.ekf_predict
+
+    def counted(track, model):
+        predicted.append(track.mean.shape)
+        return predict(track, model)
+
+    monkeypatch.setattr(simulation, "ekf_predict", counted)
+    report = _assert_same_report(cfg)
+    # The locals predict [runs, 3, 6] and hmd's centre [runs, 1, 6].
+    assert predicted.count((cfg.runs, 6)) == cfg.n_steps
+    assert report.csv_text().count(",centralized,") == report.steps.size
 
 
 def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch):

@@ -282,6 +282,17 @@ def test_simulate_strategy_the_engine_does_not_run_exits_two(args, fragment, cap
     (lambda t: t.replace("[tracker]\nkind = ekf\nq = 0.5, 0.5\n",
                          IMM_TRACKER.replace("q_ncv = 0.01", "q_ncv = abc")),
      "[tracker] q_ncv = 'abc'"),
+    # Checked before any run: a zero sigma or wavelength died in the first
+    # run with a traceback, a negative density failed mid-study or not at all.
+    (lambda t: t.replace("sigma_bearing_deg = 2", "sigma_bearing_deg = 0"),
+     "sensor 2 (bearing): noise covariance fails"),
+    (lambda t: t.replace("amplitude_m = 50", "amplitude_m = 50\nwavelength_m = 0"),
+     "truth.wavelength_m must be non-zero and finite"),
+    (lambda t: t.replace("q = 0.5, 0.5\n", "q = -0.5, 0.5\n"),
+     "tracker.q must be non-negative and finite"),
+    (lambda t: t.replace("[tracker]\nkind = ekf\nq = 0.5, 0.5\n",
+                         IMM_TRACKER.replace("q_nca = 0.001", "q_nca = -0.001")),
+     "tracker.q_nca must be non-negative and finite"),
 ])
 def test_simulate_config_rejected_at_the_boundary_exits_two(mutate, fragment,
                                                            tmp_path, capsys):

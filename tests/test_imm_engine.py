@@ -79,6 +79,7 @@ def test_the_pair_quotient_fallback_fires_in_a_compared_study(monkeypatch):
         calls.append(args)
         return group_moments(*args)
 
+    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
     cfg = _bearing(seed=7)
     monkeypatch.setattr(fusion, "_group_moments", counted)
     report = run_scenario(cfg)
@@ -90,6 +91,7 @@ def test_the_pair_quotient_fallback_fires_in_a_compared_study(monkeypatch):
 def test_every_strategy_is_scored_in_one_stack_per_fusion_step(monkeypatch):
     # centralized_ca's NCA track and the NCV ones join as their
     # position-velocity marginals.
+    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
     cfg = _bearing(strategies=("hmd", "centralized_ca", "hmd", "pcf", "centralized_cv"),
                    duration_s=12.0, fusion_every=3)
     scored = []
@@ -102,6 +104,25 @@ def test_every_strategy_is_scored_in_one_stack_per_fusion_step(monkeypatch):
     monkeypatch.setattr(simulation, "_score", counted)
     report = _assert_same_report(cfg)
     assert scored == [[6, 6, 6, 4]] * report.steps.size
+
+
+def test_centralized_and_centralized_cv_share_one_track(monkeypatch):
+    # Both names run the NCV model and centralized_ca the NCA one: one
+    # centralized prediction per motion model and step.
+    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
+    cfg = _bearing(strategies=("centralized", "centralized_ca", "hmd", "centralized_cv"),
+                   duration_s=12.0)
+    predicted = []
+    predict = simulation.ekf_predict
+
+    def counted(track, model):
+        predicted.append((model.kind, track.mean.shape))
+        return predict(track, model)
+
+    monkeypatch.setattr(simulation, "ekf_predict", counted)
+    _assert_same_report(cfg)
+    assert sorted(predicted) == sorted([("nca", (cfg.runs, 6)),
+                                        ("ncv", (cfg.runs, 4))] * cfg.n_steps)
 
 
 @pytest.mark.parametrize("strategy", ["hmd", "naive"])
@@ -119,7 +140,7 @@ def test_feedback_survives_a_mode_whose_fused_weights_underflow(strategy):
 
 
 def test_worker_blocks_give_the_serial_report(monkeypatch):
-    # Even blocks (4 runs on 2 workers) and uneven ones (5 runs: 3 + 2).
+    # Even blocks: 4 runs on 2 workers split 2 + 2, 5 runs split 4 + 1.
     for runs, feedback in ((4, True), (5, True), (5, False)):
         cfg = _bearing(seed=11, runs=runs, duration_s=20.0, feedback=feedback)
         monkeypatch.setenv("TRACKFUSE_THREADS", "2")

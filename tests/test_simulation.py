@@ -199,25 +199,77 @@ def _replay_draws(cfg, run_idx):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_bulk_measurement_draw_equals_the_step_by_step_draws(seed):
-    # One standard_normal call for every step and sensor gives the bits of
-    # the documented draw order (step by step, sensor by sensor) because
-    # numpy's Generator draws normals one value at a time. The sensors have
-    # 3, 1 and 3 measurement entries, so the chunks differ in size.
+    # One standard_normal call per run for every step and sensor gives the
+    # bits of the documented draw order (step by step, sensor by sensor)
+    # because numpy's Generator draws normals one value at a time; each
+    # sensor kind then measures every run, step and sensor in one call. The
+    # sensors have 3, 1 and 3 measurement entries, so the chunks differ in
+    # size, and the two radars of one kind are interleaved with the bearing.
     sensors = [range_az_el_sensor([0.0, 0.0, 0.0], 10.0, 0.02),
                bearing_sensor([-300.0, 500.0], 0.05),
                range_az_el_sensor([2000.0, -1000.0, 10.0], 5.0, 0.01, 0.03)]
     cfg = dataclasses.replace(_toy_config(["naive"]), sensors=sensors)
     rng = np.random.default_rng(seed)
-    states = 1e3 * rng.standard_normal((cfg.n_steps + 1, 6))
-    got = simulation._draw_measurements(cfg, states, np.random.default_rng(seed))
+    runs = 2
+    states = 1e3 * rng.standard_normal((runs, cfg.n_steps + 1, 6))
+    draw = np.random.default_rng(seed)
+    white = np.stack([draw.standard_normal((cfg.n_steps, 7)) for _ in range(runs)])
+    kinds = simulation._measurements(cfg, states, white)
+    assert [idx for idx, _, _ in kinds] == [[0, 2], [1]]
+    got = {s: z[:, :, j] for idx, _, z in kinds for j, s in enumerate(idx)}
     replay = np.random.default_rng(seed)
     chols = [np.linalg.cholesky(sensor.noise_cov) for sensor in sensors]
-    for k in range(1, cfg.n_steps + 1):
-        for sensor, chol, z in zip(sensors, chols, got):
-            want = sensor.measure(states[k]) + chol @ replay.standard_normal(sensor.meas_dim)
-            for idx in sensor.angle_indices:
-                want[idx] = wrap_angle(want[idx])
-            assert z[k - 1].tobytes() == want.tobytes()
+    for r in range(runs):
+        for k in range(1, cfg.n_steps + 1):
+            for s, (sensor, chol) in enumerate(zip(sensors, chols)):
+                want = (sensor.measure(states[r, k])
+                        + chol @ replay.standard_normal(sensor.meas_dim))
+                for idx in sensor.angle_indices:
+                    want[idx] = wrap_angle(want[idx])
+                assert got[s][r, k - 1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("preset,sensors,kinds", [
+    # scenario2: the deterministic sine path, two bearings of one kind.
+    ("scenario2", None, [("bearing", (2, 2))]),
+    # The NCV truth with the radars interleaved with a bearing.
+    ("scenario1", (range_az_el_sensor([-3000.0, 4000.0, 0.0], 100.0, 0.03),
+                   bearing_sensor([-2000.0, -1500.0], 2e-3),
+                   range_az_el_sensor([12000.0, 8000.0, 0.0], 100.0, 0.03)),
+     [("range_az_el", (2, 3)), ("bearing", (1, 2))]),
+])
+def test_each_block_draws_the_sine_path_once_and_measures_each_kind_in_one_call(
+        monkeypatch, preset, sensors, kinds):
+    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
+    cfg = load_preset(preset, runs=3, duration_s=12.0 * load_preset(preset).dt_s)
+    if sensors:
+        cfg = dataclasses.replace(cfg, sensors=sensors, strategies=("centralized", "hmd"))
+    paths, measured = [], []
+    sine, measure = simulation.sine_truth_states, simulation.MeasurementModel.measure
+
+    def counted_sine(*args):
+        paths.append(args)
+        return sine(*args)
+
+    def counted_measure(model, state):
+        # The filters measure [R, S, n] or [R, n] stacks, the draws [R, n_steps, 1, n].
+        if np.ndim(state) == 4:
+            measured.append((model.kind, model.position.shape, np.shape(state)))
+        return measure(model, state)
+
+    monkeypatch.setattr(simulation, "sine_truth_states", counted_sine)
+    monkeypatch.setattr(simulation.MeasurementModel, "measure", counted_measure)
+    truth_dim = 4 if preset == "scenario2" else 6
+    # The serial study is one block of 3 runs; workers would step 2 + 1.
+    for runs, study in ((3, lambda: run_scenario(cfg)),
+                        (2, lambda: simulation._run_study(cfg, range(2))),
+                        (1, lambda: simulation._run_study(cfg, range(2, 3)))):
+        paths.clear()
+        measured.clear()
+        study()
+        assert len(paths) == (preset == "scenario2")
+        assert measured == [(kind, shape, (runs, cfg.n_steps, 1, truth_dim))
+                            for kind, shape in kinds]
 
 
 def _textbook_update(mean, cov, sensor, z):
@@ -524,6 +576,69 @@ def test_rejects_tracker_start_up_values_that_are_not_positive_and_finite(
     cfg = dataclasses.replace(cfg, tracker=dataclasses.replace(cfg.tracker, **{key: value}))
     with pytest.raises(ConfigError, match=f"tracker.{key} must be positive and finite"):
         run_scenario(cfg)
+
+
+@pytest.mark.parametrize("preset,index,sensor,message", [
+    # A zero standard deviation failed in the first run's noise cholesky
+    # with a bare LinAlgError.
+    ("scenario2", 1, bearing_sensor([600.0, 0.0], 0.0),
+     "sensor 2 (bearing): noise covariance fails: "),
+    ("scenario1", 0, range_az_el_sensor([-3000.0, 4000.0, 0.0], 0.0, 0.03),
+     "sensor 1 (range_az_el): noise covariance fails: "),
+    ("scenario2", 0, bearing_sensor([0.0, 0.0], float("nan")),
+     "sensor 1 (bearing): noise covariance fails: covariance has a non-finite entry"),
+])
+def test_rejects_a_sensor_noise_covariance_that_fails_its_check(no_run_starts, preset,
+                                                                index, sensor, message):
+    cfg = load_preset(preset, runs=1)
+    sensors = list(cfg.sensors)
+    sensors[index] = sensor
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_scenario(dataclasses.replace(cfg, sensors=sensors))
+
+
+@pytest.mark.parametrize("wavelength", [0.0, float("inf"), float("nan")])
+def test_rejects_a_sine_wavelength_of_zero_or_not_finite(no_run_starts, wavelength):
+    # 0 failed in the first run with a bare ZeroDivisionError.
+    cfg = load_preset("scenario2", runs=1)
+    cfg = dataclasses.replace(cfg, truth=dataclasses.replace(cfg.truth,
+                                                             wavelength_m=wavelength))
+    with pytest.raises(ConfigError, match="truth.wavelength_m must be non-zero and finite"):
+        run_scenario(cfg)
+
+
+def test_a_negative_wavelength_runs_as_the_mirrored_path():
+    cfg = load_preset("scenario2", runs=1, duration_s=10.0)
+    mirrored = dataclasses.replace(cfg, truth=dataclasses.replace(cfg.truth,
+                                                                  wavelength_m=-1500.0))
+    assert run_scenario(mirrored).csv_text() != run_scenario(cfg).csv_text()
+
+
+@pytest.mark.parametrize("preset,part,key,value", [
+    # Each failed only once the runs had started (q_nca < 0: "not positive
+    # definite"; q_ncv NaN: "non-finite entry").
+    ("scenario2", "tracker", "q_nca", -0.001),
+    ("scenario2", "tracker", "q_ncv", float("nan")),
+    # A negative EKF density failed only in a long enough study.
+    ("scenario1", "tracker", "q", np.array([-0.5, 0.5, 0.001])),
+    ("scenario1", "tracker", "q", np.array([0.5, float("inf"), 0.001])),
+    # A negative truth density ran silently with its eigenvalues clipped to 0.
+    ("scenario1", "truth", "q", np.array([0.5, -0.5, 0.001])),
+])
+def test_rejects_a_process_noise_density_that_is_negative_or_not_finite(
+        no_run_starts, preset, part, key, value):
+    cfg = load_preset(preset, runs=1)
+    cfg = dataclasses.replace(cfg, **{part: dataclasses.replace(getattr(cfg, part),
+                                                                **{key: value})})
+    with pytest.raises(ConfigError, match=f"{part}.{key} must be non-negative and finite"):
+        run_scenario(cfg)
+
+
+def test_zero_process_noise_densities_run():
+    cfg = load_preset("scenario1", runs=1, duration_s=20.0)
+    cfg = dataclasses.replace(cfg, tracker=dataclasses.replace(cfg.tracker, q=np.zeros(3)),
+                              truth=dataclasses.replace(cfg.truth, q=np.zeros(3)))
+    assert np.isfinite(run_scenario(cfg).metrics["hmd"].rmse_pos).all()
 
 
 def test_rejects_prune_to_below_one(no_run_starts):
