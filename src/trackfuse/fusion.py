@@ -377,19 +377,30 @@ def fuse_pair(a, b, strategy: str, omega: float = 0.5):
 
 def fuse_many(densities: Sequence[GaussianDensity], strategy: str,
               weights: Sequence[float] | None = None):
-    """Fuse several Gaussian estimates (or stacks of one shape) with equal
-    weights by default; amd returns the mixture of the operands."""
+    """Fuse several Gaussian estimates (or stacks of one shape); amd returns
+    the mixture of the operands.
+
+    ``weights`` holds one weight per operand, equal weights ``1/n`` by
+    default. gmd and amd need non-negative weights summing to 1, hmd
+    positive ones; naive, the product of the operands, ignores them. A
+    weight count other than the operand count, or weights a rule does not
+    accept, raise ``ValueError``.
+    """
     n = len(densities)
     if n == 0:
         raise ValueError("nothing to fuse")
+    if weights is not None and np.shape(weights) != (n,):
+        raise ValueError(f"one weight per operand required: {n} operands, weights of "
+                         f"shape {np.shape(weights)}")
     if n == 1:
         return densities[0]
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    weights = np.asarray(weights, dtype=float)
+    weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
     if strategy == "naive":
         return reduce(fuse_naive, densities)
     if strategy == "gmd":
+        # NaN fails both comparisons.
+        if not ((weights >= 0.0).all() and abs(float(np.sum(weights)) - 1.0) <= _WEIGHT_TOL):
+            raise ValueError(f"gmd weights must be non-negative and sum to 1, got {weights}")
         lams = [d.precision for d in densities]
         lam = sum(w * L for w, L in zip(weights, lams))
         info = sum(w * _matvec(L, d.mean) for w, L, d in zip(weights, lams, densities))

@@ -12,7 +12,9 @@ banks, and returns each strategy's scores as ``[3, runs, fusion steps]``
 arrays. Each sensor's local tracker (an EKF's GaussianDensity or an ImmState),
 the centralized tracks and every scored track are stacks over the runs, passed
 through the same public functions a single run uses, so the report is
-byte-identical to stepping each run on its own. Only the local step and the
+byte-identical to stepping each run on its own. An IMM study's NCV and NCA
+centralized tracks step as one zero-padded ``[runs, 2, D]`` stack, as the
+IMM steps its modes. Only the local step and the
 fusion step depend on the tracker: EKF locals are fused by ``fuse_many``, the
 IMM locals' mixtures by one ``fuse_pair`` call per strategy and fusion step.
 NEES is scored on each track's leading position-velocity marginal.
@@ -40,6 +42,7 @@ from scipy.special import gammaincinv
 from .errors import ConfigError, NotPositiveDefinite, NotSymmetric
 from .filters import (
     ImmState,
+    _PaddedModes,
     ekf_predict,
     ekf_update,
     imm_output,
@@ -47,6 +50,7 @@ from .filters import (
     prune_mixture,
     route_feedback,
     truncate_state,
+    zero_pad,
 )
 from .fusion import fuse_many, fuse_pair
 from .gaussians import (GaussianDensity, GaussianMixture, _joined, _matvec, _scalar,
@@ -103,17 +107,24 @@ def nees_bounds(n_runs: int, dim: int, sided: int = 2,
 
 
 def track_loss_rate(final_errors, tau: float) -> float:
-    """Fraction of runs whose final position error reaches the threshold ``tau``.
+    """Fraction of runs whose final position error reaches the threshold ``tau``
+    or is not finite.
 
     Runs counted here are the diverged ones; they are excluded from the RMSE
-    and NEES aggregates.
+    and NEES aggregates. No errors, or a ``tau`` that is not positive, raise
+    ``ValueError``.
     """
     errors = np.asarray(final_errors, dtype=float)
     if errors.size == 0:
         raise ValueError("no runs to score")
-    if tau <= 0.0:
-        raise ValueError("loss threshold must be positive")
-    return float(np.count_nonzero(errors >= tau)) / errors.size
+    if not tau > 0.0:  # NaN fails the comparison
+        raise ValueError(f"loss threshold must be positive, got {tau}")
+    return float(np.count_nonzero(_lost(errors, tau))) / errors.size
+
+
+def _lost(final_errors: np.ndarray, tau: float) -> np.ndarray:
+    """Which runs are lost: a final error of at least ``tau``, or NaN."""
+    return ~(final_errors < tau)
 
 
 def compute_nees(density, truth_state: np.ndarray) -> float:
@@ -256,15 +267,20 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
     operand: that track carries the locals' history, so re-fusing the locals
     double-counts unless the rule accounts for it, which is what separates
     the conservative rules from the naive product. The centres predict as
-    one ``[runs, strategies, d]`` stack. IMM mixtures are fused, routed or
-    pruned, and scored moment-matched. All strategies score as one stack.
-    The error raised is the first by step, then by stage (an EKF bank's
-    kinds in order of first sensor, each predicted before it is updated; an
-    IMM bank by sensor; the centralized tracks; the centres; fusion by
-    strategy, a routed mode whose padding fails raising at its routing),
-    then the stack's first failing check, members in (run, sensor) or (run,
-    strategy) order. Returns, per strategy, the scores, the seconds spent
-    fusing and the fusion calls.
+    one ``[runs, strategies, d]`` stack. The centralized tracks of two
+    models step as one ``[runs, models, D]`` stack, the NCV one zero-padded
+    and stepped by its padded model as ``imm_step`` steps its modes (and so
+    facing ``zero_pad``'s floor); one model's track steps as ``[runs, d]``
+    with the model itself. IMM mixtures are fused, routed or pruned, and
+    scored moment-matched. All strategies score as one stack. The error
+    raised is the first by step, then by stage (an EKF bank's kinds in order
+    of first sensor, each predicted before it is updated; an IMM bank by
+    sensor; the centralized tracks' prediction, then their update by each
+    sensor; the centres; fusion by strategy, a routed mode whose padding
+    fails raising at its routing), then the stack's first failing check,
+    members in (run, sensor), (run, model) or (run, strategy) order.
+    Returns, per strategy, the scores, the seconds spent fusing and the
+    fusion calls.
     """
     imm = isinstance(cfg.tracker, ImmTracker)
     dims = cfg.sensors[0].spatial_dims
@@ -285,10 +301,19 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
     # The tracks scored: one centralized track per motion model, which each of
     # its centralized strategies scores, and each fusion centre's last fused track.
     track_of = {name: _CENTRAL.get(name, name) for name in strategies}
-    central = [m for m in models if m.kind in track_of.values()]
+    central = tuple(m for m in models if m.kind in track_of.values())
     cov0 = np.broadcast_to(_init_cov(cfg, top, dims), (n_runs, top, top))
-    tracks = {m.kind: GaussianDensity(starts[:, -1, :m.state_dim],
-                                      cov0[:, :m.state_dim, :m.state_dim]) for m in central}
+    own = [GaussianDensity(starts[:, -1, :m.state_dim], cov0[:, :m.state_dim, :m.state_dim])
+           for m in central]
+    # An IMM study's NCV and NCA tracks step as one [R, C, D] stack, each
+    # zero-padded and stepped by its padded model as imm_step steps its modes;
+    # one model's track steps as [R, d] with the model itself.
+    if len(central) > 1:
+        central_stack = _joined([zero_pad(t, top, cfg.tracker.pad_var) for t in own], np.stack)
+        motion, lead = _PaddedModes.of(central, cfg.tracker.pad_var), (slice(None), None)
+    elif central:
+        central_stack, motion, lead = own[0], central[0], (slice(None),)
+    tracks = {}
     distributed = [name for name in strategies if name not in _CENTRAL]
     bank_of = {name: name if cfg.feedback else distributed[0] for name in distributed}
     banks = {key: [_imm_prior(cfg, models, starts[:, s]) if imm else
@@ -307,14 +332,16 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
                 joint = ekf_update(ekf_predict(joint, models[0]), model, z[:, k - 1])
                 for j, s in enumerate(idx):
                     bank[s] = joint[:, j]
-        for model in central:
-            track = ekf_predict(tracks[model.kind], model)
+        if central:
+            central_stack = ekf_predict(central_stack, motion)
             for sensor, z in zip(cfg.sensors, zs):
-                track = ekf_update(track, sensor, z)
-            tracks[model.kind] = track
+                central_stack = ekf_update(central_stack, sensor, z[lead])
         if k % cfg.fusion_every:
             continue
         slot = k // cfg.fusion_every - 1
+        tracks.update((m.kind, central_stack if len(central) == 1 else
+                       truncate_state(central_stack[:, c], m.state_dim))
+                      for c, m in enumerate(central))
         outputs = {key: [imm_output(loc) for loc in bank]
                    for key, bank in banks.items()} if imm else {}
         # Every EKF fusion centre has a last fused track after the first fusion step.
@@ -504,7 +531,7 @@ def _report(cfg: ScenarioConfig, results: list) -> MetricsReport:
         pos_sq, vel_sq, nees = np.concatenate([res[name][0] for res in results], axis=1)
         final_pos_err = np.sqrt(pos_sq[:, -1])
         loss_rate = track_loss_rate(final_pos_err, cfg.track_loss_m)
-        kept = final_pos_err < cfg.track_loss_m
+        kept = ~_lost(final_pos_err, cfg.track_loss_m)
         excluded = np.full(fusion_steps.size, np.count_nonzero(~kept), dtype=int)
         if kept.any():
             pos = np.sqrt(np.mean(pos_sq[kept], axis=0))

@@ -480,6 +480,32 @@ def test_fuse_many_single_and_empty(rng):
         fuse_many([], "naive")
 
 
+@pytest.mark.parametrize("strategy", ["naive", "gmd", "amd", "hmd"])
+@pytest.mark.parametrize("weights", [[0.5, 0.5], [0.25, 0.25, 0.25, 0.25], 1.0])
+def test_fuse_many_needs_one_weight_per_operand(rng, strategy, weights):
+    # gmd fused the first two of three operands under a short weight vector.
+    densities = [random_gaussian(rng, 2) for _ in range(3)]
+    with pytest.raises(ValueError, match="one weight per operand"):
+        fuse_many(densities, strategy, weights)
+    with pytest.raises(ValueError, match="one weight per operand"):
+        fuse_many(densities[:1], strategy, weights)
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.6], [1.5, -0.5], [np.nan, 1.0]])
+def test_fuse_many_gmd_needs_nonnegative_weights_summing_to_one(rng, weights):
+    densities = [random_gaussian(rng, 2) for _ in range(2)]
+    with pytest.raises(ValueError, match="non-negative and sum to 1"):
+        fuse_many(densities, "gmd", weights)
+
+
+def test_fuse_many_naive_ignores_the_weights(rng):
+    densities = [random_gaussian(rng, 2) for _ in range(3)]
+    plain = fuse_many(densities, "naive")
+    weighted = fuse_many(densities, "naive", [0.7, 0.2, 0.1])
+    assert weighted.mean.tobytes() == plain.mean.tobytes()
+    assert weighted.cov.tobytes() == plain.cov.tobytes()
+
+
 def test_fuse_many_naive_is_full_product(rng):
     densities = [random_gaussian(rng, 2) for _ in range(3)]
     fused = fuse_many(densities, "naive")

@@ -9,6 +9,7 @@ The CSV text and the timing-free summary must be equal as strings: both
 paths call the same public filter and fusion functions on the same operands.
 """
 
+import dataclasses
 import json
 import re
 import warnings
@@ -17,6 +18,7 @@ from importlib import resources
 import pytest
 
 from trackfuse import fusion, load_preset, loads_config, run_scenario, simulation
+from trackfuse.errors import NotPositiveDefinite
 
 from oracles import ref_imm_study
 
@@ -107,8 +109,9 @@ def test_every_strategy_is_scored_in_one_stack_per_fusion_step(monkeypatch):
 
 
 def test_centralized_and_centralized_cv_share_one_track(monkeypatch):
-    # Both names run the NCV model and centralized_ca the NCA one: one
-    # centralized prediction per motion model and step.
+    # Both names run the NCV model and centralized_ca the NCA one: the two
+    # tracks step as one stack [runs, 2, 6] under the padded models, one
+    # centralized prediction per step.
     monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
     cfg = _bearing(strategies=("centralized", "centralized_ca", "hmd", "centralized_cv"),
                    duration_s=12.0)
@@ -116,13 +119,51 @@ def test_centralized_and_centralized_cv_share_one_track(monkeypatch):
     predict = simulation.ekf_predict
 
     def counted(track, model):
-        predicted.append((model.kind, track.mean.shape))
+        predicted.append((model.transition.shape, track.mean.shape))
         return predict(track, model)
 
     monkeypatch.setattr(simulation, "ekf_predict", counted)
     _assert_same_report(cfg)
-    assert sorted(predicted) == sorted([("nca", (cfg.runs, 6)),
-                                        ("ncv", (cfg.runs, 4))] * cfg.n_steps)
+    assert predicted == [((2, 6, 6), (cfg.runs, 2, 6))] * cfg.n_steps
+
+
+@pytest.mark.parametrize("name, kind, dim", [("centralized_ca", "nca", 6),
+                                             ("centralized_cv", "ncv", 4)])
+def test_one_centralized_model_steps_its_own_track(monkeypatch, name, kind, dim):
+    # One model's track is a [runs, d] stack stepped by the model itself:
+    # one prediction per step, one update per sensor and step.
+    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
+    cfg = _bearing(strategies=(name,), duration_s=12.0)
+    calls = []
+    predict, update = simulation.ekf_predict, simulation.ekf_update
+
+    def predicted(track, model):
+        calls.append(("predict", model.kind, track.mean.shape))
+        return predict(track, model)
+
+    def updated(track, sensor, z):
+        calls.append(("update", sensor.kind, track.mean.shape))
+        return update(track, sensor, z)
+
+    monkeypatch.setattr(simulation, "ekf_predict", predicted)
+    monkeypatch.setattr(simulation, "ekf_update", updated)
+    _assert_same_report(cfg)
+    step = [("predict", kind, (cfg.runs, dim))] + [("update", "bearing", (cfg.runs, dim))] * 2
+    assert calls == step * cfg.n_steps
+
+
+def test_the_padded_ncv_track_faces_the_padding_floor():
+    """Stepped beside the NCA track, the NCV track carries ``pad_var`` on its
+    padded diagonal, so its covariances face ``zero_pad``'s pivot floor,
+    ``1e-12 * max(max variance, pad_var)``, as an IMM's NCV mode does. With
+    ``pad_var = 1e12`` that floor is 1, which the start (least variance 100)
+    clears and the bearing updates (least squared pivot about 0.08 by the
+    end) fall below; the NCV track alone faces its own floor and runs."""
+    both = _bearing(strategies=("centralized_cv", "centralized_ca"))
+    both = dataclasses.replace(both, tracker=dataclasses.replace(both.tracker, pad_var=1e12))
+    with pytest.raises(NotPositiveDefinite, match="numerically singular"):
+        run_scenario(both)
+    _assert_same_report(dataclasses.replace(both, strategies=("centralized_cv",)))
 
 
 @pytest.mark.parametrize("strategy", ["hmd", "naive"])

@@ -14,15 +14,42 @@ consistency claims are asserted on the report:
 NEES is checked one-sided: the conservative rules may sit below the lower
 bound, and only hmd is held to the upper one (scenario2's centralized_cv is
 overconfident on the weaving target, so it is not checked).
+
+``preset_digests.json`` pins the same full-count reports: the sha256 of
+``csv_text()`` and of the timing-free summary JSON of each preset, recorded
+on the platform of ``perfbench/golden.json``. Elsewhere the digest test
+skips, as the golden digests do; the claims run on every platform.
 """
 
+import functools
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from trackfuse import load_preset, run_scenario
+from test_golden_digests import GOLDEN, PLATFORM, workloads
+
+DIGESTS = json.loads(Path(__file__).with_name("preset_digests.json").read_text(encoding="utf-8"))
+
+
+@functools.cache
+def _report(preset):
+    return run_scenario(load_preset(preset))
+
+
+@pytest.mark.parametrize("preset", sorted(DIGESTS))
+def test_full_count_preset_reproduces_its_digests(preset):
+    recorded = GOLDEN["platform"]
+    if any(PLATFORM.get(key) != value for key, value in recorded.items()):
+        pytest.skip(f"preset digests were recorded on {recorded}; this platform is "
+                    f"{PLATFORM}, where floating-point results may differ")
+    assert workloads.report_digests(_report(preset)) == DIGESTS[preset]
 
 
 def _claims(preset):
-    report = run_scenario(load_preset(preset))
+    report = _report(preset)
     summary = report.summary_dict(include_timing=False)
     hmd = report.metrics["hmd"]
     nees = float(np.mean(hmd.nees[-20:]))

@@ -145,10 +145,30 @@ def test_track_loss_rate_counts_threshold_as_lost():
     assert track_loss_rate([5.0, np.inf], 2.0) == 1.0
 
 
-@pytest.mark.parametrize("errors,tau", [([], 1.0), ([1.0], 0.0), ([1.0], -3.0)])
+def test_track_loss_rate_counts_a_nan_error_as_lost():
+    assert track_loss_rate([np.nan, 1.0], 500.0) == 0.5
+
+
+@pytest.mark.parametrize("errors,tau", [([], 1.0), ([1.0], 0.0), ([1.0], -3.0),
+                                        ([1.0], np.nan)])
 def test_track_loss_rate_rejects_bad_input(errors, tau):
     with pytest.raises(ValueError):
         track_loss_rate(errors, tau)
+
+
+def test_a_run_with_a_nan_final_error_is_lost_and_excluded():
+    # The loss rate and the exclusions read one rule: a run whose final
+    # position error is NaN is lost, and the aggregates keep the other run.
+    cfg = _toy_config(["naive"])
+    n_fuse = cfg.n_steps // cfg.fusion_every
+    scores = np.ones((3, 2, n_fuse))
+    scores[0, 0, -1] = np.nan
+    scores[:, 1] = 4.0
+    report = simulation._report(cfg, [{"naive": (scores, 0.0, 0)}])
+    summary = report.summary_dict(include_timing=False)
+    assert summary["track_loss"]["naive"] == 0.5
+    assert summary["excluded_runs"]["naive"] == 1
+    np.testing.assert_array_equal(report.metrics["naive"].rmse_pos, np.full(n_fuse, 2.0))
 
 
 # ---------------------------------------------------------------------------
