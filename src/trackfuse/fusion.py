@@ -383,9 +383,12 @@ def fuse_many(densities: Sequence[GaussianDensity], strategy: str,
     ``weights`` holds one weight per operand, equal weights ``1/n`` by
     default. gmd and amd need non-negative weights summing to 1, hmd
     positive ones; naive, the product of the operands, ignores them. A
-    weight count other than the operand count, or weights a rule does not
-    accept, raise ``ValueError``.
+    strategy other than these four (even for one operand), a weight count
+    other than the operand count, or weights a rule does not accept, raise
+    ``ValueError``.
     """
+    if strategy not in ("naive", "gmd", "amd", "hmd"):
+        raise ValueError(f"unknown fusion strategy: {strategy!r}")
     n = len(densities)
     if n == 0:
         raise ValueError("nothing to fuse")
@@ -408,6 +411,4 @@ def fuse_many(densities: Sequence[GaussianDensity], strategy: str,
         return GaussianDensity._made(_matvec(cov, info), cov)
     if strategy == "amd":
         return fuse_amd(list(densities), weights)
-    if strategy == "hmd":
-        return fuse_hmd_recursive(list(densities), weights).density
-    raise ValueError(f"unknown fusion strategy: {strategy!r}")
+    return fuse_hmd_recursive(list(densities), weights).density

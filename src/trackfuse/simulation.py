@@ -2,24 +2,22 @@
 
 Each run draws its random material (NCV truth, initial perturbations,
 measurement noise) up front from its own seed, spawned from the master seed,
-and every strategy is evaluated on it (common random numbers). A block of
-runs computes the sine truth once and measures each sensor kind in one call.
+and every strategy is evaluated on it (common random numbers). A study
+computes the sine truth once and measures each sensor kind in one call.
 
-One engine runs both tracker kinds. It takes the configuration and a block
-of run indices, steps all those runs together (the locals, then the
-centralized tracks, then each strategy's fusion) holding only the current
-banks, and returns each strategy's scores as ``[3, runs, fusion steps]``
-arrays. Each sensor's local tracker (an EKF's GaussianDensity or an ImmState),
-the centralized tracks and every scored track are stacks over the runs, passed
-through the same public functions a single run uses, so the report is
-byte-identical to stepping each run on its own. An IMM study's NCV and NCA
-centralized tracks step as one zero-padded ``[runs, 2, D]`` stack, as the
-IMM steps its modes. Only the local step and the
-fusion step depend on the tracker: EKF locals are fused by ``fuse_many``, the
-IMM locals' mixtures by one ``fuse_pair`` call per strategy and fusion step.
+One engine runs both tracker kinds. It takes the configuration, steps all
+its runs together (the locals, then the centralized tracks, then each
+strategy's fusion) holding only the current banks, and returns each
+strategy's scores as ``[3, runs, fusion steps]`` arrays. Each sensor's local
+tracker (an EKF's GaussianDensity or an ImmState), the centralized tracks and
+every scored track are stacks over the runs, passed through the same public
+functions a single run uses, so the report is byte-identical to stepping each
+run on its own. An IMM study's NCV and NCA centralized tracks step as one
+zero-padded ``[runs, 2, D]`` stack, as the IMM steps its modes. Only the
+local step and the fusion step depend on the tracker: EKF locals are fused by
+``fuse_many``, the IMM locals' mixtures by one ``fuse_pair`` call per
+strategy and fusion step.
 NEES is scored on each track's leading position-velocity marginal.
-``TRACKFUSE_THREADS`` splits the runs into one contiguous block per worker
-process without changing the report.
 
 Estimation quality is reported at fusion instants: position/velocity RMSE
 across runs and the average normalized estimation error squared (NEES) with
@@ -30,11 +28,8 @@ aggregates (the exclusion count is reported per step).
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -254,8 +249,8 @@ def _score(tracks: list, truth: np.ndarray, dims: int) -> np.ndarray:
     return np.array([pos, vel, compute_nees(track, truth)])
 
 
-def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
-    """All ``runs`` of a study, stepped together from material drawn up front.
+def _run_study(cfg: ScenarioConfig) -> dict:
+    """All runs of a study, stepped together from material drawn up front.
 
     Each step advances the local banks, each ``list[sensor]`` of stacks over
     the runs, then the centralized tracks, then, at a fusion step, every
@@ -286,8 +281,8 @@ def _run_study(cfg: ScenarioConfig, runs: Sequence[int]) -> dict:
     dims = cfg.sensors[0].spatial_dims
     models = _models(cfg)
     top = models[-1].state_dim
-    n_runs, n_fuse = len(runs), cfg.n_steps // cfg.fusion_every
-    truth, perts, white = zip(*(_draws(cfg, r, top) for r in runs))
+    n_runs, n_fuse = cfg.runs, cfg.n_steps // cfg.fusion_every
+    truth, perts, white = zip(*(_draws(cfg, r, top) for r in range(n_runs)))
     if isinstance(cfg.truth, SineTruth):  # deterministic: one path serves every run
         truth = (sine_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s),) * n_runs
     states = np.stack(truth)
@@ -409,7 +404,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         ``fusion_every``, ``nees_sided``, tracker initial standard deviation,
         IMM ``pad_var`` or IMM ``transition`` (a zero column too), initial
         standard deviations whose covariance fails its check (a square that
-        overflows), a negative or non-finite process-noise density, no
+        overflows), a negative or non-finite process-noise density or
+        truth ``speed_mps``, a non-finite truth ``start``, ``amplitude_m``,
+        ``rotation_rad``, ``initial_position`` or ``initial_velocity``, no
         fusion step, a mixture fusion setup with other than two sensors, a
         first sensor (which sizes the tracker) of another spatial dimension
         than the truth, a sensor that reads more position axes than the
@@ -442,12 +439,17 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     for key, value in positive.items():
         if not (value > 0.0 and np.isfinite(value)):
             raise ConfigError(f"{key} must be positive and finite, got {value}")
-    densities = {f"tracker.{key}": getattr(cfg.tracker, key) for key in ("q", "q_ncv", "q_nca")
-                 if hasattr(cfg.tracker, key)}
-    densities["truth.q"] = getattr(cfg.truth, "q", 0.0)  # the sine path has none
-    for key, value in densities.items():
-        if not all(0.0 <= v < np.inf for v in np.ravel(value)):
-            raise ConfigError(f"{key} must be non-negative and finite, got "
+    # Finite, and non-negative unless signed: a process-noise density or a speed.
+    finite = {f"tracker.{key}": getattr(cfg.tracker, key) for key in ("q", "q_ncv", "q_nca")
+              if hasattr(cfg.tracker, key)}
+    signed = ("start", "amplitude_m", "rotation_rad", "initial_position", "initial_velocity")
+    finite.update((f"truth.{key}", getattr(cfg.truth, key)) for key in ("q", "speed_mps")
+                  + signed if hasattr(cfg.truth, key))
+    for key, value in finite.items():
+        low = -np.inf if key.removeprefix("truth.") in signed else 0.0
+        if not all(np.isfinite(v) and v >= low for v in np.ravel(value)):
+            bound = "finite" if low < 0.0 else "non-negative and finite"
+            raise ConfigError(f"{key} must be {bound}, got "
                               + ", ".join(f"{v:g}" for v in np.ravel(value)))
     if not imm and cfg.omega != 0.5:
         raise ConfigError("EKF studies fuse their operands with equal weights 1/n; "
@@ -498,28 +500,11 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     if imm and not np.asarray(cfg.tracker.transition, dtype=float).sum(axis=0).all():
         raise ConfigError("tracker.transition has a zero column: no mode switches into "
                           "that mode, so its mixing is undefined")
-
-    threads = os.environ.get("TRACKFUSE_THREADS", "")
-    try:
-        workers = int(threads or "1")
-    except ValueError:
-        raise ConfigError(f"TRACKFUSE_THREADS must be an integer, got {threads!r}") from None
-    workers = max(1, min(workers, cfg.runs))
-    if workers > 1:
-        # Each worker steps one contiguous block of runs.
-        size = -(-cfg.runs // workers)
-        size += size % 2  # even block starts keep every run's memory alignment class
-        blocks = [range(a, min(a + size, cfg.runs)) for a in range(0, cfg.runs, size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_study, [cfg] * len(blocks), blocks))
-    else:
-        results = [_run_study(cfg, range(cfg.runs))]
-    return _report(cfg, results)
+    return _report(cfg, _run_study(cfg))
 
 
-def _report(cfg: ScenarioConfig, results: list) -> MetricsReport:
-    """Aggregate the engines' results for consecutive blocks of runs into the
-    study's report."""
+def _report(cfg: ScenarioConfig, results: dict) -> MetricsReport:
+    """Aggregate the engine's results into the study's report."""
     fusion_steps = np.array([k for k in range(1, cfg.n_steps + 1)
                              if k % cfg.fusion_every == 0])
     times = fusion_steps * cfg.dt_s
@@ -528,7 +513,7 @@ def _report(cfg: ScenarioConfig, results: list) -> MetricsReport:
     metrics = {}
     timing = {}
     for name in cfg.strategies:
-        pos_sq, vel_sq, nees = np.concatenate([res[name][0] for res in results], axis=1)
+        (pos_sq, vel_sq, nees), seconds, calls = results[name]
         final_pos_err = np.sqrt(pos_sq[:, -1])
         loss_rate = track_loss_rate(final_pos_err, cfg.track_loss_m)
         kept = ~_lost(final_pos_err, cfg.track_loss_m)
@@ -541,9 +526,7 @@ def _report(cfg: ScenarioConfig, results: list) -> MetricsReport:
         else:
             pos = vel = nees = np.full(fusion_steps.size, np.nan)
             lo, hi = np.nan, np.nan
-        calls = sum(res[name][2] for res in results)
-        timing[name] = (sum(res[name][1] for res in results) / calls
-                        if calls else None)
+        timing[name] = seconds / calls if calls else None
         metrics[name] = StrategyMetrics(pos, vel, nees, lo, hi, loss_rate,
                                         excluded)
     return MetricsReport(cfg.name, cfg.runs, fusion_steps, times,

@@ -117,16 +117,6 @@ def test_partial_track_loss_is_counted_like_the_scalar_path():
     assert any(0 < n < 6 for n in lost)
 
 
-def test_worker_blocks_give_the_serial_report(monkeypatch):
-    cfg = _radar(seed=11, runs=5)
-    monkeypatch.setenv("TRACKFUSE_THREADS", "2")
-    parallel = _assert_same_report(cfg)
-    monkeypatch.delenv("TRACKFUSE_THREADS")
-    serial = run_scenario(cfg)
-    assert parallel.csv_text() == serial.csv_text()
-    assert _summary(parallel) == _summary(serial)
-
-
 def test_timing_is_batched_fusion_seconds_per_run_and_call():
     report = run_scenario(_radar(runs=3))
     assert report.summary_dict()["timing"]["centralized"] is None
@@ -174,7 +164,6 @@ def test_one_stacked_call_per_sensor_kind_centre_prediction_and_score(monkeypatc
     the kind's [runs, sensors, d] stack; per fusion step, one prediction of
     the fusion centres' [runs, strategies, d] stack per filter step, and one
     score of every strategy."""
-    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
     cfg = _radar(runs=3, duration_s=12.0, fusion_every=2,
                  sensors=_radar().sensors + (_BEARING,))
     calls = {"predict": [], "update": [], "score": []}
@@ -208,7 +197,6 @@ def test_one_stacked_call_per_sensor_kind_centre_prediction_and_score(monkeypatc
 def test_centralized_and_centralized_cv_share_one_track(monkeypatch):
     # Both names run the NCV model from the central perturbation: one track
     # per step, scored under each name.
-    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
     cfg = _radar(runs=3, strategies=("centralized", "hmd", "centralized_cv"))
     predicted = []
     predict = simulation.ekf_predict
@@ -265,7 +253,7 @@ def test_every_matrix_the_scalar_path_checks_is_checked_for_each_run(monkeypatch
 
     record_with(record_stack)
     # The engine itself: run_scenario's gate also checks one trial prior.
-    simulation._run_study(cfg, range(cfg.runs))
+    simulation._run_study(cfg)
     assert len(stacked) > 0
     for r, checked in enumerate(scalar):
         # Run r's block of each check, flattened into its [d, d] members.

@@ -293,6 +293,9 @@ def test_simulate_strategy_the_engine_does_not_run_exits_two(args, fragment, cap
     (lambda t: t.replace("[tracker]\nkind = ekf\nq = 0.5, 0.5\n",
                          IMM_TRACKER.replace("q_nca = 0.001", "q_nca = -0.001")),
      "tracker.q_nca must be non-negative and finite"),
+    # A negative speed held the target still while it reported a velocity.
+    (lambda t: t.replace("speed_knots = 16", "speed_knots = -16"),
+     "truth.speed_mps must be non-negative and finite"),
 ])
 def test_simulate_config_rejected_at_the_boundary_exits_two(mutate, fragment,
                                                            tmp_path, capsys):
@@ -308,14 +311,6 @@ def test_simulate_unknown_preset_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--preset", "nonexistent"])
     assert exc.value.code == 2
-
-
-def test_simulate_non_integer_threads_exits_two(config_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TRACKFUSE_THREADS", "two")
-    assert main(["simulate", "--config", config_file, "--out-dir",
-                 str(tmp_path / "out")]) == 2
-    _assert_one_error_line(capsys, "TRACKFUSE_THREADS must be an integer, got 'two'")
-    assert not (tmp_path / "out").exists()
 
 
 def test_bench_is_not_a_command(capsys):

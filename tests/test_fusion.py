@@ -478,6 +478,10 @@ def test_fuse_many_single_and_empty(rng):
     assert fuse_many([a], "hmd") is a
     with pytest.raises(ValueError, match="nothing to fuse"):
         fuse_many([], "naive")
+    # One operand is returned as is, but only under a rule fuse_many runs.
+    for strategy in ("bogus", "pcf"):
+        with pytest.raises(ValueError, match=f"unknown fusion strategy: '{strategy}'"):
+            fuse_many([a], strategy)
 
 
 @pytest.mark.parametrize("strategy", ["naive", "gmd", "amd", "hmd"])

@@ -81,7 +81,6 @@ def test_the_pair_quotient_fallback_fires_in_a_compared_study(monkeypatch):
         calls.append(args)
         return group_moments(*args)
 
-    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
     cfg = _bearing(seed=7)
     monkeypatch.setattr(fusion, "_group_moments", counted)
     report = run_scenario(cfg)
@@ -93,7 +92,6 @@ def test_the_pair_quotient_fallback_fires_in_a_compared_study(monkeypatch):
 def test_every_strategy_is_scored_in_one_stack_per_fusion_step(monkeypatch):
     # centralized_ca's NCA track and the NCV ones join as their
     # position-velocity marginals.
-    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
     cfg = _bearing(strategies=("hmd", "centralized_ca", "hmd", "pcf", "centralized_cv"),
                    duration_s=12.0, fusion_every=3)
     scored = []
@@ -112,7 +110,6 @@ def test_centralized_and_centralized_cv_share_one_track(monkeypatch):
     # Both names run the NCV model and centralized_ca the NCA one: the two
     # tracks step as one stack [runs, 2, 6] under the padded models, one
     # centralized prediction per step.
-    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
     cfg = _bearing(strategies=("centralized", "centralized_ca", "hmd", "centralized_cv"),
                    duration_s=12.0)
     predicted = []
@@ -132,7 +129,6 @@ def test_centralized_and_centralized_cv_share_one_track(monkeypatch):
 def test_one_centralized_model_steps_its_own_track(monkeypatch, name, kind, dim):
     # One model's track is a [runs, d] stack stepped by the model itself:
     # one prediction per step, one update per sensor and step.
-    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
     cfg = _bearing(strategies=(name,), duration_s=12.0)
     calls = []
     predict, update = simulation.ekf_predict, simulation.ekf_update
@@ -178,18 +174,6 @@ def test_feedback_survives_a_mode_whose_fused_weights_underflow(strategy):
         warnings.simplefilter("error")
         report = _assert_same_report(cfg)
     assert report.summary_dict()["track_loss"][strategy] == 0.0
-
-
-def test_worker_blocks_give_the_serial_report(monkeypatch):
-    # Even blocks: 4 runs on 2 workers split 2 + 2, 5 runs split 4 + 1.
-    for runs, feedback in ((4, True), (5, True), (5, False)):
-        cfg = _bearing(seed=11, runs=runs, duration_s=20.0, feedback=feedback)
-        monkeypatch.setenv("TRACKFUSE_THREADS", "2")
-        parallel = _assert_same_report(cfg)
-        monkeypatch.delenv("TRACKFUSE_THREADS")
-        serial = run_scenario(cfg)
-        assert parallel.csv_text() == serial.csv_text()
-        assert _summary(parallel) == _summary(serial)
 
 
 def test_timing_is_fusion_seconds_per_run_and_call():

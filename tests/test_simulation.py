@@ -164,7 +164,7 @@ def test_a_run_with_a_nan_final_error_is_lost_and_excluded():
     scores = np.ones((3, 2, n_fuse))
     scores[0, 0, -1] = np.nan
     scores[:, 1] = 4.0
-    report = simulation._report(cfg, [{"naive": (scores, 0.0, 0)}])
+    report = simulation._report(cfg, {"naive": (scores, 0.0, 0)})
     summary = report.summary_dict(include_timing=False)
     assert summary["track_loss"]["naive"] == 0.5
     assert summary["excluded_runs"]["naive"] == 1
@@ -258,9 +258,8 @@ def test_bulk_measurement_draw_equals_the_step_by_step_draws(seed):
                    range_az_el_sensor([12000.0, 8000.0, 0.0], 100.0, 0.03)),
      [("range_az_el", (2, 3)), ("bearing", (1, 2))]),
 ])
-def test_each_block_draws_the_sine_path_once_and_measures_each_kind_in_one_call(
+def test_each_study_draws_the_sine_path_once_and_measures_each_kind_in_one_call(
         monkeypatch, preset, sensors, kinds):
-    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)  # count in this process
     cfg = load_preset(preset, runs=3, duration_s=12.0 * load_preset(preset).dt_s)
     if sensors:
         cfg = dataclasses.replace(cfg, sensors=sensors, strategies=("centralized", "hmd"))
@@ -280,13 +279,10 @@ def test_each_block_draws_the_sine_path_once_and_measures_each_kind_in_one_call(
     monkeypatch.setattr(simulation, "sine_truth_states", counted_sine)
     monkeypatch.setattr(simulation.MeasurementModel, "measure", counted_measure)
     truth_dim = 4 if preset == "scenario2" else 6
-    # The serial study is one block of 3 runs; workers would step 2 + 1.
-    for runs, study in ((3, lambda: run_scenario(cfg)),
-                        (2, lambda: simulation._run_study(cfg, range(2))),
-                        (1, lambda: simulation._run_study(cfg, range(2, 3)))):
+    for runs in (3, 2, 1):
         paths.clear()
         measured.clear()
-        study()
+        run_scenario(dataclasses.replace(cfg, runs=runs))
         assert len(paths) == (preset == "scenario2")
         assert measured == [(kind, shape, (runs, cfg.n_steps, 1, truth_dim))
                             for kind, shape in kinds]
@@ -439,7 +435,7 @@ def test_all_runs_lost_reported_as_nan():
 
 
 # ---------------------------------------------------------------------------
-# Determinism and parallel execution
+# Determinism
 
 
 def test_same_seed_reproduces_report_byte_for_byte():
@@ -449,34 +445,6 @@ def test_same_seed_reproduces_report_byte_for_byte():
     assert first.csv_text() == second.csv_text()
     assert first.summary_dict(include_timing=False) == \
         second.summary_dict(include_timing=False)
-
-
-def test_process_pool_matches_serial(monkeypatch):
-    cfg = _toy_config(["naive"], runs=4)
-    monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)
-    serial = run_scenario(cfg)
-    monkeypatch.setenv("TRACKFUSE_THREADS", "2")
-    parallel = run_scenario(cfg)
-    assert serial.csv_text() == parallel.csv_text()
-
-
-@pytest.mark.parametrize("threads", [None, "", "0", "-1"])
-def test_empty_or_zero_threads_run_serially(monkeypatch, threads):
-    if threads is None:
-        monkeypatch.delenv("TRACKFUSE_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("TRACKFUSE_THREADS", threads)
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", None)  # no pool may start
-    run_scenario(_toy_config(["naive"], runs=2))
-
-
-@pytest.mark.parametrize("threads", ["two", "1.5", "2 workers"])
-def test_non_integer_threads_is_a_config_error(monkeypatch, threads):
-    monkeypatch.setenv("TRACKFUSE_THREADS", threads)
-    monkeypatch.setattr(simulation, "_run_study", None)
-    with pytest.raises(ConfigError, match=re.escape(
-            f"TRACKFUSE_THREADS must be an integer, got {threads!r}")):
-        run_scenario(_toy_config(["naive"], runs=2))
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +593,44 @@ def test_rejects_a_sine_wavelength_of_zero_or_not_finite(no_run_starts, waveleng
                                                              wavelength_m=wavelength))
     with pytest.raises(ConfigError, match="truth.wavelength_m must be non-zero and finite"):
         run_scenario(cfg)
+
+
+@pytest.mark.parametrize("preset,key,value,message", [
+    # Each died in the first run with a bare NotPositiveDefinite.
+    ("scenario2", "speed_mps", float("nan"), "truth.speed_mps must be non-negative and finite"),
+    ("scenario2", "amplitude_m", float("inf"), "truth.amplitude_m must be finite"),
+    ("scenario2", "rotation_rad", float("nan"), "truth.rotation_rad must be finite"),
+    ("scenario2", "start", np.array([150.0, float("nan")]), "truth.start must be finite"),
+    ("scenario1", "initial_position", np.array([0.0, float("nan"), 1000.0]),
+     "truth.initial_position must be finite"),
+    ("scenario1", "initial_velocity", np.array([200.0, float("-inf"), 0.0]),
+     "truth.initial_velocity must be finite"),
+    # A negative speed held the target still while it reported a velocity.
+    ("scenario2", "speed_mps", -5.0, "truth.speed_mps must be non-negative and finite"),
+])
+def test_rejects_a_truth_parameter_that_is_not_finite_or_a_negative_speed(
+        no_run_starts, preset, key, value, message):
+    cfg = load_preset(preset, runs=1)
+    cfg = dataclasses.replace(cfg, truth=dataclasses.replace(cfg.truth, **{key: value}))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_scenario(cfg)
+
+
+def test_a_stationary_target_runs_and_stays_at_its_start():
+    cfg = load_preset("scenario2", runs=1, duration_s=10.0)
+    still = dataclasses.replace(cfg, truth=dataclasses.replace(cfg.truth, speed_mps=0.0))
+    states = simulation.sine_truth_states(still.truth, still.n_steps, still.dt_s)
+    np.testing.assert_array_equal(states[:, :2], np.broadcast_to(still.truth.start,
+                                                                 (still.n_steps + 1, 2)))
+    np.testing.assert_array_equal(states[:, 2:], 0.0)
+    assert np.isfinite(run_scenario(still).metrics["hmd"].rmse_pos).all()
+
+
+def test_a_negative_amplitude_runs_as_the_mirrored_path():
+    cfg = load_preset("scenario2", runs=1, duration_s=10.0)
+    mirrored = dataclasses.replace(cfg, truth=dataclasses.replace(cfg.truth,
+                                                                  amplitude_m=-50.0))
+    assert run_scenario(mirrored).csv_text() != run_scenario(cfg).csv_text()
 
 
 def test_a_negative_wavelength_runs_as_the_mirrored_path():
