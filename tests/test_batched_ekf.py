@@ -117,6 +117,17 @@ def test_partial_track_loss_is_counted_like_the_scalar_path():
     assert any(0 < n < 6 for n in lost)
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+def test_a_shorter_study_gives_the_first_runs_bit_for_bit(seed):
+    # Run r draws from its own seed and steps as its own stack member, so a
+    # study cut short keeps each remaining run's scores bit for bit.
+    full = simulation._run_study(_radar(seed=seed, runs=5))
+    for runs in (1, 3):
+        short = simulation._run_study(_radar(seed=seed, runs=runs))
+        for name in STRATEGIES:
+            assert short[name][0].tobytes() == full[name][0][:, :runs].tobytes()
+
+
 def test_timing_is_batched_fusion_seconds_per_run_and_call():
     report = run_scenario(_radar(runs=3))
     assert report.summary_dict()["timing"]["centralized"] is None

@@ -176,6 +176,19 @@ def test_feedback_survives_a_mode_whose_fused_weights_underflow(strategy):
     assert report.summary_dict()["track_loss"][strategy] == 0.0
 
 
+@pytest.mark.parametrize("runs,feedback", [(4, True), (5, True), (5, False)])
+def test_a_shorter_study_gives_the_first_runs_bit_for_bit(runs, feedback):
+    # Run r draws from its own seed and, by the per-run mixing product, steps
+    # as its own stack member: a study cut short keeps each remaining run's
+    # scores bit for bit.
+    cfg = _bearing(seed=11, runs=runs, duration_s=20.0, feedback=feedback)
+    full = simulation._run_study(cfg)
+    for head in (1, runs // 2, runs - 1):
+        short = simulation._run_study(dataclasses.replace(cfg, runs=head))
+        for name in cfg.strategies:
+            assert short[name][0].tobytes() == full[name][0][:, :head].tobytes()
+
+
 def test_timing_is_fusion_seconds_per_run_and_call():
     report = run_scenario(_bearing(runs=2, duration_s=10.0))
     assert report.timing["centralized_cv"] is None
