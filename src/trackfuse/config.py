@@ -118,8 +118,17 @@ def _count(value) -> int:
     return int(value)
 
 
-# The counts an API override may set; they are cast like file values.
-_COUNT_KEYS = ("runs", "seed", "fusion_every", "prune_to", "nees_sided")
+def _flag(value) -> bool:
+    """A boolean (the key=value words true/yes/on and false/no/off parse to
+    one); anything else raises ``ValueError``."""
+    if not isinstance(value, bool):
+        raise ValueError("expected true or false")
+    return value
+
+
+# The counts and flags an API override may set; they are cast like file values.
+_CAST_KEYS = {**dict.fromkeys(("runs", "seed", "fusion_every", "prune_to", "nees_sided"), _count),
+              "feedback": _flag}
 
 
 def _vector(length: int):
@@ -247,7 +256,7 @@ def build_scenario(sections: dict) -> ScenarioConfig:
         runs=mc_sec.get("runs", required=True, cast=_count),
         seed=mc_sec.get("seed", 0, cast=_count),
         fusion_every=scen.get("fusion_every", 2, cast=_count),
-        feedback=bool(scen.get("feedback", False)),
+        feedback=scen.get("feedback", False, cast=_flag),
         omega=fusion_sec.get("omega", 0.5, cast=float),
         prune_to=fusion_sec.get("prune_to", 2, cast=_count),
         track_loss_m=scen.get("track_loss_m", 500.0, cast=float),
@@ -292,9 +301,9 @@ def _apply_overrides(config: ScenarioConfig, overrides: dict) -> ScenarioConfig:
 
     clean = {k: v for k, v in overrides.items() if v is not None}
     section = _Section("overrides", clean)
-    for key in _COUNT_KEYS:
+    for key, cast in _CAST_KEYS.items():
         if key in clean:
-            clean[key] = section.get(key, cast=_count)
+            clean[key] = section.get(key, cast=cast)
     if "strategies" in clean:
         clean["strategies"] = _strategy_list(clean["strategies"])
     return replace(config, **clean) if clean else config

@@ -331,7 +331,8 @@ def imm_step(state: ImmState, meas: MeasurementModel, z: np.ndarray) -> ImmState
 
 def imm_output(state: ImmState) -> GaussianMixture:
     """Mode mixture in the common (padded) space, tagged by model kind."""
-    return GaussianMixture(state.mode_probs, state.modes, tuple(m.kind for m in state.models))
+    return GaussianMixture._view(state.mode_probs, state.modes,
+                                 tuple(m.kind for m in state.models))
 
 
 def prune_mixture(mixture: GaussianMixture, target_count: int) -> GaussianMixture:
@@ -350,7 +351,7 @@ def prune_mixture(mixture: GaussianMixture, target_count: int) -> GaussianMixtur
     keep = np.sort(np.lexsort((traces, -mixture.weights), axis=-1)[..., :target_count], axis=-1)
     tags = None if mixture.tags is None or keep.ndim > 1 else tuple(mixture.tags[k] for k in keep)
     at = (*np.indices(keep.shape, sparse=True)[:-1], keep)
-    return GaussianMixture(mixture.weights[at], comps[at], tags).normalized()
+    return GaussianMixture._view(mixture.weights[at], comps[at], tags).normalized()
 
 
 @lru_cache
@@ -403,7 +404,7 @@ def route_feedback(state: ImmState, fed: GaussianMixture,
         weights[at], mean[at], cov[at] = _group_moments(fed.weights[pick], comps.mean[pick],
                                                         comps.cov[pick])
         chol[at] = _factor(cov[at])
-    prepared = GaussianMixture(weights, GaussianDensity._view(mean, cov, chol), kinds)
+    prepared = GaussianMixture._view(weights, GaussianDensity._view(mean, cov, chol), kinds)
     return apply_feedback(state, prepared.normalized())
 
 

@@ -32,7 +32,7 @@ global pool fails hmd's eigenvalue test form a mask; their own pools are matched
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
 
@@ -120,7 +120,7 @@ def fuse_amd(inputs: Sequence[GaussianDensity | GaussianMixture],
     Mixture inputs are flattened (their component weights scale by the input
     weight), and a plain Gaussian, or a stack of them, is one component (a
     view). The component stacks are concatenated and not checked again.
-    Weights must sum to one; no pruning is performed.
+    Weights must be non-negative and sum to one; no pruning is performed.
 
     If an input is tagged, each component's provenance tag has one
     ``|``-separated field per input: mode ``i`` of input 0 of two is ``"i|"``.
@@ -128,8 +128,9 @@ def fuse_amd(inputs: Sequence[GaussianDensity | GaussianMixture],
     weights = np.asarray(weights, dtype=float)
     if len(inputs) != weights.size:
         raise ValueError("one weight per input required")
-    if abs(float(np.sum(weights)) - 1.0) > _WEIGHT_TOL:
-        raise ValueError("input weights must sum to 1")
+    # NaN fails both comparisons.
+    if not ((weights >= 0.0).all() and abs(float(np.sum(weights)) - 1.0) <= _WEIGHT_TOL):
+        raise ValueError(f"amd weights must be non-negative and sum to 1, got {weights}")
     parts = [_parts(inp) for inp in inputs]
     tags = None
     if any(p_tags is not None for _, _, p_tags in parts):
@@ -137,7 +138,8 @@ def fuse_amd(inputs: Sequence[GaussianDensity | GaussianMixture],
                      for pos, (p_w, _, p_tags) in enumerate(parts)
                      for src in p_tags or ("",) * p_w.shape[-1])
     out_w = np.concatenate([wt * p_w for wt, (p_w, _, _) in zip(weights, parts)], axis=-1)
-    return GaussianMixture(out_w, _joined([comps for _, comps, _ in parts], np.concatenate), tags)
+    return GaussianMixture._view(out_w, _joined([comps for _, comps, _ in parts], np.concatenate),
+                                 tags)
 
 
 def _parts(d) -> tuple:
@@ -151,7 +153,7 @@ def _parts(d) -> tuple:
 
 
 def _as_mixture(d) -> GaussianMixture:
-    return d.normalized() if isinstance(d, GaussianMixture) else GaussianMixture(*_parts(d))
+    return d.normalized() if isinstance(d, GaussianMixture) else GaussianMixture._view(*_parts(d))
 
 
 def _cross_products(a: GaussianMixture, b: GaussianMixture):
@@ -202,7 +204,8 @@ def fuse_pcf(a, b, w: float = 0.5) -> GaussianMixture:
     lw_a = w * _log_weight(mix_a.weights) + pow_a.log_scale
     lw_b = (1.0 - w) * _log_weight(mix_b.weights) + pow_b.log_scale
     ia, ib, tags, (mean, cov, chol, log_s) = _cross_products(
-        replace(mix_a, components=pow_a.density), replace(mix_b, components=pow_b.density))
+        GaussianMixture._view(mix_a.weights, pow_a.density, mix_a.tags),
+        GaussianMixture._view(mix_b.weights, pow_b.density, mix_b.tags))
     log_w = np.take(lw_a, ia, -1) + np.take(lw_b, ib, -1)
     return _fused_mixture(log_w + log_s, mean, cov, chol, tags)
 

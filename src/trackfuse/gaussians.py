@@ -20,11 +20,15 @@ Validation contract, two rules:
 - the boundary runs the full check: the :class:`GaussianDensity` constructor,
   :func:`assert_spd` and :func:`spd_inv` test a caller's matrix for finite
   entries of at most half the float maximum, symmetry within a relative 1e-9,
-  a Cholesky factorization and a pivot floor;
+  a Cholesky factorization and a pivot floor, and the :class:`GaussianMixture`
+  constructor tests a caller's weights (finite, non-negative, one per
+  component) and tags;
 - a package-made covariance is factored once where it is made: the algebra
   symmetrizes what it computes, so the symmetry test cannot fail on it, and
   :func:`_factor` runs the other tests and returns the factor a
-  :meth:`GaussianDensity._view` stores.
+  :meth:`GaussianDensity._view` stores. A mixture the package makes of
+  checked components and finite, non-negative weights of their full leading
+  shape is a :meth:`GaussianMixture._view`, checked nothing again.
 
 A density keeps its factor for every later use (``logpdf``,
 :func:`scaled_power`, ``precision``); its arrays are read-only, so the factor
@@ -303,9 +307,10 @@ class GaussianMixture:
     """A finite Gaussian mixture, optionally with a string tag per component.
 
     ``components`` is one :class:`GaussianDensity` stack whose last leading
-    axis is the component axis, means ``[..., M, d]`` under per-member weights
-    ``[..., M]`` (a shared ``[M]`` vector is broadcast to every member); a
-    sequence of densities of one shape is joined into it, unchecked. Component
+    axis is the component axis, means ``[..., M, d]`` under read-only
+    per-member weights ``[..., M]`` (a shared ``[M]`` vector is broadcast to
+    every member); a sequence of densities of one shape is joined into it,
+    unchecked. Component
     ``k`` is ``components[..., k]`` (``components[k]`` only of one mixture). Tags
     identify the motion model a component originated from and survive
     fusion, which is what lets a fusion center route feedback back to the
@@ -332,10 +337,23 @@ class GaussianMixture:
             raise ValueError("one tag per component required")
         if weights.shape != lead:
             weights = np.broadcast_to(weights, lead)
-        object.__setattr__(self, "weights", np.maximum(weights, 0.0))
+        weights = np.maximum(weights, 0.0)
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "components", components)
         if self.tags is not None:
             object.__setattr__(self, "tags", tuple(self.tags))
+
+    @classmethod
+    def _view(cls, weights: np.ndarray, components: GaussianDensity,
+              tags: tuple[str, ...] | None = None) -> "GaussianMixture":
+        """Mixture of checked parts, not checked again: finite, non-negative
+        ``weights`` of the components' full leading shape, stored read-only."""
+        weights = weights.view()
+        weights.setflags(write=False)
+        mixture = object.__new__(cls)
+        mixture.__dict__.update(weights=weights, components=components, tags=tags)
+        return mixture
 
     @property
     def dim(self) -> int:
@@ -349,7 +367,7 @@ class GaussianMixture:
         total = self.weights.sum(axis=-1, keepdims=True)
         if not (total > 0.0).all():
             raise ValueError("cannot normalize a mixture with zero total weight")
-        return GaussianMixture(self.weights / total, self.components, self.tags)
+        return GaussianMixture._view(self.weights / total, self.components, self.tags)
 
     def _weighted_logs(self, x) -> tuple[np.ndarray, np.ndarray]:
         """The weights and the component log densities at the points ``x``:
@@ -483,12 +501,13 @@ def moment_match(mixture: GaussianMixture) -> GaussianDensity:
     return GaussianDensity._made(*_mixture_moments(mixture.weights, comps.mean, comps.cov))
 
 
-def _joined(densities: tuple, join) -> GaussianDensity:
+def _joined(densities: tuple, join, axis: int = -1) -> GaussianDensity:
     """One stack of ``densities``: ``join`` (``np.stack``, or ``np.concatenate``
-    of component stacks) of their stored arrays on the last leading axis, unchecked."""
+    of component stacks) of their stored arrays on leading axis ``axis`` (< 0,
+    the last by default), unchecked."""
     try:
-        return GaussianDensity._view(*(join([getattr(d, f) for d in densities], axis=axis)
-                                       for f, axis in (("mean", -2), ("cov", -3), ("chol", -3))))
+        return GaussianDensity._view(*(join([getattr(d, f) for d in densities], axis=axis - core)
+                                       for f, core in (("mean", 1), ("cov", 2), ("chol", 2))))
     except ValueError:
         raise ValueError("a mixture needs at least one component, and its components must "
                          "share one dimension and stack shape") from None

@@ -16,7 +16,8 @@ run on its own. An IMM study's NCV and NCA centralized tracks step as one
 zero-padded ``[runs, 2, D]`` stack, as the IMM steps its modes. Only the
 local step and the fusion step depend on the tracker: EKF locals are fused by
 ``fuse_many``, the IMM locals' mixtures by one ``fuse_pair`` call per
-strategy and fusion step.
+strategy and fusion step, all strategies' results then pruned and matched as
+one stack.
 NEES is scored on each track's leading position-velocity marginal.
 
 Estimation quality is reported at fusion instants: position/velocity RMSE
@@ -266,14 +267,18 @@ def _run_study(cfg: ScenarioConfig) -> dict:
     models step as one ``[runs, models, D]`` stack, the NCV one zero-padded
     and stepped by its padded model as ``imm_step`` steps its modes (and so
     facing ``zero_pad``'s floor); one model's track steps as ``[runs, d]``
-    with the model itself. IMM mixtures are fused, routed or pruned, and
-    scored moment-matched. All strategies score as one stack. The error
-    raised is the first by step, then by stage (an EKF bank's kinds in order
-    of first sensor, each predicted before it is updated; an IMM bank by
-    sensor; the centralized tracks' prediction, then their update by each
-    sensor; the centres; fusion by strategy, a routed mode whose padding
-    fails raising at its routing), then the stack's first failing check,
-    members in (run, sensor), (run, model) or (run, strategy) order.
+    with the model itself. IMM mixtures are fused strategy by strategy, and
+    with feedback each is routed into its strategy's bank; then the fused
+    mixtures of one component count are pruned (without feedback) and
+    moment-matched as one ``[runs, strategies, K, D]`` stack. All
+    strategies score as one stack. The error raised is the first by step,
+    then by stage (an EKF bank's kinds in order of first sensor, each
+    predicted before it is updated; an IMM bank by sensor; the centralized
+    tracks' prediction, then their update by each sensor; the centres;
+    fusion and routing by strategy, a routed mode whose padding fails
+    raising at its routing; after every strategy has fused and routed, the
+    stacked prune and match), then the stack's first failing check, members
+    in (run, sensor), (run, model) or (run, strategy) order.
     Returns, per strategy, the scores, the seconds spent fusing and the
     fusion calls.
     """
@@ -292,7 +297,7 @@ def _run_study(cfg: ScenarioConfig) -> dict:
     kinds = _measurements(cfg, states, np.stack(white))
     meas = {s: z[:, :, j] for idx, _, z in kinds for j, s in enumerate(idx)}  # [R, n_steps, m]
 
-    strategies = list(dict.fromkeys(cfg.strategies))
+    strategies = cfg.strategies
     # The tracks scored: one centralized track per motion model, which each of
     # its centralized strategies scores, and each fusion centre's last fused track.
     track_of = {name: _CENTRAL.get(name, name) for name in strategies}
@@ -346,17 +351,15 @@ def _run_study(cfg: ScenarioConfig) -> dict:
             for _ in range(cfg.fusion_every):
                 joint = ekf_predict(joint, models[0])
             tracks.update((name, joint[:, i]) for i, name in enumerate(centres))
+        fused = {}
         for name in distributed:
             if imm:
                 tic = time.perf_counter()
-                fused = fuse_pair(*outputs[bank_of[name]], name, cfg.omega)
+                fused[name] = fuse_pair(*outputs[bank_of[name]], name, cfg.omega)
                 fuse_seconds[name] += time.perf_counter() - tic
                 if cfg.feedback:
-                    banks[name] = [route_feedback(loc, fused, idx)
+                    banks[name] = [route_feedback(loc, fused[name], idx)
                                    for idx, loc in enumerate(banks[name])]
-                elif fused.n_components > cfg.prune_to:
-                    fused = prune_mixture(fused, cfg.prune_to)
-                tracks[name] = moment_match(fused)
             else:
                 operands = banks[bank_of[name]]
                 if name in centres:
@@ -366,6 +369,18 @@ def _run_study(cfg: ScenarioConfig) -> dict:
                 # amd's mixture is scored and carried forward moment-matched.
                 tracks[name] = moment_match(track) if isinstance(track, GaussianMixture) else track
                 fuse_seconds[name] += time.perf_counter() - tic
+        # The fused mixtures of one component count (two 2-mode locals give 4
+        # under every rule; pcf and hmd give one operand's 2 at an omega
+        # endpoint) are pruned and matched as one [runs, strategies, K, D] stack.
+        for count in dict.fromkeys(mix.n_components for mix in fused.values()):
+            names = [name for name, mix in fused.items() if mix.n_components == count]
+            stack = GaussianMixture._view(
+                np.stack([fused[name].weights for name in names], axis=-2),
+                _joined([fused[name].components for name in names], np.stack, axis=-2))
+            if not cfg.feedback and count > cfg.prune_to:
+                stack = prune_mixture(stack, cfg.prune_to)
+            matched = moment_match(stack)
+            tracks.update((name, matched[:, i]) for i, name in enumerate(names))
         scores[..., slot] = _score([tracks[track_of[n]] for n in strategies], states[:, k], dims)
 
     return {name: (scores[:, :, i], fuse_seconds[name],
@@ -400,11 +415,12 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     ConfigError
         Before any run starts, for a configuration no study can run: no
         sensors, strategies or runs, a strategy the tracker kind does not
-        run, a bad ``dt_s``, ``track_loss_m``, ``prune_to``, ``omega``,
-        ``fusion_every``, ``nees_sided``, tracker initial standard deviation,
-        IMM ``pad_var`` or IMM ``transition`` (a zero column too), initial
-        standard deviations whose covariance fails its check (a square that
-        overflows), a negative or non-finite process-noise density or
+        run or one listed twice, feedback at an ``omega`` of 0 or 1 (or in
+        an EKF study), a bad ``dt_s``, ``track_loss_m``, ``prune_to``,
+        ``omega``, ``fusion_every``, ``nees_sided``, tracker initial
+        standard deviation, IMM ``pad_var`` or IMM ``transition`` (a zero
+        column too), initial standard deviations whose covariance fails its
+        check (a square that overflows), a negative or non-finite process-noise density or
         truth ``speed_mps``, a non-finite truth ``start``, ``amplitude_m``,
         ``rotation_rad``, ``initial_position`` or ``initial_velocity``, no
         fusion step, a mixture fusion setup with other than two sensors, a
@@ -424,6 +440,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         raise ConfigError(f"unknown fusion strategy for an {'IMM' if imm else 'EKF'} "
                           f"study: {', '.join(map(repr, unknown))}; choose from "
                           f"{', '.join(known)}")
+    repeated = [name for name in dict.fromkeys(cfg.strategies) if cfg.strategies.count(name) > 1]
+    if repeated:
+        raise ConfigError(f"fusion strategy listed more than once: "
+                          f"{', '.join(map(repr, repeated))}")
     if cfg.runs < 1 or cfg.prune_to < 1:
         raise ConfigError(f"runs and prune_to must be at least 1, got {cfg.runs} "
                           f"and {cfg.prune_to}")
@@ -479,6 +499,12 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         raise ConfigError("the IMM tracker is built for planar scenarios")
     if cfg.feedback and not imm:
         raise ConfigError("feedback routing is defined for the IMM tracker only")
+    if cfg.feedback and not 0.0 < cfg.omega < 1.0:
+        # At an endpoint pcf and hmd return one operand's own mixture, whose
+        # tags name no field for the other operand's local.
+        raise ConfigError(f"feedback needs 0 < omega < 1, got {cfg.omega}; at an endpoint "
+                          "a fused mixture is one operand's own, with nothing to route "
+                          "back to the other")
     if imm and len(cfg.sensors) != 2 and any(s not in _CENTRAL for s in cfg.strategies):
         raise ConfigError("mixture fusion supports exactly two sensors")
     models, dims = _models(cfg), cfg.sensors[0].spatial_dims

@@ -269,6 +269,13 @@ def test_simulate_strategy_the_engine_does_not_run_exits_two(args, fragment, cap
     _assert_one_error_line(capsys, fragment)
 
 
+def test_simulate_a_repeated_strategy_exits_two(tmp_path, capsys):
+    assert main(["simulate", "--preset", "scenario2", "--runs", "1", "--strategies",
+                 "hmd,hmd", "--out-dir", str(tmp_path / "out")]) == 2
+    _assert_one_error_line(capsys, "listed more than once: 'hmd'")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda t: t.replace("dt_s = 1", "dt_s = 1\nfusion_every = 0"), "fusion_every"),
     (lambda t: t.replace("dt_s = 1", "dt_s = 1\nnees_sided = 3"), "nees_sided"),
@@ -296,6 +303,13 @@ def test_simulate_strategy_the_engine_does_not_run_exits_two(args, fragment, cap
     # A negative speed held the target still while it reported a velocity.
     (lambda t: t.replace("speed_knots = 16", "speed_knots = -16"),
      "truth.speed_mps must be non-negative and finite"),
+    # Feedback at an omega endpoint died in route_feedback at the first fusion step.
+    *[(lambda t, omega=omega: t.replace("[tracker]\nkind = ekf\nq = 0.5, 0.5\n", IMM_TRACKER)
+       .replace("dt_s = 1", "dt_s = 1\nfeedback = true")
+       .replace("strategies = naive, hmd", f"strategies = naive, hmd\nomega = {omega}"),
+       "feedback needs 0 < omega < 1") for omega in (0, 1)],
+    (lambda t: t.replace("dt_s = 1", "dt_s = 1\nfeedback = maybe"),
+     "[scenario] feedback = 'maybe' is invalid"),
 ])
 def test_simulate_config_rejected_at_the_boundary_exits_two(mutate, fragment,
                                                            tmp_path, capsys):

@@ -253,6 +253,45 @@ def test_whole_number_overrides_load_as_counts():
     assert (cfg.runs, cfg.seed) == (2, 5) and type(cfg.runs) is int
 
 
+@pytest.mark.parametrize("word,flag", [("true", True), ("Yes", True), ("on", True),
+                                       ("false", False), ("NO", False), ("off", False)])
+def test_feedback_words_parse_to_booleans(word, flag):
+    cfg = loads_config(MINIMAL.replace("dt_s = 2", f"dt_s = 2\nfeedback = {word}"))
+    assert cfg.feedback is flag
+
+
+@pytest.mark.parametrize("word", ["maybe", "1", "0", "2.0"])
+def test_a_feedback_word_that_is_not_a_boolean_is_rejected(word):
+    # bool(...) turned every non-empty value, "false" in JSON included, on.
+    with pytest.raises(ConfigError, match=rf"\[scenario\] feedback = .*{word}.* is invalid"):
+        loads_config(MINIMAL.replace("dt_s = 2", f"dt_s = 2\nfeedback = {word}"))
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_a_json_feedback_that_is_not_a_boolean_is_rejected(value):
+    sections = parse_config_text(MINIMAL)
+    sections["scenario"]["feedback"] = value
+    with pytest.raises(ConfigError, match=rf"\[scenario\] feedback = {value!r} is invalid"):
+        loads_config(json.dumps(sections))
+
+
+def test_a_json_boolean_feedback_loads():
+    sections = parse_config_text(MINIMAL)
+    sections["scenario"]["feedback"] = True
+    assert loads_config(json.dumps(sections)).feedback is True
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1.0])
+def test_overrides_reject_a_feedback_that_is_not_a_boolean(value):
+    with pytest.raises(ConfigError, match=rf"\[overrides\] feedback = {value!r} is invalid"):
+        load_preset("scenario2", feedback=value)
+
+
+def test_boolean_feedback_overrides_load():
+    assert load_preset("scenario2", feedback=False).feedback is False
+    assert load_preset("scenario2", feedback=True).feedback is True
+
+
 def test_scenario1_preset_contents():
     cfg = load_preset("scenario1")
     assert cfg.name == "scenario1"

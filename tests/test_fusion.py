@@ -138,6 +138,12 @@ def test_amd_weight_validation(rng):
         fuse_amd([a, b], [0.5, 0.4])
     with pytest.raises(ValueError, match="one weight per input"):
         fuse_amd([a, b], [1.0])
+    # fuse_amd builds its mixture unchecked, so it checks its own weights.
+    for weights in ([1.5, -0.5], [np.nan, np.nan]):
+        with pytest.raises(ValueError, match="amd weights must be non-negative and sum to 1"):
+            fuse_amd([a, b], weights)
+    with pytest.raises(ValueError, match="amd weights must be non-negative and sum to 1"):
+        fuse_many([a, b], "amd", [1.5, -0.5])
 
 
 def test_pcf_on_gaussians_collapses_to_covariance_intersection(rng):

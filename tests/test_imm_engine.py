@@ -50,13 +50,21 @@ def test_study_matches_the_run_by_run_path(seed, feedback):
     {"feedback": False, "prune_to": 1},
     {"fusion_every": 3},
     {"fusion_every": 3, "feedback": False},
-    {"strategies": ("hmd", "centralized_ca", "hmd", "pcf")},
-    {"strategies": ("hmd", "centralized_ca", "hmd", "pcf"), "feedback": False},
+    {"strategies": ("pcf", "centralized_ca", "hmd")},
+    {"strategies": ("pcf", "centralized_ca", "hmd"), "feedback": False},
     {"strategies": ("centralized_cv", "centralized_ca")},
-    {"strategies": ("naive", "naive"), "seed": 3},
+    {"strategies": ("naive",), "seed": 3},
 ])
 def test_pruning_intervals_and_strategy_subsets_match(overrides):
     _assert_same_report(_bearing(**overrides))
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+def test_an_omega_endpoint_runs_without_feedback(omega):
+    # There pcf and hmd keep one operand's 2 components and naive and amd
+    # fuse 4: each component count is pruned and matched as its own stack.
+    _assert_same_report(_bearing(omega=omega, feedback=False, duration_s=10.0,
+                                 strategies=("naive", "amd", "pcf", "hmd")))
 
 
 def test_partial_track_loss_is_counted_like_the_run_by_run_path():
@@ -92,7 +100,7 @@ def test_the_pair_quotient_fallback_fires_in_a_compared_study(monkeypatch):
 def test_every_strategy_is_scored_in_one_stack_per_fusion_step(monkeypatch):
     # centralized_ca's NCA track and the NCV ones join as their
     # position-velocity marginals.
-    cfg = _bearing(strategies=("hmd", "centralized_ca", "hmd", "pcf", "centralized_cv"),
+    cfg = _bearing(strategies=("hmd", "centralized_ca", "pcf", "centralized_cv"),
                    duration_s=12.0, fusion_every=3)
     scored = []
     score = simulation._score
@@ -104,6 +112,32 @@ def test_every_strategy_is_scored_in_one_stack_per_fusion_step(monkeypatch):
     monkeypatch.setattr(simulation, "_score", counted)
     report = _assert_same_report(cfg)
     assert scored == [[6, 6, 6, 4]] * report.steps.size
+
+
+@pytest.mark.parametrize("feedback", [True, False])
+def test_every_strategy_is_pruned_and_matched_in_one_stack_per_fusion_step(monkeypatch,
+                                                                           feedback):
+    # After every distributed strategy has fused (and routed), their mixtures
+    # are pruned (without feedback) and moment-matched as one
+    # [runs, strategies, K, D] stack: one call each per fusion step.
+    cfg = _bearing(duration_s=12.0, feedback=feedback)
+    calls = []
+    prune, match = simulation.prune_mixture, simulation.moment_match
+
+    def pruned(mixture, target_count):
+        calls.append(("prune", mixture.weights.shape))
+        return prune(mixture, target_count)
+
+    def matched(mixture):
+        calls.append(("match", mixture.weights.shape))
+        return match(mixture)
+
+    monkeypatch.setattr(simulation, "prune_mixture", pruned)
+    monkeypatch.setattr(simulation, "moment_match", matched)
+    report = _assert_same_report(cfg)
+    stack = (cfg.runs, 4, 4)  # naive, gmd, amd and hmd of two 2-mode locals
+    step = [("match", stack)] if feedback else [("prune", stack), ("match", stack[:2] + (2,))]
+    assert calls == step * report.steps.size
 
 
 def test_centralized_and_centralized_cv_share_one_track(monkeypatch):

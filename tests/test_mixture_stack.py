@@ -195,6 +195,20 @@ def test_a_plain_gaussian_operand_is_a_one_component_view():
     assert all(_same_bits(mix.components[k], g) for k in range(2))
 
 
+def test_mixture_weights_are_read_only_and_the_callers_stay_writable(rng):
+    comps = (GaussianDensity(np.zeros(2), np.eye(2)), GaussianDensity(np.ones(2), np.eye(2)))
+    caller = np.array([0.25, 0.75])
+    built = GaussianMixture(caller, comps, ("ncv", "nca"))
+    # Built by the constructor, or as an unchecked view by the package.
+    for mix in (built, built.normalized(), prune_mixture(built, 1),
+                fuse_amd([built, comps[0]], [0.5, 0.5]), fuse_pair(built, built, "amd")):
+        with pytest.raises(ValueError, match="read-only"):
+            mix.weights[0] = 1.0
+    view = GaussianMixture._view(caller, built.components)
+    caller[0] = 0.5  # neither frozen nor copied into the constructor's mixture
+    assert built.weights[0] == 0.25 and view.weights[0] == 0.5
+
+
 def _stack_of_mixtures(rng, runs, count, dim, tags=None):
     """``runs`` one-run mixtures under shared weights, and the mixture of
     their ``[runs, count, dim]`` component stack."""

@@ -685,6 +685,23 @@ def test_rejects_an_ekf_omega_the_equal_weight_rule_ignores(no_run_starts, omega
         run_scenario(load_preset("scenario1", runs=1, omega=omega))
 
 
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+def test_rejects_feedback_at_an_omega_endpoint(no_run_starts, omega):
+    # pcf and hmd return one operand's own mixture there, whose tags name no
+    # field for the other operand: routing died at the first fusion step.
+    with pytest.raises(ConfigError, match="feedback needs 0 < omega < 1"):
+        run_scenario(load_preset("scenario2", runs=1, duration_s=6, omega=omega))
+
+
+@pytest.mark.parametrize("strategies, repeated", [(("hmd", "hmd", "naive"), "'hmd'"),
+                                                  (("centralized", "naive", "centralized",
+                                                    "naive"), "'centralized', 'naive'")])
+def test_rejects_a_repeated_strategy(no_run_starts, strategies, repeated):
+    # It ran once and was reported once per listing.
+    with pytest.raises(ConfigError, match=f"listed more than once: {repeated}$"):
+        run_scenario(load_preset("scenario1", runs=1, strategies=strategies))
+
+
 @pytest.mark.parametrize("preset,strategies,message", [
     ("scenario2", ("hmd", "bogus"), "unknown fusion strategy for an IMM study: 'bogus'"),
     ("scenario1", ("hmd", "ci"), "unknown fusion strategy for an EKF study: 'ci'"),
