@@ -93,7 +93,8 @@ def _cmd_simulate(args) -> int:
             cfg = load_config(args.config, **overrides)
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), EXIT_USAGE)
-    _log(f"simulating {cfg.name}: {cfg.runs} runs, {cfg.n_steps} steps, "
+    # No n_steps here: run_scenario checks duration_s and dt_s first.
+    _log(f"simulating {cfg.name}: {cfg.runs} runs of {cfg.duration_s:g} s, "
          f"strategies {', '.join(cfg.strategies)}")
     try:
         report = run_scenario(cfg)

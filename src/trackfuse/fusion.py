@@ -53,7 +53,6 @@ from .gaussians import (
     _products,
     _quotients,
     gaussian_product,
-    moment_match,
     scaled_power,
     symmetrize,
 )
@@ -241,7 +240,8 @@ def _hmd_pair(a: GaussianDensity, b: GaussianDensity, v: float,
         return FusionResult(b, "hmd", {"endpoint": True})
     if v == 0.0:
         return FusionResult(a, "hmd", {"endpoint": True})
-    eq = moment_match(GaussianMixture(np.array([v, 1.0 - v]), (a, b)))
+    pair = _joined((a, b), np.stack)
+    eq = GaussianDensity._made(*_mixture_moments(np.array([v, 1.0 - v]), pair.mean, pair.cov))
     lam_a, lam_b, lam_eq = a.precision, b.precision, eq.precision
     prec = symmetrize(lam_a + lam_b - lam_eq)
     try:

@@ -407,27 +407,45 @@ def _imm_prior(cfg: ScenarioConfig, models: tuple, mean: np.ndarray) -> ImmState
                     cfg.tracker.pad_var)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _entries(values: np.ndarray) -> str:
+    return ", ".join(f"{v:g}" for v in np.ravel(values))
+
+
+# Per config path, what a numeric field must do and the test each entry must
+# pass; run_scenario checks them all and skips a path its truth or tracker lacks.
+_DOMAINS = {
+    **dict.fromkeys(("duration_s", "dt_s", "track_loss_m", "tracker.init_pos_std",
+                     "tracker.init_vel_std", "tracker.init_acc_std", "tracker.pad_var"),
+                    ("be positive and finite", lambda v: v > 0.0 and np.isfinite(v))),
+    **dict.fromkeys(("runs", "fusion_every", "prune_to"),
+                    ("be an integer of at least 1", lambda v: _is_int(v) and v >= 1)),
+    "seed": ("be a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    "nees_sided": ("be 1 or 2", lambda v: _is_int(v) and v in (1, 2)),
+    "omega": ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    **dict.fromkeys(("tracker.q", "tracker.q_ncv", "tracker.q_nca", "truth.q", "truth.speed_mps"),
+                    ("be non-negative and finite", lambda v: v >= 0.0 and np.isfinite(v))),
+    **dict.fromkeys(("truth.start", "truth.amplitude_m", "truth.rotation_rad",
+                     "truth.initial_position", "truth.initial_velocity"),
+                    ("be finite", np.isfinite)),
+    # A sine path's; a negative one mirrors the path.
+    "truth.wavelength_m": ("be non-zero and finite", lambda v: v != 0.0 and np.isfinite(v)),
+}
+
+
 def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     """Run the configured Monte Carlo study and aggregate the report.
 
     Raises
     ------
     ConfigError
-        Before any run starts, for a configuration no study can run: no
-        sensors, strategies or runs, a strategy the tracker kind does not
-        run or one listed twice, feedback at an ``omega`` of 0 or 1 (or in
-        an EKF study), a bad ``dt_s``, ``track_loss_m``, ``prune_to``,
-        ``omega``, ``fusion_every``, ``nees_sided``, tracker initial
-        standard deviation, IMM ``pad_var`` or IMM ``transition`` (a zero
-        column too), initial standard deviations whose covariance fails its
-        check (a square that overflows), a negative or non-finite process-noise density or
-        truth ``speed_mps``, a non-finite truth ``start``, ``amplitude_m``,
-        ``rotation_rad``, ``initial_position`` or ``initial_velocity``, no
-        fusion step, a mixture fusion setup with other than two sensors, a
-        first sensor (which sizes the tracker) of another spatial dimension
-        than the truth, a sensor that reads more position axes than the
-        truth has or whose noise covariance fails its check (a zero standard
-        deviation), or a sine ``wavelength_m`` of 0 or not finite.
+        Before any run starts, for a configuration no study can run: a
+        numeric field outside its ``_DOMAINS`` domain, or a fault in the
+        strategies, EKF ``omega``, fusion steps, sensors, IMM truth,
+        feedback, mixture sensor count, trial prior or transition.
     """
     if not cfg.sensors:
         raise ConfigError("at least one sensor required")
@@ -444,38 +462,18 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     if repeated:
         raise ConfigError(f"fusion strategy listed more than once: "
                           f"{', '.join(map(repr, repeated))}")
-    if cfg.runs < 1 or cfg.prune_to < 1:
-        raise ConfigError(f"runs and prune_to must be at least 1, got {cfg.runs} "
-                          f"and {cfg.prune_to}")
-    if cfg.fusion_every < 1:
-        raise ConfigError(f"fusion_every must be a positive step count, got "
-                          f"{cfg.fusion_every}")
-    if cfg.nees_sided not in (1, 2):
-        raise ConfigError(f"nees_sided must be 1 or 2, got {cfg.nees_sided}")
-    positive = {key: getattr(cfg, key) for key in ("dt_s", "track_loss_m")}
-    positive.update({f"tracker.{key}": getattr(cfg.tracker, key)
-                     for key in ("init_pos_std", "init_vel_std", "init_acc_std", "pad_var")
-                     if hasattr(cfg.tracker, key)})
-    for key, value in positive.items():
-        if not (value > 0.0 and np.isfinite(value)):
-            raise ConfigError(f"{key} must be positive and finite, got {value}")
-    # Finite, and non-negative unless signed: a process-noise density or a speed.
-    finite = {f"tracker.{key}": getattr(cfg.tracker, key) for key in ("q", "q_ncv", "q_nca")
-              if hasattr(cfg.tracker, key)}
-    signed = ("start", "amplitude_m", "rotation_rad", "initial_position", "initial_velocity")
-    finite.update((f"truth.{key}", getattr(cfg.truth, key)) for key in ("q", "speed_mps")
-                  + signed if hasattr(cfg.truth, key))
-    for key, value in finite.items():
-        low = -np.inf if key.removeprefix("truth.") in signed else 0.0
-        if not all(np.isfinite(v) and v >= low for v in np.ravel(value)):
-            bound = "finite" if low < 0.0 else "non-negative and finite"
-            raise ConfigError(f"{key} must be {bound}, got "
-                              + ", ".join(f"{v:g}" for v in np.ravel(value)))
     if not imm and cfg.omega != 0.5:
         raise ConfigError("EKF studies fuse their operands with equal weights 1/n; "
                           f"omega must be 0.5, got {cfg.omega}")
-    if not 0.0 <= cfg.omega <= 1.0:
-        raise ConfigError(f"omega must lie in [0, 1], got {cfg.omega}")
+    for path, (domain, passes) in _DOMAINS.items():
+        part, _, key = path.rpartition(".")
+        owner = getattr(cfg, part) if part else cfg
+        if not hasattr(owner, key):
+            continue
+        value = getattr(owner, key)
+        if not all(map(passes, np.ravel(value))):
+            shown = _entries(value) if isinstance(value, np.ndarray) else value
+            raise ConfigError(f"{path} must {domain}, got {shown}")
     if cfg.n_steps < cfg.fusion_every:
         raise ConfigError(f"{cfg.n_steps} steps hold no fusion step at "
                           f"fusion_every = {cfg.fusion_every}")
@@ -487,14 +485,14 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         if sensor.spatial_dims > truth_dims:
             raise ConfigError(f"sensor {i} ({sensor.kind}) reads {sensor.spatial_dims} "
                               f"position axes, but the truth has {truth_dims}")
+        if not np.isfinite(sensor.position).all():
+            raise ConfigError(f"sensor {i} ({sensor.kind}): position must be finite, "
+                              f"got {_entries(sensor.position)}")
         try:
             assert_spd(sensor.noise_cov)
         except (NotSymmetric, NotPositiveDefinite) as exc:
             raise ConfigError(f"sensor {i} ({sensor.kind}): noise covariance fails: "
                               f"{exc}") from None
-    wavelength = getattr(cfg.truth, "wavelength_m", 1.0)  # a sine path's; negative mirrors it
-    if not 0.0 < abs(wavelength) < np.inf:
-        raise ConfigError(f"truth.wavelength_m must be non-zero and finite, got {wavelength}")
     if imm and truth_dims != 2:
         raise ConfigError("the IMM tracker is built for planar scenarios")
     if cfg.feedback and not imm:
@@ -518,8 +516,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     except ValueError as exc:
         raise ConfigError(f"IMM tracker: {exc}") from None
     except NotPositiveDefinite as exc:
-        stds = ", ".join(f"{key} = {value:g}" for key, value in positive.items()
-                         if key.startswith("tracker.init"))
+        stds = ", ".join(f"tracker.{key} = {value:g}" for key, value in vars(cfg.tracker).items()
+                         if key.startswith("init_"))
         padded = f", padded with pad_var = {cfg.tracker.pad_var}," if imm else ""
         raise ConfigError(f"{'IMM' if imm else 'EKF'} tracker: the initial covariance of "
                           f"{stds}{padded} fails: {exc}") from None

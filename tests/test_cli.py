@@ -310,6 +310,9 @@ def test_simulate_a_repeated_strategy_exits_two(tmp_path, capsys):
        "feedback needs 0 < omega < 1") for omega in (0, 1)],
     (lambda t: t.replace("dt_s = 1", "dt_s = 1\nfeedback = maybe"),
      "[scenario] feedback = 'maybe' is invalid"),
+    # The progress line's step count raised a ValueError traceback.
+    (lambda t: t.replace("duration_s = 10", "duration_s = nan"),
+     "duration_s must be positive and finite, got nan"),
 ])
 def test_simulate_config_rejected_at_the_boundary_exits_two(mutate, fragment,
                                                            tmp_path, capsys):
@@ -318,6 +321,14 @@ def test_simulate_config_rejected_at_the_boundary_exits_two(mutate, fragment,
     assert main(["simulate", "--config", str(path), "--out-dir",
                  str(tmp_path / "out")]) == 2
     _assert_one_error_line(capsys, fragment)
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_a_negative_seed_exits_two(tmp_path, capsys):
+    # It died in the first run's SeedSequence with a traceback and exit 1.
+    assert main(["simulate", "--preset", "scenario2", "--runs", "1", "--seed", "-1",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    _assert_one_error_line(capsys, "seed must be a non-negative integer, got -1")
     assert not (tmp_path / "out").exists()
 
 

@@ -164,7 +164,7 @@ def test_scenario_config_step_count_and_defaults():
 def test_scenario_config_validation():
     # A ScenarioConfig only holds values; run_scenario checks them, with the
     # rest of the study, before any run starts.
-    with pytest.raises(ConfigError, match="fusion_every must be a positive step count"):
+    with pytest.raises(ConfigError, match="fusion_every must be an integer of at least 1, got 0"):
         run_scenario(_minimal_config(fusion_every=0))
     with pytest.raises(ConfigError, match="nees_sided must be 1 or 2"):
         run_scenario(_minimal_config(nees_sided=3))

@@ -288,6 +288,21 @@ def test_each_study_draws_the_sine_path_once_and_measures_each_kind_in_one_call(
                             for kind, shape in kinds]
 
 
+def test_an_ekf_study_builds_no_checked_mixture(monkeypatch):
+    """Gaussian hmd matches its denominator pair from the stacked operands, so
+    no mixture of a scenario1 study goes through the constructor's checks."""
+    built = []
+    post_init = GaussianMixture.__post_init__
+
+    def counted(mixture):
+        built.append(mixture)
+        post_init(mixture)
+
+    monkeypatch.setattr(GaussianMixture, "__post_init__", counted)
+    run_scenario(load_preset("scenario1", runs=3, duration_s=40.0))
+    assert built == []
+
+
 def _textbook_update(mean, cov, sensor, z):
     h = sensor.jacobian(mean, mean.size)
     innov = wrap_angle(z - sensor.measure(mean))
@@ -501,9 +516,18 @@ def no_run_starts(monkeypatch):
     monkeypatch.setattr(simulation, "_draws", started)
 
 
-def test_rejects_a_study_without_runs(no_run_starts):
-    with pytest.raises(ConfigError, match="runs and prune_to must be at least 1"):
-        run_scenario(load_preset("scenario1", runs=0))
+# The [monte_carlo] counts, set through the API: 1.5 used to fail in the
+# first run with a TypeError, and a seed of -1 in its SeedSequence.
+@pytest.mark.parametrize("key,value,domain", [
+    ("runs", 0, "an integer of at least 1"),
+    ("runs", 1.5, "an integer of at least 1"),
+    ("runs", True, "an integer of at least 1"),
+    ("seed", -1, "a non-negative integer"),
+])
+def test_rejects_a_study_without_runs(no_run_starts, key, value, domain):
+    cfg = dataclasses.replace(load_preset("scenario1"), **{key: value})
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be {domain}, got {value}")):
+        run_scenario(cfg)
 
 
 _RADAR = range_az_el_sensor([0.0, 0.0, 0.0], 10.0, 0.01)
@@ -531,10 +555,15 @@ def test_rejects_sensors_that_disagree_with_the_truth_on_dimension(no_run_starts
         run_scenario(cfg)
 
 
-@pytest.mark.parametrize("dt_s", [0.0, -1.0, float("inf"), float("nan")])
-def test_rejects_a_time_step_that_is_not_positive_and_finite(no_run_starts, dt_s):
-    with pytest.raises(ConfigError, match="dt_s must be positive and finite"):
-        run_scenario(load_preset("scenario2", runs=1, dt_s=dt_s))
+# A duration of NaN or inf failed in ScenarioConfig.n_steps with a bare
+# ValueError or OverflowError.
+@pytest.mark.parametrize("key,value", [
+    *[("dt_s", value) for value in (0.0, -1.0, float("inf"), float("nan"))],
+    *[("duration_s", value) for value in (0.0, -5.0, float("nan"), float("inf"))],
+])
+def test_rejects_a_time_step_that_is_not_positive_and_finite(no_run_starts, key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be positive and finite, got {value}"):
+        run_scenario(load_preset("scenario2", runs=1, **{key: value}))
 
 
 @pytest.mark.parametrize("track_loss_m", [0.0, float("nan")])
@@ -575,6 +604,12 @@ def test_rejects_tracker_start_up_values_that_are_not_positive_and_finite(
      "sensor 1 (range_az_el): noise covariance fails: "),
     ("scenario2", 0, bearing_sensor([0.0, 0.0], float("nan")),
      "sensor 1 (bearing): noise covariance fails: covariance has a non-finite entry"),
+    # A position that is not finite failed in the first run with a
+    # non-finite covariance that named no key.
+    ("scenario1", 0, range_az_el_sensor([float("nan"), 4000.0, 0.0], 100.0, 0.03),
+     "sensor 1 (range_az_el): position must be finite, got nan, 4000, 0"),
+    ("scenario2", 1, bearing_sensor([float("inf"), 0.0], 1e-3),
+     "sensor 2 (bearing): position must be finite, got inf, 0"),
 ])
 def test_rejects_a_sensor_noise_covariance_that_fails_its_check(no_run_starts, preset,
                                                                 index, sensor, message):
@@ -667,9 +702,15 @@ def test_zero_process_noise_densities_run():
     assert np.isfinite(run_scenario(cfg).metrics["hmd"].rmse_pos).all()
 
 
-def test_rejects_prune_to_below_one(no_run_starts):
-    with pytest.raises(ConfigError, match="runs and prune_to must be at least 1"):
-        run_scenario(load_preset("scenario2", runs=1, feedback=False, prune_to=0))
+# 1.5 failed at the first fusion step with a TypeError (and ran silently with
+# feedback, which prunes nothing).
+@pytest.mark.parametrize("prune_to", [0, 1.5])
+def test_rejects_prune_to_below_one(no_run_starts, prune_to):
+    cfg = dataclasses.replace(load_preset("scenario2", runs=1, feedback=False),
+                              prune_to=prune_to)
+    with pytest.raises(ConfigError,
+                       match=f"prune_to must be an integer of at least 1, got {prune_to}"):
+        run_scenario(cfg)
 
 
 @pytest.mark.parametrize("omega", [-0.1, 1.5, float("nan")])
@@ -717,10 +758,13 @@ def test_rejects_a_strategy_the_engine_does_not_run(no_run_starts, preset,
 
 
 @pytest.mark.parametrize("preset", ["scenario1", "scenario2"])
-@pytest.mark.parametrize("fusion_every", [0, -2])
+# 1.5 failed in the first run with a TypeError.
+@pytest.mark.parametrize("fusion_every", [0, -2, 1.5])
 def test_rejects_a_fusion_interval_below_one(no_run_starts, preset, fusion_every):
-    with pytest.raises(ConfigError, match="fusion_every must be a positive step count"):
-        run_scenario(load_preset(preset, runs=1, fusion_every=fusion_every))
+    cfg = dataclasses.replace(load_preset(preset, runs=1), fusion_every=fusion_every)
+    with pytest.raises(ConfigError,
+                       match=f"fusion_every must be an integer of at least 1, got {fusion_every}"):
+        run_scenario(cfg)
 
 
 @pytest.mark.parametrize("nees_sided", [0, 3])
