@@ -79,6 +79,15 @@ def test_fuse_default_strategy_reports_diagnostics(density_files, capsys):
     assert payload["diagnostics"]["pd_margin"] > 0.0
 
 
+def test_fuse_hmd_at_an_endpoint_prints_the_operand(density_files, capsys):
+    a_path, b_path = density_files
+    assert main(["fuse", a_path, b_path, "--strategy", "hmd", "--omega", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    with open(a_path, encoding="utf-8") as fh:
+        assert payload["density"] == json.load(fh)
+    assert payload["diagnostics"] == {"endpoint": True}
+
+
 @pytest.mark.parametrize("strategy", ["naive", "gmd", "amd", "pcf", "hmd"])
 def test_fuse_supports_every_strategy(density_files, capsys, strategy):
     a_path, b_path = density_files

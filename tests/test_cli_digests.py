@@ -1,8 +1,9 @@
 """The CLI's public output, pinned byte for byte.
 
 ``cli_digests.json`` holds the sha256 of the stdout of ``trackfuse fuse`` for
-every strategy at ``--omega`` 0.4 and 0.5, on the Gaussian and the mixture
-fixtures of ``tests/test_cli.py``, and of the default ``trackfuse validate``.
+every strategy at ``--omega`` 0, 0.4, 0.5 and 1, on the Gaussian and the
+mixture fixtures of ``tests/test_cli.py``, and of the default
+``trackfuse validate``.
 A refactor that claims unchanged numbers must keep them. The digests were
 recorded on the platform of ``perfbench/golden.json``, which is only read
 here; elsewhere floating-point results may differ in the last bits, so the
@@ -24,7 +25,7 @@ from test_golden_digests import GOLDEN, PLATFORM
 
 DIGESTS = json.loads((Path(__file__).with_name("cli_digests.json")).read_text(encoding="utf-8"))
 STRATEGIES = ("naive", "gmd", "amd", "pcf", "hmd")
-OMEGAS = ("0.4", "0.5")
+OMEGAS = ("0", "0.4", "0.5", "1")
 
 # The fixtures of tests/test_cli.py: two 2-D Gaussians and two 1-D mixtures.
 FIXTURES = {
