@@ -35,7 +35,6 @@ from .gaussians import (
     symmetrize,
 )
 from .fusion import (
-    FusionResult,
     fuse_amd,
     fuse_gmd,
     fuse_hmd,
@@ -45,6 +44,7 @@ from .fusion import (
     fuse_naive,
     fuse_pair,
     fuse_pcf,
+    hmd_diagnostics,
     hmd_norm_const,
 )
 from .models import (
@@ -102,8 +102,8 @@ __all__ = [
     "gaussian_division", "scaled_power", "moment_match", "density_to_dict",
     "density_from_dict",
     # fusion
-    "FusionResult", "fuse_naive", "fuse_gmd", "fuse_amd", "fuse_pcf",
-    "fuse_hmd", "fuse_hmd_mixture", "fuse_hmd_recursive", "hmd_norm_const",
+    "fuse_naive", "fuse_gmd", "fuse_amd", "fuse_pcf", "fuse_hmd",
+    "fuse_hmd_mixture", "fuse_hmd_recursive", "hmd_diagnostics", "hmd_norm_const",
     "fuse_pair", "fuse_many",
     # models and filters
     "MotionModel", "MeasurementModel", "ncv_matrices", "nca_matrices",

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .config import PRESET_NAMES, load_config, load_preset
 from .errors import ConfigError, NotPositiveDefinite, NotSymmetric, TrackfuseError
-from .fusion import FusionResult, fuse_hmd, fuse_pair
+from .fusion import fuse_pair, hmd_diagnostics
 from .gaussians import GaussianDensity, density_from_dict, density_to_dict
 from .simulation import run_scenario
 from .validation import run_suite
@@ -62,22 +62,15 @@ def _cmd_fuse(args) -> int:
         return _fail(f"--omega must lie in [0, 1], got {args.omega}", EXIT_USAGE)
     a = _load_density(args.density_a)
     b = _load_density(args.density_b)
+    gaussian_hmd = (args.strategy == "hmd" and isinstance(a, GaussianDensity)
+                    and isinstance(b, GaussianDensity))
     try:
-        if (args.strategy == "hmd" and isinstance(a, GaussianDensity)
-                and isinstance(b, GaussianDensity)):
-            result = fuse_hmd(a, b, args.omega, with_diagnostics=True)
-        else:
-            result = fuse_pair(a, b, args.strategy, args.omega)
+        fused = fuse_pair(a, b, args.strategy, args.omega)
+        diagnostics = hmd_diagnostics(a, b, args.omega) if gaussian_hmd else {}
     except (ValueError, TrackfuseError) as exc:
         return _fail(f"fusion failed: {exc}", EXIT_FUSION)
-    if isinstance(result, FusionResult):
-        payload = {"strategy": result.strategy,
-                   "density": density_to_dict(result.density),
-                   "diagnostics": result.diagnostics}
-    else:
-        payload = {"strategy": args.strategy, "density": density_to_dict(result),
-                   "diagnostics": {}}
-    json.dump(payload, sys.stdout, indent=2)
+    json.dump({"strategy": args.strategy, "density": density_to_dict(fused),
+               "diagnostics": diagnostics}, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
 

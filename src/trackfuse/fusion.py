@@ -10,11 +10,14 @@ Implemented strategies:
 - hmd: harmonic mean density, approximated by dividing the naive product by
   a moment-matched Gaussian of the weighted input mixture.
 
-Every weighted rule gives the weight ``w`` (the CLI's ``omega``) to its first
-operand: ``w = 1`` returns the first operand and ``w = 0`` the second. For hmd
-that is the weight in the harmonic pool ``1 / (w / p_a + (1-w) / p_b)``, so in
-the moment-matched denominator ``(1-w) p_a + w p_b`` the first operand carries
-``1 - w``.
+Every rule returns its density: Gaussian for naive, gmd and hmd of Gaussians,
+a mixture for amd, pcf and mixture operands. A pair's weight ``w`` (the CLI's
+``omega``, in [0, 1] under every rule) is the first operand's: ``w = 1``
+returns it and ``w = 0`` the second. In the harmonic pool ``1 / (w / p_a +
+(1-w) / p_b)``, the first operand carries ``1 - w`` in the moment-matched
+denominator ``(1-w) p_a + w p_b``. Several operands take one non-negative
+weight each, summing to 1; gmd and hmd leave out an operand of weight 0.
+:func:`hmd_diagnostics` checks a Gaussian hmd result.
 
 The harmonic rule's division step is always well posed for a pair of
 Gaussians: the moment-matched mixture covariance dominates the product
@@ -32,7 +35,6 @@ global pool fails hmd's eigenvalue test form a mask; their own pools are matched
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
 
@@ -59,7 +61,6 @@ from .gaussians import (
 from . import pooling
 
 __all__ = [
-    "FusionResult",
     "fuse_naive",
     "fuse_gmd",
     "fuse_amd",
@@ -67,6 +68,7 @@ __all__ = [
     "fuse_hmd",
     "fuse_hmd_mixture",
     "fuse_hmd_recursive",
+    "hmd_diagnostics",
     "hmd_norm_const",
     "fuse_pair",
     "fuse_many",
@@ -75,20 +77,25 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FusionResult:
-    """A fused density plus the strategy name and optional diagnostics."""
-
-    density: GaussianDensity | GaussianMixture
-    strategy: str
-    diagnostics: dict = field(default_factory=dict)
-
-
 def _check_weight(w: float) -> float:
     w = float(w)
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"fusion weight must lie in [0, 1], got {w}")
     return w
+
+
+def _check_weights(weights, n: int, rule: str, positive: bool = False) -> np.ndarray:
+    """One weight per operand, each non-negative (or ``positive``), summing to 1."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n,):
+        raise ValueError(f"one weight per operand required: {n} operands, weights of "
+                         f"shape {weights.shape}")
+    # NaN fails both comparisons.
+    if not ((weights > 0.0 if positive else weights >= 0.0).all()
+            and abs(float(np.sum(weights)) - 1.0) <= _WEIGHT_TOL):
+        raise ValueError(f"{rule} weights must be {'positive' if positive else 'non-negative'}"
+                         f" and sum to 1, got {weights}")
+    return weights
 
 
 def fuse_naive(a: GaussianDensity, b: GaussianDensity) -> GaussianDensity:
@@ -107,8 +114,6 @@ def fuse_gmd(a: GaussianDensity, b: GaussianDensity, w: float = 0.5) -> Gaussian
     mean. ``w = 1`` returns ``a`` exactly, ``w = 0`` returns ``b``.
     """
     w = _check_weight(w)
-    if w in (0.0, 1.0):
-        return a if w else b
     return fuse_many((a, b), "gmd", (w, 1.0 - w))
 
 
@@ -124,12 +129,7 @@ def fuse_amd(inputs: Sequence[GaussianDensity | GaussianMixture],
     If an input is tagged, each component's provenance tag has one
     ``|``-separated field per input: mode ``i`` of input 0 of two is ``"i|"``.
     """
-    weights = np.asarray(weights, dtype=float)
-    if len(inputs) != weights.size:
-        raise ValueError("one weight per input required")
-    # NaN fails both comparisons.
-    if not ((weights >= 0.0).all() and abs(float(np.sum(weights)) - 1.0) <= _WEIGHT_TOL):
-        raise ValueError(f"amd weights must be non-negative and sum to 1, got {weights}")
+    weights = _check_weights(weights, len(inputs), "amd")
     parts = [_parts(inp) for inp in inputs]
     tags = None
     if any(p_tags is not None for _, _, p_tags in parts):
@@ -209,8 +209,7 @@ def fuse_pcf(a, b, w: float = 0.5) -> GaussianMixture:
     return _fused_mixture(log_w + log_s, mean, cov, chol, tags)
 
 
-def fuse_hmd(a: GaussianDensity, b: GaussianDensity, w: float = 0.5,
-             with_diagnostics: bool = False) -> FusionResult:
+def fuse_hmd(a: GaussianDensity, b: GaussianDensity, w: float = 0.5) -> GaussianDensity:
     """Harmonic mean density fusion of two Gaussians, with weight ``w`` on ``a``.
 
     The harmonic pool ``1 / (w / p_a + (1-w) / p_b)``, which equals
@@ -222,26 +221,27 @@ def fuse_hmd(a: GaussianDensity, b: GaussianDensity, w: float = 0.5,
 
     with the analogous information-vector combination for the mean. ``w = 1``
     returns ``a`` exactly and ``w = 0`` returns ``b`` (the denominator then
-    cancels one factor).
-
-    Diagnostics (opt-in, they cost an extra eigendecomposition): the smallest
-    eigenvalue of ``C_eq - C_naive`` (positive in exact arithmetic) and the
-    approximate mass of the unnormalized pool.
+    cancels one factor). :func:`hmd_diagnostics` checks the result.
     """
-    return _hmd_pair(a, b, 1.0 - _check_weight(w), with_diagnostics)
+    return _hmd_pair(a, b, 1.0 - _check_weight(w))
 
 
-def _hmd_pair(a: GaussianDensity, b: GaussianDensity, v: float,
-              with_diagnostics: bool = False) -> FusionResult:
+def _hmd_pool(a: GaussianDensity, b: GaussianDensity, v: float) -> GaussianDensity:
+    """The moment-matched denominator mixture ``v p_a + (1-v) p_b``."""
+    pair = _joined((a, b), np.stack)
+    return GaussianDensity._made(*_mixture_moments(np.array([v, 1.0 - v]), pair.mean, pair.cov))
+
+
+def _hmd_pair(a: GaussianDensity, b: GaussianDensity, v: float) -> GaussianDensity:
     """:func:`fuse_hmd` with ``v = 1 - w``, the first operand's weight in the
     denominator mixture ``v p_a + (1-v) p_b``. Multi-operand fusion passes the
-    new operand's weight share as ``v``, without going through ``1 - w``."""
+    new operand's weight share as ``v``, without going through ``1 - w``; a
+    share that rounds to 0 or 1 returns an operand."""
     if v == 1.0:
-        return FusionResult(b, "hmd", {"endpoint": True})
+        return b
     if v == 0.0:
-        return FusionResult(a, "hmd", {"endpoint": True})
-    pair = _joined((a, b), np.stack)
-    eq = GaussianDensity._made(*_mixture_moments(np.array([v, 1.0 - v]), pair.mean, pair.cov))
+        return a
+    eq = _hmd_pool(a, b, v)
     lam_a, lam_b, lam_eq = a.precision, b.precision, eq.precision
     prec = symmetrize(lam_a + lam_b - lam_eq)
     try:
@@ -251,16 +251,23 @@ def _hmd_pair(a: GaussianDensity, b: GaussianDensity, v: float,
             "harmonic fusion produced a non-positive-definite covariance") from exc
     mean = _matvec(cov, _matvec(lam_a, a.mean) + _matvec(lam_b, b.mean)
                    - _matvec(lam_eq, eq.mean))
-    fused = GaussianDensity._made(mean, cov)
-    diagnostics: dict = {}
-    if with_diagnostics:
-        cov_naive = _chol_inv(_factor(symmetrize(lam_a + lam_b)))
-        diagnostics["pd_margin"] = float(
-            np.min(np.linalg.eigvalsh(symmetrize(eq.cov - cov_naive))))
-        log_s = float(_factor_logpdf(a.mean, _factor(a.cov + b.cov), b.mean[None])[0])
-        log_d = -float(_factor_logpdf(mean, _factor(cov + eq.cov), eq.mean[None])[0])
-        diagnostics["norm_const"] = float(np.exp(log_s + log_d))
-    return FusionResult(fused, "hmd", diagnostics)
+    return GaussianDensity._made(mean, cov)
+
+
+def hmd_diagnostics(a: GaussianDensity, b: GaussianDensity, w: float = 0.5) -> dict:
+    """Checks on ``fuse_hmd(a, b, w)`` for one pair of Gaussians: ``pd_margin``,
+    the smallest eigenvalue of ``C_eq - C_naive`` (positive in exact arithmetic),
+    and ``norm_const``, the approximate mass of the unnormalized pool; at ``w``
+    of 0 or 1, where the rule returns an operand, ``{"endpoint": True}``."""
+    v = 1.0 - _check_weight(w)
+    if v in (0.0, 1.0):
+        return {"endpoint": True}
+    fused, eq = _hmd_pair(a, b, v), _hmd_pool(a, b, v)
+    cov_naive = _chol_inv(_factor(symmetrize(a.precision + b.precision)))
+    log_s = float(_factor_logpdf(a.mean, _factor(a.cov + b.cov), b.mean[None])[0])
+    log_d = -float(_factor_logpdf(fused.mean, _factor(fused.cov + eq.cov), eq.mean[None])[0])
+    return {"pd_margin": float(np.min(np.linalg.eigvalsh(symmetrize(eq.cov - cov_naive)))),
+            "norm_const": float(np.exp(log_s + log_d))}
 
 
 _PAIR_GAP_RTOL = 1e-6
@@ -315,7 +322,7 @@ def fuse_hmd_mixture(a, b, w: float = 0.5) -> GaussianMixture:
 
 
 def fuse_hmd_recursive(inputs: Sequence[GaussianDensity],
-                       weights: Sequence[float]) -> FusionResult:
+                       weights: Sequence[float]) -> GaussianDensity:
     """Harmonic fusion of several Gaussians by nested pairwise fusion.
 
     The weighted harmonic pool satisfies a nesting identity: pooling
@@ -328,19 +335,13 @@ def fuse_hmd_recursive(inputs: Sequence[GaussianDensity],
     Weights must be positive and sum to one. Two inputs reduce to
     ``fuse_hmd(a, b, w=weights[0])``.
     """
-    weights = np.asarray(weights, dtype=float)
-    if len(inputs) != weights.size or weights.size == 0:
-        raise ValueError("one positive weight per input required")
-    if np.any(weights <= 0.0):
-        raise ValueError("recursive fusion weights must be positive")
-    if abs(float(np.sum(weights)) - 1.0) > _WEIGHT_TOL:
-        raise ValueError("input weights must sum to 1")
+    weights = _check_weights(weights, len(inputs), "hmd", positive=True)
     acc = inputs[0]
     running = float(weights[0])
     for k in range(1, weights.size):
         running += float(weights[k])
-        acc = _hmd_pair(acc, inputs[k], float(weights[k]) / running).density
-    return FusionResult(acc, "hmd", {"steps": int(weights.size) - 1})
+        acc = _hmd_pair(acc, inputs[k], float(weights[k]) / running)
+    return acc
 
 
 def hmd_norm_const(a: GaussianDensity, b: GaussianDensity, w: float = 0.5,
@@ -361,8 +362,9 @@ def fuse_pair(a, b, strategy: str, omega: float = 0.5):
     For mixture operands: ``naive`` multiplies term by term, ``gmd`` falls
     back to the pseudo-Chernoff approximation (the geometric pool of mixtures
     has no closed form), ``amd`` stacks, and ``hmd`` uses the mixture rule.
-    Returns whatever density type the strategy produces.
+    Returns whatever density type the strategy produces; ``omega`` must lie in [0, 1].
     """
+    omega = _check_weight(omega)
     gaussians = isinstance(a, GaussianDensity) and isinstance(b, GaussianDensity)
     if strategy == "naive":
         return fuse_naive(a, b) if gaussians else _mixture_product(_as_mixture(a),
@@ -374,7 +376,7 @@ def fuse_pair(a, b, strategy: str, omega: float = 0.5):
     if strategy == "amd":
         return fuse_amd([a, b], [omega, 1.0 - omega])
     if strategy == "hmd":
-        return fuse_hmd(a, b, omega).density if gaussians else fuse_hmd_mixture(a, b, omega)
+        return fuse_hmd(a, b, omega) if gaussians else fuse_hmd_mixture(a, b, omega)
     raise ValueError(f"unknown fusion strategy: {strategy!r}")
 
 
@@ -383,35 +385,32 @@ def fuse_many(densities: Sequence[GaussianDensity], strategy: str,
     """Fuse several Gaussian estimates (or stacks of one shape); amd returns
     the mixture of the operands.
 
-    ``weights`` holds one weight per operand, equal weights ``1/n`` by
-    default. gmd and amd need non-negative weights summing to 1, hmd
-    positive ones; naive, the product of the operands, ignores them. A
-    strategy other than these four (even for one operand), a weight count
-    other than the operand count, or weights a rule does not accept, raise
-    ``ValueError``.
+    ``weights`` holds one non-negative weight per operand, summing to 1, under
+    every rule; equal weights ``1/n`` by default. naive, the product of the
+    operands, ignores their values; gmd and hmd leave out an operand of weight
+    0, so weights ``[1, 0]`` return the first operand itself. A strategy other
+    than these four (even for one operand), a weight count other than the
+    operand count, or weights outside that rule, raise ``ValueError``.
     """
     if strategy not in ("naive", "gmd", "amd", "hmd"):
         raise ValueError(f"unknown fusion strategy: {strategy!r}")
     n = len(densities)
     if n == 0:
         raise ValueError("nothing to fuse")
-    if weights is not None and np.shape(weights) != (n,):
-        raise ValueError(f"one weight per operand required: {n} operands, weights of "
-                         f"shape {np.shape(weights)}")
-    if n == 1:
+    weights = np.full(n, 1.0 / n) if weights is None else _check_weights(weights, n, strategy)
+    if strategy in ("gmd", "hmd"):
+        kept = weights > 0.0
+        densities, weights = [d for d, k in zip(densities, kept) if k], weights[kept]
+    if len(densities) == 1:
         return densities[0]
-    weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
     if strategy == "naive":
         return reduce(fuse_naive, densities)
+    if strategy == "amd":
+        return fuse_amd(densities, weights)
     if strategy == "gmd":
-        # NaN fails both comparisons.
-        if not ((weights >= 0.0).all() and abs(float(np.sum(weights)) - 1.0) <= _WEIGHT_TOL):
-            raise ValueError(f"gmd weights must be non-negative and sum to 1, got {weights}")
         lams = [d.precision for d in densities]
         lam = sum(w * L for w, L in zip(weights, lams))
         info = sum(w * _matvec(L, d.mean) for w, L, d in zip(weights, lams, densities))
         cov = _chol_inv(_factor(symmetrize(lam)))
         return GaussianDensity._made(_matvec(cov, info), cov)
-    if strategy == "amd":
-        return fuse_amd(list(densities), weights)
-    return fuse_hmd_recursive(list(densities), weights).density
+    return fuse_hmd_recursive(densities, weights)

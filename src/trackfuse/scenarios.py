@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .models import MeasurementModel
 
 __all__ = [
@@ -124,7 +125,11 @@ class ScenarioConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.duration_s / self.dt_s))
+        steps = self.duration_s / self.dt_s
+        if not np.isfinite(steps):
+            raise ConfigError(f"duration_s / dt_s must be finite, got "
+                              f"{self.duration_s:g} / {self.dt_s:g}")
+        return int(round(steps))
 
 
 def ncv_truth_states(truth: NcvTruth, n_steps: int, dt: float,

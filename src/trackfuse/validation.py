@@ -69,7 +69,7 @@ def _check_self_fusion(rng, trials) -> CheckResult:
         dim = int(rng.integers(1, 4))
         p = _random_gaussian(rng, dim)
         w = float(rng.uniform(0.05, 0.95))
-        fused = fuse_hmd(p, p, w).density
+        fused = fuse_hmd(p, p, w)
         worst = max(worst,
                     float(np.max(np.abs(fused.mean - p.mean))),
                     float(np.max(np.abs(fused.cov - p.cov))))

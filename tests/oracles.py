@@ -16,7 +16,6 @@ from functools import reduce
 import numpy as np
 
 from trackfuse import (
-    FusionResult,
     GaussianDensity,
     GaussianMixture,
     ImmState,
@@ -429,11 +428,8 @@ def ref_fuse_gmd(a, b, w=0.5):
     return GaussianDensity(mean, cov)
 
 
-def ref_hmd_pair(a, b, v, with_diagnostics=False):
-    if v == 1.0:
-        return FusionResult(b, "hmd", {"endpoint": True})
-    if v == 0.0:
-        return FusionResult(a, "hmd", {"endpoint": True})
+def _ref_hmd_parts(a, b, v):
+    """The matched pool and the fused mean and covariance at pool weight ``v`` on ``a``."""
     eq = _ref_match(GaussianMixture(np.array([v, 1.0 - v]), (a, b)))
     lam_a, lam_b, lam_eq = a.precision, b.precision, eq.precision
     prec = symmetrize(lam_a + lam_b - lam_eq)
@@ -443,16 +439,27 @@ def ref_hmd_pair(a, b, v, with_diagnostics=False):
         raise NonPositiveDefiniteResult(
             "harmonic fusion produced a non-positive-definite covariance") from exc
     mean = cov @ (lam_a @ a.mean + lam_b @ b.mean - lam_eq @ eq.mean)
-    fused = GaussianDensity(mean, cov)
-    diagnostics = {}
-    if with_diagnostics:
-        cov_naive = spd_inv(symmetrize(lam_a + lam_b))
-        diagnostics["pd_margin"] = float(
-            np.min(np.linalg.eigvalsh(symmetrize(eq.cov - cov_naive))))
-        log_s = float(_ref_factor_logpdf(a.mean, assert_spd(a.cov + b.cov), b.mean[None])[0])
-        log_d = -float(_ref_factor_logpdf(mean, assert_spd(cov + eq.cov), eq.mean[None])[0])
-        diagnostics["norm_const"] = float(np.exp(log_s + log_d))
-    return FusionResult(fused, "hmd", diagnostics)
+    return eq, mean, cov
+
+
+def ref_hmd_pair(a, b, v):
+    if v == 1.0:
+        return b
+    if v == 0.0:
+        return a
+    _, mean, cov = _ref_hmd_parts(a, b, v)
+    return GaussianDensity(mean, cov)
+
+
+def ref_hmd_diagnostics(a, b, v):
+    if v in (0.0, 1.0):
+        return {"endpoint": True}
+    eq, mean, cov = _ref_hmd_parts(a, b, v)
+    cov_naive = spd_inv(symmetrize(a.precision + b.precision))
+    log_s = float(_ref_factor_logpdf(a.mean, assert_spd(a.cov + b.cov), b.mean[None])[0])
+    log_d = -float(_ref_factor_logpdf(mean, assert_spd(cov + eq.cov), eq.mean[None])[0])
+    return {"pd_margin": float(np.min(np.linalg.eigvalsh(symmetrize(eq.cov - cov_naive)))),
+            "norm_const": float(np.exp(log_s + log_d))}
 
 
 def ref_fuse_hmd_recursive(inputs, weights):
@@ -467,8 +474,8 @@ def ref_fuse_hmd_recursive(inputs, weights):
     running = float(weights[0])
     for k in range(1, weights.size):
         running += float(weights[k])
-        acc = ref_hmd_pair(acc, inputs[k], float(weights[k]) / running).density
-    return FusionResult(acc, "hmd", {"steps": int(weights.size) - 1})
+        acc = ref_hmd_pair(acc, inputs[k], float(weights[k]) / running)
+    return acc
 
 
 def ref_fuse_many(densities, strategy, weights=None):
@@ -491,7 +498,7 @@ def ref_fuse_many(densities, strategy, weights=None):
     if strategy == "amd":
         return fuse_amd(list(densities), weights)
     if strategy == "hmd":
-        return ref_fuse_hmd_recursive(list(densities), weights).density
+        return ref_fuse_hmd_recursive(list(densities), weights)
     raise ValueError(f"unknown fusion strategy: {strategy!r}")
 
 

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trackfuse import (
-    FusionResult,
     GaussianDensity,
     GaussianMixture,
     fuse_amd,
@@ -23,6 +22,7 @@ from trackfuse import (
     fuse_pair,
     fuse_pcf,
     gaussian_division,
+    hmd_diagnostics,
     hmd_norm_const,
     moment_match,
 )
@@ -69,6 +69,8 @@ def test_gmd_endpoints_return_operands(rng):
     a, b = random_gaussian(rng, 2), random_gaussian(rng, 2)
     assert fuse_gmd(a, b, 1.0) is a
     assert fuse_gmd(a, b, 0.0) is b
+    assert fuse_many([a, b], "gmd", [1.0, 0.0]) is a
+    assert fuse_many([a, b], "gmd", [0.0, 1.0]) is b
 
 
 @pytest.mark.parametrize("w", [0.25, 0.5, 0.75])
@@ -107,6 +109,9 @@ def test_fusion_weight_outside_unit_interval_rejected(w, rng):
         fuse_gmd(a, b, w)
     with pytest.raises(ValueError, match="fusion weight"):
         fuse_hmd(a, b, w)
+    for strategy in ("naive", "gmd", "amd", "pcf", "hmd"):
+        with pytest.raises(ValueError, match="fusion weight"):
+            fuse_pair(a, b, strategy, w)
 
 
 def test_amd_is_the_weighted_mixture(rng):
@@ -136,7 +141,7 @@ def test_amd_weight_validation(rng):
     a, b = random_gaussian(rng, 1), random_gaussian(rng, 1)
     with pytest.raises(ValueError, match="sum to 1"):
         fuse_amd([a, b], [0.5, 0.4])
-    with pytest.raises(ValueError, match="one weight per input"):
+    with pytest.raises(ValueError, match="one weight per operand"):
         fuse_amd([a, b], [1.0])
     # fuse_amd builds its mixture unchecked, so it checks its own weights.
     for weights in ([1.5, -0.5], [np.nan, np.nan]):
@@ -202,24 +207,25 @@ def test_pcf_endpoints_return_operand_mixtures(rng):
 def test_hmd_scalar_pair_from_division_route():
     a, b = _paper_pair()
     result = fuse_hmd(a, b, 0.5)
-    assert isinstance(result, FusionResult)
-    assert result.strategy == "hmd"
-    assert result.density.mean[0] == pytest.approx(23.39, abs=0.01)
-    assert result.density.cov[0, 0] == pytest.approx(6.69, abs=0.01)
+    assert isinstance(result, GaussianDensity)
+    assert result.mean[0] == pytest.approx(23.39, abs=0.01)
+    assert result.cov[0, 0] == pytest.approx(6.69, abs=0.01)
 
 
 def test_hmd_endpoints_return_operands(rng):
     a, b = random_gaussian(rng, 2), random_gaussian(rng, 2)
-    assert fuse_hmd(a, b, 1.0).density is a
-    assert fuse_hmd(a, b, 0.0).density is b
-    assert fuse_hmd(a, b, 1.0).diagnostics == {"endpoint": True}
+    assert fuse_hmd(a, b, 1.0) is a
+    assert fuse_hmd(a, b, 0.0) is b
+    assert fuse_many([a, b], "hmd", [1.0, 0.0]) is a
+    assert fuse_many([a, b], "hmd", [0.0, 1.0]) is b
+    assert hmd_diagnostics(a, b, 1.0) == hmd_diagnostics(a, b, 0.0) == {"endpoint": True}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4])
 def test_hmd_equals_product_divided_by_matched_pool(dim, rng):
     a, b = random_gaussian(rng, dim), random_gaussian(rng, dim)
     w = 0.3
-    fused = fuse_hmd(a, b, w).density
+    fused = fuse_hmd(a, b, w)
     from trackfuse import gaussian_product
 
     product = gaussian_product(a, b).density
@@ -233,7 +239,7 @@ def test_hmd_is_conservative_relative_to_naive(rng):
     for _ in range(25):
         dim = int(rng.integers(1, 5))
         a, b = random_gaussian(rng, dim), random_gaussian(rng, dim)
-        fused = fuse_hmd(a, b, float(rng.uniform(0.05, 0.95))).density
+        fused = fuse_hmd(a, b, float(rng.uniform(0.05, 0.95)))
         naive = fuse_naive(a, b)
         eigvals = np.linalg.eigvalsh(fused.cov - naive.cov)
         assert np.min(eigvals) >= -1e-9 * max(1.0, float(np.max(np.abs(fused.cov))))
@@ -242,12 +248,12 @@ def test_hmd_is_conservative_relative_to_naive(rng):
 def test_hmd_diagnostics_and_mass(rng):
     a = GaussianDensity(np.array([1.0]), np.array([[100.0]]))
     b = GaussianDensity(np.array([7.0]), np.array([[50.0]]))
-    result = fuse_hmd(a, b, 0.5, with_diagnostics=True)
-    assert result.diagnostics["pd_margin"] > 0.0
+    diagnostics = hmd_diagnostics(a, b, 0.5)
+    assert diagnostics["pd_margin"] > 0.0
     # The closed-form mass approximation should sit near the quadrature mass
     # for overlapping operands.
     quad = hmd_norm_const(a, b, 0.5)
-    assert result.diagnostics["norm_const"] == pytest.approx(quad, rel=0.05)
+    assert diagnostics["norm_const"] == pytest.approx(quad, rel=0.05)
     assert 0.0 < quad <= 1.0 + 1e-9
 
 
@@ -268,7 +274,7 @@ def test_hmd_mixture_of_singletons_matches_gaussian_rule(rng):
     mix = fuse_hmd_mixture(GaussianMixture(np.array([1.0]), (a,)),
                            GaussianMixture(np.array([1.0]), (b,)), 0.5)
     assert mix.n_components == 1
-    gauss = fuse_hmd(a, b, 0.5).density
+    gauss = fuse_hmd(a, b, 0.5)
     np.testing.assert_allclose(mix.components[0].mean, gauss.mean, rtol=1e-8)
     np.testing.assert_allclose(mix.components[0].cov, gauss.cov, rtol=1e-8)
 
@@ -365,21 +371,20 @@ def test_pair_quotient_falls_back_to_local_pool():
 def test_recursive_fusion_with_two_inputs_matches_pair_rule(rng):
     a, b = random_gaussian(rng, 3), random_gaussian(rng, 3)
     nested = fuse_hmd_recursive([a, b], [0.6, 0.4])
-    direct = fuse_hmd(a, b, w=0.6).density
-    np.testing.assert_allclose(nested.density.mean, direct.mean, rtol=1e-12)
-    np.testing.assert_allclose(nested.density.cov, direct.cov, rtol=1e-12)
-    assert nested.diagnostics == {"steps": 1}
+    direct = fuse_hmd(a, b, w=0.6)
+    np.testing.assert_allclose(nested.mean, direct.mean, rtol=1e-12)
+    np.testing.assert_allclose(nested.cov, direct.cov, rtol=1e-12)
 
 
 def test_recursive_fusion_chains_left_to_right(rng):
     inputs = [random_gaussian(rng, 2) for _ in range(4)]
     weights = np.array([0.4, 0.3, 0.2, 0.1])
-    nested = fuse_hmd_recursive(inputs, weights).density
+    nested = fuse_hmd_recursive(inputs, weights)
     acc = inputs[0]
     running = weights[0]
     for k in range(1, 4):
         running += weights[k]
-        acc = fuse_hmd(acc, inputs[k], w=float(1.0 - weights[k] / running)).density
+        acc = fuse_hmd(acc, inputs[k], w=float(1.0 - weights[k] / running))
     np.testing.assert_allclose(nested.mean, acc.mean, rtol=1e-12)
     np.testing.assert_allclose(nested.cov, acc.cov, rtol=1e-12)
 
@@ -390,7 +395,7 @@ def test_recursive_fusion_weight_validation(rng):
         fuse_hmd_recursive([a, b], [1.0, 0.0])
     with pytest.raises(ValueError, match="sum to 1"):
         fuse_hmd_recursive([a, b], [0.6, 0.6])
-    with pytest.raises(ValueError, match="one positive weight"):
+    with pytest.raises(ValueError, match="one weight per operand"):
         fuse_hmd_recursive([a, b], [1.0])
 
 
@@ -536,7 +541,7 @@ def test_fuse_many_gmd_averages_information(rng):
 def test_fuse_many_hmd_matches_recursive_rule(rng):
     densities = [random_gaussian(rng, 2) for _ in range(3)]
     fused = fuse_many(densities, "hmd")
-    direct = fuse_hmd_recursive(densities, np.full(3, 1.0 / 3.0)).density
+    direct = fuse_hmd_recursive(densities, np.full(3, 1.0 / 3.0))
     np.testing.assert_allclose(fused.mean, direct.mean, rtol=1e-12)
     np.testing.assert_allclose(fused.cov, direct.cov, rtol=1e-12)
 

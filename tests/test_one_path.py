@@ -22,10 +22,12 @@ from trackfuse import (
     ekf_update,
     ekf_update_with_loglik,
     fuse_gmd,
+    fuse_hmd,
     fuse_hmd_recursive,
     fuse_many,
     gaussian_division,
     gaussian_product,
+    hmd_diagnostics,
     moment_match,
 )
 from trackfuse.fusion import _hmd_pair
@@ -43,6 +45,7 @@ from oracles import (
     ref_fuse_many,
     ref_gaussian_division,
     ref_gaussian_product,
+    ref_hmd_diagnostics,
     ref_hmd_pair,
     ref_moment_match,
 )
@@ -134,31 +137,29 @@ def test_weighted_rules_equal_the_copies_for_one_density_and_each_member(
     weights = rng.random(n_operands) + 0.1
     weights /= weights.sum()
     w = float(rng.choice([0.0, 0.3, 0.5, 1.0, rng.random()]))
-    recursive = fuse_hmd_recursive(stacks, weights).density
+    recursive = fuse_hmd_recursive(stacks, weights)
     gmd = fuse_gmd(stacks[0], stacks[1], w)
-    pair = _hmd_pair(stacks[0], stacks[1], w).density
+    pair = _hmd_pair(stacks[0], stacks[1], w)
     for r in range(runs):
         ops = [op[r] for op in operands]
-        want = ref_fuse_hmd_recursive(ops, weights).density
-        _assert_same(fuse_hmd_recursive(ops, weights).density, want)
+        want = ref_fuse_hmd_recursive(ops, weights)
+        _assert_same(fuse_hmd_recursive(ops, weights), want)
         _assert_same(recursive, want, r)
         want = ref_fuse_gmd(ops[0], ops[1], w)
         _assert_same(fuse_gmd(ops[0], ops[1], w), want)
         _assert_same(gmd, want, r)
-        want = ref_hmd_pair(ops[0], ops[1], w).density
-        _assert_same(_hmd_pair(ops[0], ops[1], w).density, want)
+        want = ref_hmd_pair(ops[0], ops[1], w)
+        _assert_same(_hmd_pair(ops[0], ops[1], w), want)
         _assert_same(pair, want, r)
 
 
 @settings(max_examples=60, deadline=None)
 @given(DIMS, st.floats(0.0, 1.0), SEEDS)
-def test_hmd_pair_diagnostics_equal_the_copy(dim, v, seed):
+def test_hmd_pair_diagnostics_equal_the_copy(dim, w, seed):
     rng = np.random.default_rng(seed)
     a, b = random_gaussian(rng, dim), random_gaussian(rng, dim)
-    got = _hmd_pair(a, b, v, with_diagnostics=True)
-    want = ref_hmd_pair(a, b, v, with_diagnostics=True)
-    _assert_same(got.density, want.density)
-    assert got.diagnostics == want.diagnostics
+    _assert_same(fuse_hmd(a, b, w), ref_hmd_pair(a, b, 1.0 - w))
+    assert hmd_diagnostics(a, b, w) == ref_hmd_diagnostics(a, b, 1.0 - w)
 
 
 @settings(max_examples=60, deadline=None)

@@ -556,14 +556,21 @@ def test_rejects_sensors_that_disagree_with_the_truth_on_dimension(no_run_starts
 
 
 # A duration of NaN or inf failed in ScenarioConfig.n_steps with a bare
-# ValueError or OverflowError.
-@pytest.mark.parametrize("key,value", [
-    *[("dt_s", value) for value in (0.0, -1.0, float("inf"), float("nan"))],
-    *[("duration_s", value) for value in (0.0, -5.0, float("nan"), float("inf"))],
+# ValueError or OverflowError, and so did a finite duration and step whose
+# ratio overflows.
+@pytest.mark.parametrize("preset,overrides,message", [
+    *[("scenario2", {key: value}, f"{key} must be positive and finite, got {value}")
+      for key, values in (("dt_s", (0.0, -1.0, float("inf"), float("nan"))),
+                          ("duration_s", (0.0, -5.0, float("nan"), float("inf"))))
+      for value in values],
+    *[(preset, {"duration_s": 1e300, "dt_s": 1e-10},
+       "duration_s / dt_s must be finite, got 1e+300 / 1e-10")
+      for preset in ("scenario1", "scenario2")],
 ])
-def test_rejects_a_time_step_that_is_not_positive_and_finite(no_run_starts, key, value):
-    with pytest.raises(ConfigError, match=f"{key} must be positive and finite, got {value}"):
-        run_scenario(load_preset("scenario2", runs=1, **{key: value}))
+def test_rejects_a_time_step_that_is_not_positive_and_finite(no_run_starts, preset,
+                                                             overrides, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_scenario(load_preset(preset, runs=1, **overrides))
 
 
 @pytest.mark.parametrize("track_loss_m", [0.0, float("nan")])
