@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .models import MeasurementModel
 
 __all__ = [
@@ -125,11 +124,7 @@ class ScenarioConfig:
 
     @property
     def n_steps(self) -> int:
-        steps = self.duration_s / self.dt_s
-        if not np.isfinite(steps):
-            raise ConfigError(f"duration_s / dt_s must be finite, got "
-                              f"{self.duration_s:g} / {self.dt_s:g}")
-        return int(round(steps))
+        return int(round(self.duration_s / self.dt_s))
 
 
 def ncv_truth_states(truth: NcvTruth, n_steps: int, dt: float,

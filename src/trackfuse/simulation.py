@@ -474,6 +474,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         if not all(map(passes, np.ravel(value))):
             shown = _entries(value) if isinstance(value, np.ndarray) else value
             raise ConfigError(f"{path} must {domain}, got {shown}")
+    if not np.isfinite(cfg.duration_s / cfg.dt_s):
+        raise ConfigError(f"duration_s / dt_s must be finite, got "
+                          f"{cfg.duration_s:g} / {cfg.dt_s:g}")
     if cfg.n_steps < cfg.fusion_every:
         raise ConfigError(f"{cfg.n_steps} steps hold no fusion step at "
                           f"fusion_every = {cfg.fusion_every}")

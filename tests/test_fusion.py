@@ -506,11 +506,12 @@ def test_fuse_many_needs_one_weight_per_operand(rng, strategy, weights):
         fuse_many(densities[:1], strategy, weights)
 
 
-@pytest.mark.parametrize("weights", [[0.5, 0.6], [1.5, -0.5], [np.nan, 1.0]])
-def test_fuse_many_gmd_needs_nonnegative_weights_summing_to_one(rng, weights):
-    densities = [random_gaussian(rng, 2) for _ in range(2)]
+@pytest.mark.parametrize("strategy", ["naive", "gmd", "amd", "hmd"])
+@pytest.mark.parametrize("weights", [[0.5, 0.6], [1.5, -0.5], [np.nan, 1.0], [0.7]])
+def test_fuse_many_needs_nonnegative_weights_summing_to_one(rng, strategy, weights):
+    densities = [random_gaussian(rng, 2) for _ in range(len(weights))]
     with pytest.raises(ValueError, match="non-negative and sum to 1"):
-        fuse_many(densities, "gmd", weights)
+        fuse_many(densities, strategy, weights)
 
 
 def test_fuse_many_naive_ignores_the_weights(rng):

@@ -155,9 +155,12 @@ def test_weighted_rules_equal_the_copies_for_one_density_and_each_member(
 
 @settings(max_examples=60, deadline=None)
 @given(DIMS, st.floats(0.0, 1.0), SEEDS)
-def test_hmd_pair_diagnostics_equal_the_copy(dim, w, seed):
+def test_hmd_pair_diagnostics_equal_the_copy(dim, v, seed):
     rng = np.random.default_rng(seed)
     a, b = random_gaussian(rng, dim), random_gaussian(rng, dim)
+    # A nested share v reaches _hmd_pair as drawn; the public rules see 1 - v.
+    _assert_same(_hmd_pair(a, b, v), ref_hmd_pair(a, b, v))
+    w = 1.0 - v
     _assert_same(fuse_hmd(a, b, w), ref_hmd_pair(a, b, 1.0 - w))
     assert hmd_diagnostics(a, b, w) == ref_hmd_diagnostics(a, b, 1.0 - w)
 
