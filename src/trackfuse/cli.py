@@ -77,7 +77,7 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_simulate(args) -> int:
     overrides = {"runs": args.runs, "seed": args.seed}
-    if args.strategies:
+    if args.strategies is not None:
         overrides["strategies"] = tuple(s.strip() for s in args.strategies.split(","))
     try:
         if args.preset:

@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .errors import ConfigError, NotPositiveDefinite, NotSymmetric
 from .filters import (
@@ -95,8 +94,11 @@ def nees_bounds(n_runs: int, dim: int, sided: int = 2,
         raise ValueError(f"need at least one run and one dimension, got {n_runs} and {dim}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    # chi2.ppf's own formula, 2 gammaincinv(dof / 2, q), without importing
-    # scipy.stats (most of the package's import time).
+    # chi2.ppf's own formula, 2 gammaincinv(dof / 2, q). scipy.special loads
+    # here, with the first report a process builds, not with the package:
+    # fusion, density I/O and config loading need numpy alone.
+    from scipy.special import gammaincinv
+
     q = (alpha / 2.0, 1.0 - alpha / 2.0) if sided == 2 else (0.0, 1.0 - alpha)
     lo, hi = 2 * gammaincinv(n_runs * dim / 2, q) / n_runs
     return float(lo), float(hi)
@@ -477,10 +479,17 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     if not np.isfinite(cfg.duration_s / cfg.dt_s):
         raise ConfigError(f"duration_s / dt_s must be finite, got "
                           f"{cfg.duration_s:g} / {cfg.dt_s:g}")
+    truth_dims = 2 if isinstance(cfg.truth, SineTruth) else cfg.truth.initial_position.size
+    # The largest arrays drawn up front, the [runs, n_steps + 1, 2 dims] truth
+    # and the [runs, n_steps, Σm] noise, must have a size numpy can shape.
+    columns = max(2 * truth_dims, sum(s.meas_dim for s in cfg.sensors))
+    if cfg.runs * (cfg.n_steps + 1) * columns * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"duration_s / dt_s gives {cfg.n_steps:.3g} steps, too many for "
+                          f"numpy to shape the study's draws, got "
+                          f"{cfg.duration_s:g} / {cfg.dt_s:g}")
     if cfg.n_steps < cfg.fusion_every:
         raise ConfigError(f"{cfg.n_steps} steps hold no fusion step at "
                           f"fusion_every = {cfg.fusion_every}")
-    truth_dims = 2 if isinstance(cfg.truth, SineTruth) else cfg.truth.initial_position.size
     if cfg.sensors[0].spatial_dims != truth_dims:
         raise ConfigError(f"the first sensor's {cfg.sensors[0].spatial_dims}-d position "
                           f"sizes the tracker, but the truth is {truth_dims}-d")

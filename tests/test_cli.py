@@ -278,6 +278,14 @@ def test_simulate_strategy_the_engine_does_not_run_exits_two(args, fragment, cap
     _assert_one_error_line(capsys, fragment)
 
 
+def test_simulate_an_empty_strategy_list_exits_two(tmp_path, capsys):
+    # It ran every preset strategy and exited 0.
+    assert main(["simulate", "--preset", "scenario1", "--runs", "1", "--strategies", "",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    _assert_one_error_line(capsys, "unknown fusion strategy for an EKF study: ''")
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_a_repeated_strategy_exits_two(tmp_path, capsys):
     assert main(["simulate", "--preset", "scenario2", "--runs", "1", "--strategies",
                  "hmd,hmd", "--out-dir", str(tmp_path / "out")]) == 2

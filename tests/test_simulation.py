@@ -8,6 +8,7 @@ orchestration rather than at the primitives tested elsewhere.
 """
 
 import dataclasses
+import json
 import re
 import subprocess
 import sys
@@ -101,11 +102,43 @@ def test_nees_bounds_equal_chi2_ppf_exactly():
                     0.0, float(chi2.ppf(1.0 - alpha, dof)) / n_runs)
 
 
-def test_importing_the_package_does_not_import_scipy_stats():
-    code = "import sys, trackfuse; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+_NO_SCIPY = """
+import json, sys
+import numpy as np
+import trackfuse
+from trackfuse import GaussianDensity, GaussianMixture, density_to_dict, fuse_pair
+from trackfuse.cli import main
+from trackfuse.config import PRESET_NAMES
+
+for name in PRESET_NAMES:
+    trackfuse.load_preset(name)
+gaussians = (GaussianDensity([1.0, 3.0], 100.0 * np.eye(2)),
+             GaussianDensity([7.0, 10.0], 50.0 * np.eye(2)))
+mixtures = (GaussianMixture([0.6, 0.4], (GaussianDensity([0.0], [[2.0]]),
+                                         GaussianDensity([4.0], [[3.0]]))),
+            GaussianMixture([0.5, 0.5], (GaussianDensity([1.0], [[2.5]]),
+                                         GaussianDensity([3.0], [[1.5]]))))
+for strategy in ("naive", "gmd", "amd", "pcf", "hmd"):
+    for a, b in (gaussians, mixtures):
+        fuse_pair(a, b, strategy, 0.4)
+paths = sys.argv[1:]
+for path, density in zip(paths, mixtures):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(density_to_dict(density), fh)
+assert main(["fuse", *paths, "--strategy", "hmd"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))),
+      file=sys.stderr)
+"""
+
+
+def test_importing_loading_and_fusing_import_no_scipy(tmp_path):
+    """The package, every preset, every fusion rule on Gaussian and mixture
+    operands and ``trackfuse fuse`` need numpy alone; scipy.special loads
+    with the first report, in ``nees_bounds``."""
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY, *paths], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stderr.strip().splitlines()[-1]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +590,8 @@ def test_rejects_sensors_that_disagree_with_the_truth_on_dimension(no_run_starts
 
 # A duration of NaN or inf failed in ScenarioConfig.n_steps with a bare
 # ValueError or OverflowError, and so did a finite duration and step whose
-# ratio overflows.
+# ratio overflows. A finite ratio of 1e300 steps died in _draws with numpy's
+# "Maximum allowed dimension exceeded".
 @pytest.mark.parametrize("preset,overrides,message", [
     *[("scenario2", {key: value}, f"{key} must be positive and finite, got {value}")
       for key, values in (("dt_s", (0.0, -1.0, float("inf"), float("nan"))),
@@ -565,6 +599,10 @@ def test_rejects_sensors_that_disagree_with_the_truth_on_dimension(no_run_starts
       for value in values],
     *[(preset, {"duration_s": 1e300, "dt_s": 1e-10},
        "duration_s / dt_s must be finite, got 1e+300 / 1e-10")
+      for preset in ("scenario1", "scenario2")],
+    *[(preset, {"duration_s": 1e300, "dt_s": 1.0},
+       "duration_s / dt_s gives 1e+300 steps, too many for numpy to shape the study's "
+       "draws, got 1e+300 / 1")
       for preset in ("scenario1", "scenario2")],
 ])
 def test_rejects_a_time_step_that_is_not_positive_and_finite(no_run_starts, preset,
