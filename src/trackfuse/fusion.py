@@ -27,15 +27,18 @@ Every rule also takes stacked densities or stacks of mixtures (weights
 ``[..., M]``), one member per Monte Carlo run, and fuses each member as it
 would fuse alone; the study engine fuses all runs of a study in one call.
 
-The mixture rules (naive, pcf, hmd) index both operands' component stacks on
-the cross axis ``k = i J + j`` and multiply every pair in one stacked kernel
-call, and mixture hmd divides all pairs in one more. The pairs whose gap to the
-global pool fails hmd's eigenvalue test form a mask; their own pools are matched together.
+Operands of different dimensions raise ``ValueError`` naming each dimension.
+
+The mixture rules read one prepared pair of operands, whose cross axis
+``k = i J + j`` is cached per component counts and tags: naive and hmd share
+its cross products, one stacked kernel call, and mixture hmd divides all pairs
+in one more. The pairs whose gap to the global pool fails hmd's eigenvalue
+test form a mask; their own pools are matched together.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -98,6 +101,14 @@ def _check_weights(weights, n: int, rule: str, positive: bool = False) -> np.nda
     return weights
 
 
+def _check_dims(densities) -> None:
+    """Operands of one dimension; else a ``ValueError`` naming each operand's."""
+    dims = [d.dim for d in densities]
+    if len(set(dims)) > 1:
+        raise ValueError("fusion operands must share one dimension, got dimensions "
+                         + ", ".join(map(str, dims)))
+
+
 def fuse_naive(a: GaussianDensity, b: GaussianDensity) -> GaussianDensity:
     """Information-sum fusion: normalized product of the two densities.
 
@@ -130,42 +141,69 @@ def fuse_amd(inputs: Sequence[GaussianDensity | GaussianMixture],
     ``|``-separated field per input: mode ``i`` of input 0 of two is ``"i|"``.
     """
     weights = _check_weights(weights, len(inputs), "amd")
-    parts = [_parts(inp) for inp in inputs]
+    _check_dims(inputs)
+    mixes = [_as_mixture(inp) for inp in inputs]
+    return _mixed(mixes, weights, _joined([m.components for m in mixes], np.concatenate))
+
+
+def _mixed(mixes, weights, pool: GaussianDensity) -> GaussianMixture:
+    """:func:`fuse_amd` of the normalized mixtures ``mixes``, whose joined
+    component stack is ``pool``."""
     tags = None
-    if any(p_tags is not None for _, _, p_tags in parts):
-        tags = tuple("|".join(src if k == pos else "" for k in range(len(parts)))
-                     for pos, (p_w, _, p_tags) in enumerate(parts)
-                     for src in p_tags or ("",) * p_w.shape[-1])
-    out_w = np.concatenate([wt * p_w for wt, (p_w, _, _) in zip(weights, parts)], axis=-1)
-    return GaussianMixture._view(out_w, _joined([comps for _, comps, _ in parts], np.concatenate),
-                                 tags)
-
-
-def _parts(d) -> tuple:
-    """The normalized weights, component stack and tags of a mixture; a plain
-    Gaussian is one untagged component, a view of its arrays."""
-    if isinstance(d, GaussianMixture):
-        d = d.normalized()
-        return d.weights, d.components, d.tags
-    return np.ones(d.mean.shape[:-1] + (1,)), GaussianDensity._view(
-        d.mean[..., None, :], d.cov[..., None, :, :], d.chol[..., None, :, :]), None
+    if any(m.tags is not None for m in mixes):
+        tags = tuple("|".join(src if k == pos else "" for k in range(len(mixes)))
+                     for pos, m in enumerate(mixes)
+                     for src in m.tags or ("",) * m.n_components)
+    out_w = np.concatenate([wt * m.weights for wt, m in zip(weights, mixes)], axis=-1)
+    return GaussianMixture._view(out_w, pool, tags)
 
 
 def _as_mixture(d) -> GaussianMixture:
-    return d.normalized() if isinstance(d, GaussianMixture) else GaussianMixture._view(*_parts(d))
+    """``d`` normalized; a plain Gaussian is one untagged component, a view of its arrays."""
+    if isinstance(d, GaussianMixture):
+        return d.normalized()
+    return GaussianMixture._view(np.ones(d.mean.shape[:-1] + (1,)), GaussianDensity._view(
+        d.mean[..., None, :], d.cov[..., None, :, :], d.chol[..., None, :, :]))
 
 
-def _cross_products(a: GaussianMixture, b: GaussianMixture):
-    """:func:`gaussians._products` of the components ``a[i]`` and ``b[j]`` on the cross
-    axis ``k = i J + j``, with the indices ``i``, ``j`` and tags ``"i|j"`` (or None)."""
-    ia = np.repeat(np.arange(a.n_components), b.n_components)
-    ib = np.tile(np.arange(b.n_components), a.n_components)
-    tags = None
-    if a.tags is not None or b.tags is not None:
-        ta, tb = a.tags or ("",) * a.n_components, b.tags or ("",) * b.n_components
-        tags = tuple(f"{ta[i]}|{tb[j]}" for i, j in zip(ia, ib))
-    ca, cb = a.components[..., ia], b.components[..., ib]
-    return ia, ib, tags, _products(ca.mean, ca.cov, cb.mean, cb.cov)
+@lru_cache
+def _cross_layout(n_a: int, n_b: int, tags_a: tuple | None, tags_b: tuple | None) -> tuple:
+    """The cross axis ``k = i J + j``: read-only indices ``i`` and ``j``, and
+    tags ``"i|j"`` (None when neither operand is tagged)."""
+    ia, ib = np.divmod(np.arange(n_a * n_b), n_b)
+    for index in (ia, ib):
+        index.setflags(write=False)
+    if tags_a is None and tags_b is None:
+        return ia, ib, None
+    ta, tb = tags_a or ("",) * n_a, tags_b or ("",) * n_b
+    return ia, ib, tuple(f"{ta[i]}|{tb[j]}" for i, j in zip(ia, ib))
+
+
+class _Pair:
+    """Two operands of one dimension, normalized once, for the mixture rules:
+    the cross products and log weights ``log alpha_i beta_j`` (naive, hmd)
+    and the joined component pool (amd, hmd) are computed on first read."""
+
+    def __init__(self, a, b):
+        _check_dims((a, b))
+        self.a, self.b = _as_mixture(a), _as_mixture(b)
+        self.ia, self.ib, self.tags = _cross_layout(self.a.n_components, self.b.n_components,
+                                                    self.a.tags, self.b.tags)
+
+    @cached_property
+    def products(self) -> tuple:
+        ca, cb = self.a.components[..., self.ia], self.b.components[..., self.ib]
+        return _products(ca.mean, ca.cov, cb.mean, cb.cov)
+
+    @cached_property
+    def log_w(self) -> np.ndarray:
+        # ``np.take`` keeps each member's weights a row-major row, summed as one mixture's are.
+        return _log_weight(np.take(self.a.weights, self.ia, -1)
+                           * np.take(self.b.weights, self.ib, -1))
+
+    @cached_property
+    def pool(self) -> GaussianDensity:
+        return _joined([self.a.components, self.b.components], np.concatenate)
 
 
 def _log_weight(weights: np.ndarray) -> np.ndarray:
@@ -178,12 +216,14 @@ def _fused_mixture(log_w, mean, cov, chol, tags) -> GaussianMixture:
                            GaussianDensity._view(mean, cov, chol), tags)
 
 
-def _mixture_product(a: GaussianMixture, b: GaussianMixture) -> GaussianMixture:
-    """Term-by-term normalized product of two mixtures (naive rule for mixtures)."""
-    ia, ib, tags, (mean, cov, chol, log_s) = _cross_products(a, b)
-    # ``np.take`` keeps each member's weights a row-major row, summed as one mixture's are.
-    log_w = _log_weight(np.take(a.weights, ia, -1) * np.take(b.weights, ib, -1))
-    return _fused_mixture(log_w + log_s, mean, cov, chol, tags)
+def _naive_mixture(pair: _Pair, w: float = 0.5) -> GaussianMixture:
+    """Term-by-term normalized product of two mixtures; ``w`` is ignored."""
+    mean, cov, chol, log_s = pair.products
+    return _fused_mixture(pair.log_w + log_s, mean, cov, chol, pair.tags)
+
+
+def _amd(pair: _Pair, w: float) -> GaussianMixture:
+    return _mixed((pair.a, pair.b), (w, 1.0 - w), pair.pool)
 
 
 def fuse_pcf(a, b, w: float = 0.5) -> GaussianMixture:
@@ -196,17 +236,20 @@ def fuse_pcf(a, b, w: float = 0.5) -> GaussianMixture:
     intersection exactly.
     """
     w = _check_weight(w)
-    mix_a, mix_b = _as_mixture(a), _as_mixture(b)
+    return _pcf(_Pair(a, b), w)
+
+
+def _pcf(pair: _Pair, w: float) -> GaussianMixture:
+    mix_a, mix_b = pair.a, pair.b
     if w in (0.0, 1.0):
         return mix_a if w else mix_b
     pow_a, pow_b = scaled_power(mix_a.components, w), scaled_power(mix_b.components, 1.0 - w)
     lw_a = w * _log_weight(mix_a.weights) + pow_a.log_scale
     lw_b = (1.0 - w) * _log_weight(mix_b.weights) + pow_b.log_scale
-    ia, ib, tags, (mean, cov, chol, log_s) = _cross_products(
-        GaussianMixture._view(mix_a.weights, pow_a.density, mix_a.tags),
-        GaussianMixture._view(mix_b.weights, pow_b.density, mix_b.tags))
-    log_w = np.take(lw_a, ia, -1) + np.take(lw_b, ib, -1)
-    return _fused_mixture(log_w + log_s, mean, cov, chol, tags)
+    ca, cb = pow_a.density[..., pair.ia], pow_b.density[..., pair.ib]
+    mean, cov, chol, log_s = _products(ca.mean, ca.cov, cb.mean, cb.cov)
+    log_w = np.take(lw_a, pair.ia, -1) + np.take(lw_b, pair.ib, -1)
+    return _fused_mixture(log_w + log_s, mean, cov, chol, pair.tags)
 
 
 def fuse_hmd(a: GaussianDensity, b: GaussianDensity, w: float = 0.5) -> GaussianDensity:
@@ -237,6 +280,7 @@ def _hmd_pair(a: GaussianDensity, b: GaussianDensity, v: float) -> GaussianDensi
     denominator mixture ``v p_a + (1-v) p_b``. Multi-operand fusion passes the
     new operand's weight share as ``v``, without going through ``1 - w``; a
     share that rounds to 0 or 1 returns an operand."""
+    _check_dims((a, b))
     if v == 1.0:
         return b
     if v == 0.0:
@@ -298,13 +342,18 @@ def fuse_hmd_mixture(a, b, w: float = 0.5) -> GaussianMixture:
     Such pairs are divided by their own two-component pool instead.
     """
     w = _check_weight(w)
-    mix_a, mix_b = _as_mixture(a), _as_mixture(b)
+    return _hmd_mixture(_Pair(a, b), w)
+
+
+def _hmd_mixture(pair: _Pair, w: float) -> GaussianMixture:
+    mix_a, mix_b = pair.a, pair.b
     if w in (0.0, 1.0):
         return mix_a if w else mix_b
     pool_w = np.concatenate(((1.0 - w) * mix_a.weights, w * mix_b.weights), axis=-1)
-    pool = _joined([mix_a.components, mix_b.components], np.concatenate)
+    pool = pair.pool
     eq = GaussianDensity._made(*_mixture_moments(pool_w, pool.mean, pool.cov))
-    ia, ib, tags, (mean, cov, _, log_s) = _cross_products(mix_a, mix_b)
+    ia, ib = pair.ia, pair.ib
+    mean, cov, _, log_s = pair.products
     den_mean = np.repeat(eq.mean[..., None, :], ia.size, -2)
     den_cov = np.repeat(eq.cov[..., None, :, :], ia.size, -3)
     # The gap test of every pair of every member; the failing ones get their own pool.
@@ -317,8 +366,13 @@ def fuse_hmd_mixture(a, b, w: float = 0.5) -> GaussianMixture:
         _, den_mean[local], den_cov[local] = _group_moments(pool_w[at], pairs.mean, pairs.cov)
         _factor(den_cov[local])
     quot_mean, quot_cov, quot_chol, quot_s = _quotients(mean, cov, den_mean, den_cov)
-    log_w = _log_weight(np.take(mix_a.weights, ia, -1) * np.take(mix_b.weights, ib, -1))
-    return _fused_mixture(log_w + log_s + quot_s, quot_mean, quot_cov, quot_chol, tags)
+    return _fused_mixture(pair.log_w + log_s + quot_s, quot_mean, quot_cov, quot_chol,
+                          pair.tags)
+
+
+# fuse_pair's rule for mixtures by strategy, read from a prepared pair.
+_MIXTURE_RULES = {"naive": _naive_mixture, "gmd": _pcf, "pcf": _pcf, "amd": _amd,
+                  "hmd": _hmd_mixture}
 
 
 def fuse_hmd_recursive(inputs: Sequence[GaussianDensity],
@@ -367,14 +421,13 @@ def fuse_pair(a, b, strategy: str, omega: float = 0.5):
     omega = _check_weight(omega)
     gaussians = isinstance(a, GaussianDensity) and isinstance(b, GaussianDensity)
     if strategy == "naive":
-        return fuse_naive(a, b) if gaussians else _mixture_product(_as_mixture(a),
-                                                                   _as_mixture(b))
+        return fuse_naive(a, b) if gaussians else _naive_mixture(_Pair(a, b))
     if strategy == "gmd":
         return fuse_gmd(a, b, omega) if gaussians else fuse_pcf(a, b, omega)
     if strategy == "pcf":
         return fuse_pcf(a, b, omega)
     if strategy == "amd":
-        return fuse_amd([a, b], [omega, 1.0 - omega])
+        return _amd(_Pair(a, b), omega)
     if strategy == "hmd":
         return fuse_hmd(a, b, omega) if gaussians else fuse_hmd_mixture(a, b, omega)
     raise ValueError(f"unknown fusion strategy: {strategy!r}")
@@ -390,13 +443,18 @@ def fuse_many(densities: Sequence[GaussianDensity], strategy: str,
     operands, ignores their values; gmd and hmd leave out an operand of weight
     0, so weights ``[1, 0]`` return the first operand itself. A strategy other
     than these four (even for one operand), a weight count other than the
-    operand count, or weights outside that rule, raise ``ValueError``.
+    operand count, weights outside that rule, or operands of different
+    dimensions raise ``ValueError``; a mixture raises ``TypeError`` (mixtures are
+    fused in pairs, by :func:`fuse_pair`).
     """
     if strategy not in ("naive", "gmd", "amd", "hmd"):
         raise ValueError(f"unknown fusion strategy: {strategy!r}")
     n = len(densities)
     if n == 0:
         raise ValueError("nothing to fuse")
+    if any(isinstance(d, GaussianMixture) for d in densities):
+        raise TypeError("fuse_many fuses Gaussians; fuse a pair of mixtures with fuse_pair")
+    _check_dims(densities)
     weights = np.full(n, 1.0 / n) if weights is None else _check_weights(weights, n, strategy)
     if strategy in ("gmd", "hmd"):
         kept = weights > 0.0

@@ -434,7 +434,7 @@ def _scaled(kernel, a: GaussianDensity, b: GaussianDensity) -> ScaledGaussian:
     """``kernel`` (:func:`_products` or :func:`_quotients`) of two densities or
     stacks; the result density is a view of the kernel's arrays and factor."""
     if a.dim != b.dim:
-        raise ValueError("operands must share one dimension")
+        raise ValueError(f"operands must share one dimension, got dimensions {a.dim}, {b.dim}")
     mean, cov, chol, log_s = kernel(a.mean, a.cov, b.mean, b.cov)
     return ScaledGaussian(_scalar(log_s), GaussianDensity._view(mean, cov, chol))
 

@@ -127,19 +127,23 @@ class ScenarioConfig:
         return int(round(self.duration_s / self.dt_s))
 
 
-def ncv_truth_states(truth: NcvTruth, n_steps: int, dt: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Simulate the NCV truth; rows are ``[pos, vel]`` for steps 0..n_steps."""
+def ncv_truth_states(truth: NcvTruth, white: np.ndarray, dt: float) -> np.ndarray:
+    """Simulate the NCV truth driven by the standard normals ``white[..., n_steps,
+    2 dims]``, one step's increment a row; rows are ``[pos, vel]`` for steps
+    0..n_steps, ``[..., n_steps + 1, 2 dims]``. A stack of runs steps as one
+    ``[..., 2 dims]`` recursion, each run with the bits it gets alone."""
+    from .gaussians import _matvec
     from .models import ncv_matrices
 
     dims = truth.initial_position.size
     f, q_mat = ncv_matrices(dt, truth.q, dims)
     eigval, eigvec = np.linalg.eigh(q_mat)
     factor = eigvec * np.sqrt(np.maximum(eigval, 0.0))
-    states = np.empty((n_steps + 1, 2 * dims))
-    states[0] = np.concatenate((truth.initial_position, truth.initial_velocity))
-    for k in range(n_steps):
-        states[k + 1] = f @ states[k] + factor @ rng.standard_normal(2 * dims)
+    noise = _matvec(factor, np.asarray(white, dtype=float))
+    states = np.empty(noise.shape[:-2] + (noise.shape[-2] + 1, 2 * dims))
+    states[..., 0, :] = np.concatenate((truth.initial_position, truth.initial_velocity))
+    for k in range(noise.shape[-2]):
+        states[..., k + 1, :] = _matvec(f, states[..., k, :]) + noise[..., k, :]
     return states
 
 

@@ -15,8 +15,8 @@ functions a single run uses, so the report is byte-identical to stepping each
 run on its own. An IMM study's NCV and NCA centralized tracks step as one
 zero-padded ``[runs, 2, D]`` stack, as the IMM steps its modes. Only the
 local step and the fusion step depend on the tracker: EKF locals are fused by
-``fuse_many``, the IMM locals' mixtures by one ``fuse_pair`` call per
-strategy and fusion step, all strategies' results then pruned and matched as
+``fuse_many``, the IMM locals' mixtures from one prepared fusion pair per
+bank and fusion step, all strategies' results then pruned and matched as
 one stack.
 NEES is scored on each track's leading position-velocity marginal.
 
@@ -47,7 +47,7 @@ from .filters import (
     truncate_state,
     zero_pad,
 )
-from .fusion import fuse_many, fuse_pair
+from .fusion import _MIXTURE_RULES, _Pair, fuse_many
 from .gaussians import (GaussianDensity, GaussianMixture, _joined, _matvec, _scalar,
                         assert_spd, moment_match)
 from .models import MeasurementModel, MotionModel, wrap_angle
@@ -74,7 +74,7 @@ CSV_HEADER = "step,time_s,strategy,rmse_pos_m,rmse_vel_mps,nees,nees_lo,nees_hi"
 _CENTRAL = {"centralized": "ncv", "centralized_cv": "ncv", "centralized_ca": "nca"}
 # The strategies each engine runs: the EKF engine fuses stacked Gaussians
 # through ``fuse_many`` and runs every centralized track with NCV; the IMM
-# engine fuses mixtures through ``fuse_pair``.
+# engine fuses mixtures from prepared pairs by ``fuse_pair``'s mixture rules.
 _EKF_STRATEGIES = ("centralized", "centralized_cv", "naive", "gmd", "amd", "hmd")
 _IMM_STRATEGIES = _EKF_STRATEGIES + ("centralized_ca", "pcf")
 
@@ -153,7 +153,9 @@ class MetricsReport:
 
     ``timing`` (mean seconds per fusion call, per strategy) is wall-clock and
     therefore not covered by the determinism guarantee; everything else is a
-    pure function of the configuration and master seed.
+    pure function of the configuration and master seed. Work that strategies
+    share (without feedback, an IMM study's prepared pair) is counted once,
+    in the first strategy that reads it.
     """
 
     scenario: str
@@ -213,12 +215,13 @@ def _init_cov(cfg: ScenarioConfig, state_dim: int, dims: int) -> np.ndarray:
 
 def _draws(cfg: ScenarioConfig, run_idx: int, state_dim: int) -> tuple:
     """One run's random material from its own seed sequence, in the documented
-    order: the NCV truth (``None`` for the sine path), the ``[sensors + 1, d]``
-    initial perturbations (the central one last), then the ``[n_steps, Σm]``
-    measurement noise step by step, each step's sensors in order; numpy's
-    ``Generator`` draws normals one by one, so array draws keep that order."""
+    order: the NCV truth's ``[n_steps, 2 dims]`` noise (``None`` for the sine
+    path), the ``[sensors + 1, d]`` initial perturbations (the central one
+    last), then the ``[n_steps, Σm]`` measurement noise step by step, each
+    step's sensors in order; numpy's ``Generator`` draws normals one by one,
+    so array draws keep that order."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(run_idx,)))
-    truth = (ncv_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s, rng)
+    truth = (rng.standard_normal((cfg.n_steps, 2 * cfg.truth.initial_position.size))
              if isinstance(cfg.truth, NcvTruth) else None)
     perts = rng.standard_normal((len(cfg.sensors) + 1, state_dim))
     return truth, perts, rng.standard_normal((cfg.n_steps, sum(s.meas_dim for s in cfg.sensors)))
@@ -269,8 +272,9 @@ def _run_study(cfg: ScenarioConfig) -> dict:
     models step as one ``[runs, models, D]`` stack, the NCV one zero-padded
     and stepped by its padded model as ``imm_step`` steps its modes (and so
     facing ``zero_pad``'s floor); one model's track steps as ``[runs, d]``
-    with the model itself. IMM mixtures are fused strategy by strategy, and
-    with feedback each is routed into its strategy's bank; then the fused
+    with the model itself. An IMM bank's outputs are prepared as one fusion
+    pair per fusion step, which every strategy of the bank fuses from, and
+    with feedback each result is routed into its strategy's bank; then the fused
     mixtures of one component count are pruned (without feedback) and
     moment-matched as one ``[runs, strategies, K, D]`` stack. All
     strategies score as one stack. The error raised is the first by step,
@@ -290,9 +294,11 @@ def _run_study(cfg: ScenarioConfig) -> dict:
     top = models[-1].state_dim
     n_runs, n_fuse = cfg.runs, cfg.n_steps // cfg.fusion_every
     truth, perts, white = zip(*(_draws(cfg, r, top) for r in range(n_runs)))
-    if isinstance(cfg.truth, SineTruth):  # deterministic: one path serves every run
-        truth = (sine_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s),) * n_runs
-    states = np.stack(truth)
+    # [R, n_steps + 1, 2 dims]: the NCV truth of every run in one recursion, or
+    # the deterministic sine path, one path serving every run.
+    states = (np.stack((sine_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s),) * n_runs)
+              if isinstance(cfg.truth, SineTruth) else
+              ncv_truth_states(cfg.truth, np.stack(truth), cfg.dt_s))
     # [R, sensors + 1, top]: the truth, zero-padded, plus the initial perturbations.
     starts = _matvec(np.linalg.cholesky(_init_cov(cfg, top, dims)), np.stack(perts))
     starts[..., :states.shape[-1]] += states[:, None, 0]
@@ -353,11 +359,15 @@ def _run_study(cfg: ScenarioConfig) -> dict:
             for _ in range(cfg.fusion_every):
                 joint = ekf_predict(joint, models[0])
             tracks.update((name, joint[:, i]) for i, name in enumerate(centres))
-        fused = {}
+        fused, pairs = {}, {}
         for name in distributed:
             if imm:
+                # One prepared pair per bank: its first reader pays for what it builds.
                 tic = time.perf_counter()
-                fused[name] = fuse_pair(*outputs[bank_of[name]], name, cfg.omega)
+                key = bank_of[name]
+                if key not in pairs:
+                    pairs[key] = _Pair(*outputs[key])
+                fused[name] = _MIXTURE_RULES[name](pairs[key], cfg.omega)
                 fuse_seconds[name] += time.perf_counter() - tic
                 if cfg.feedback:
                     banks[name] = [route_feedback(loc, fused[name], idx)

@@ -38,7 +38,7 @@ from trackfuse import (
     imm_output,
     imm_step,
     moment_match,
-    ncv_truth_states,
+    ncv_matrices,
     nees_bounds,
     prune_mixture,
     route_feedback,
@@ -508,6 +508,20 @@ def ref_compute_nees(density, truth_state):
     return float(err @ np.linalg.solve(gauss.cov, err))
 
 
+def ref_ncv_truth_states(truth, n_steps, dt, rng):
+    """Reference copy of the NCV truth as one run drew and stepped it, one
+    step's increment at a time; rows are ``[pos, vel]`` for steps 0..n_steps."""
+    dims = truth.initial_position.size
+    f, q_mat = ncv_matrices(dt, truth.q, dims)
+    eigval, eigvec = np.linalg.eigh(q_mat)
+    factor = eigvec * np.sqrt(np.maximum(eigval, 0.0))
+    states = np.empty((n_steps + 1, 2 * dims))
+    states[0] = np.concatenate((truth.initial_position, truth.initial_velocity))
+    for k in range(n_steps):
+        states[k + 1] = f @ states[k] + factor @ rng.standard_normal(2 * dims)
+    return states
+
+
 # Reference copy of the simulation's EKF path as it stood before the runs of a
 # study were stepped together: each run draws its randomness and goes through
 # the one-density reference copies above one density at a time. Only the
@@ -524,7 +538,7 @@ def ref_ekf_run(cfg, run_idx):
     model = MotionModel("ncv", cfg.dt_s, cfg.tracker.q, dims)
     dim = model.state_dim
     if isinstance(cfg.truth, NcvTruth):
-        states = ncv_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s, rng)
+        states = ref_ncv_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s, rng)
     else:
         states = sine_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s)
     truth0 = states[0]
@@ -622,7 +636,7 @@ def _ref_draws(cfg, run_idx, state_dim):
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(run_idx,)))
     dims = cfg.sensors[0].spatial_dims
     if isinstance(cfg.truth, NcvTruth):
-        states = ncv_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s, rng)
+        states = ref_ncv_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s, rng)
     else:
         states = sine_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s)
     init_chol = np.linalg.cholesky(_ref_init_cov(cfg, state_dim, dims))

@@ -158,10 +158,15 @@ def test_fuse_rejects_out_of_range_omega(density_files, omega, capsys):
     assert "--omega" in capsys.readouterr().err
 
 
-def test_fuse_dimension_mismatch_exits_three(tmp_path, density_files, capsys):
+@pytest.mark.parametrize("strategy", ["naive", "gmd", "amd", "pcf", "hmd"])
+def test_fuse_dimension_mismatch_exits_three(tmp_path, density_files, capsys, strategy):
+    # gmd printed a 2-d density and exited 0; every rule now names both dimensions.
     one_d = _write_density(tmp_path / "c.json", GaussianDensity([0.0], [[1.0]]))
-    assert main(["fuse", density_files[0], one_d]) == 3
-    assert "fusion failed" in capsys.readouterr().err
+    assert main(["fuse", density_files[0], one_d, "--strategy", strategy]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fusion failed" in captured.err
+    assert "share one dimension, got dimensions 2, 1" in captured.err
 
 
 def test_unknown_strategy_is_a_usage_error(density_files, capsys):

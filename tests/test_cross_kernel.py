@@ -26,7 +26,7 @@ from trackfuse import (
     route_feedback,
 )
 from trackfuse import filters, fusion, gaussians
-from trackfuse.fusion import _as_mixture, _mixture_product
+from trackfuse.fusion import _Pair, _naive_mixture
 from trackfuse.gaussians import _mixture_moments
 
 import oracles as ref
@@ -59,7 +59,7 @@ def _assert_same_outcome(new_fn, old_fn):
 
 
 RULES = {
-    "naive": (lambda a, b, w: _mixture_product(_as_mixture(a), _as_mixture(b)),
+    "naive": (lambda a, b, w: _naive_mixture(_Pair(a, b)),
               lambda a, b, w: ref.ref_mixture_product(ref._ref_as_mixture(a),
                                                       ref._ref_as_mixture(b))),
     "pcf": (fuse_pcf, ref.ref_fuse_pcf),

@@ -26,7 +26,7 @@ from trackfuse import (
     hmd_norm_const,
     moment_match,
 )
-from trackfuse.fusion import _mixture_product
+from trackfuse.fusion import _Pair, _naive_mixture
 from oracles import geometric_norm_const, random_gaussian, ref_fuse_hmd_mixture
 
 
@@ -477,7 +477,7 @@ def test_mixture_product_is_proportional_to_pointwise_product(rng):
                             (random_gaussian(rng, 1), random_gaussian(rng, 1)))
     mix_b = GaussianMixture(np.array([0.3, 0.7]),
                             (random_gaussian(rng, 1), random_gaussian(rng, 1)))
-    fused = _mixture_product(mix_a, mix_b)
+    fused = _naive_mixture(_Pair(mix_a, mix_b))
     pts = np.linspace(-15.0, 15.0, 60).reshape(-1, 1)
     spread = _log_ratio_spread(lambda x: mix_a.logpdf(x) + mix_b.logpdf(x),
                                fused.logpdf, pts)
@@ -553,3 +553,62 @@ def test_fuse_many_amd_stacks_inputs(rng):
     assert isinstance(fused, GaussianMixture)
     assert fused.n_components == 3
     np.testing.assert_allclose(fused.weights, np.full(3, 1.0 / 3.0), rtol=1e-12)
+
+
+# Operands of different dimensions: every rule raises one ValueError naming
+# each operand's dimension. gmd used to broadcast a 1-d precision against a
+# 2-d one and return a 2-d density; the mixture rules failed in numpy's
+# matmul, and amd and hmd said a mixture needs a component.
+_MISMATCH = "share one dimension, got dimensions "
+
+
+def _one(density):
+    return GaussianMixture(np.array([1.0]), (density,), ("ncv",))
+
+
+@pytest.mark.parametrize("strategy", ["naive", "gmd", "amd", "pcf", "hmd"])
+@pytest.mark.parametrize("kind", ["gaussians", "mixtures", "mixed"])
+def test_fuse_pair_rejects_operands_of_different_dimension(rng, strategy, kind):
+    a, b = random_gaussian(rng, 1), random_gaussian(rng, 2)
+    if kind != "gaussians":
+        a = _one(a)
+    if kind == "mixtures":
+        b = _one(b)
+    for x, y, dims in ((a, b, "1, 2"), (b, a, "2, 1")):
+        with pytest.raises(ValueError, match=_MISMATCH + dims):
+            fuse_pair(x, y, strategy, 0.3)
+
+
+@pytest.mark.parametrize("strategy", ["naive", "gmd", "amd", "hmd"])
+def test_fuse_many_rejects_operands_of_different_dimension(rng, strategy):
+    a, b = random_gaussian(rng, 1), random_gaussian(rng, 2)
+    with pytest.raises(ValueError, match=_MISMATCH + "1, 2"):
+        fuse_many([a, b], strategy)
+    # Checked before gmd and hmd leave out an operand of weight 0.
+    with pytest.raises(ValueError, match=_MISMATCH + "2, 2, 1"):
+        fuse_many([b, b, a], strategy, [0.5, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("rule", [
+    lambda a, b: fuse_naive(a, b),
+    lambda a, b: fuse_gmd(a, b, 0.3),
+    lambda a, b: fuse_amd([a, b], [0.3, 0.7]),
+    lambda a, b: fuse_pcf(a, b, 0.3),
+    lambda a, b: fuse_hmd(a, b, 0.3),
+    lambda a, b: fuse_hmd_mixture(a, b, 0.3),
+    lambda a, b: fuse_hmd_recursive([a, b], [0.3, 0.7]),
+    lambda a, b: hmd_diagnostics(a, b, 0.3),
+], ids=["naive", "gmd", "amd", "pcf", "hmd", "hmd_mixture", "hmd_recursive",
+        "hmd_diagnostics"])
+def test_every_public_rule_rejects_operands_of_different_dimension(rng, rule):
+    a, b = random_gaussian(rng, 2), random_gaussian(rng, 1)
+    with pytest.raises(ValueError, match=_MISMATCH + "2, 1"):
+        rule(a, b)
+
+
+@pytest.mark.parametrize("strategy", ["naive", "gmd", "amd", "hmd"])
+def test_fuse_many_points_a_mixture_to_fuse_pair(rng, strategy):
+    a, b = random_gaussian(rng, 2), random_gaussian(rng, 2)
+    for operands in ([_one(a), b], [a, _one(b)], [_one(a)]):
+        with pytest.raises(TypeError, match="fuse_pair"):
+            fuse_many(operands, strategy)

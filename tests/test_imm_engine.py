@@ -12,6 +12,7 @@ paths call the same public filter and fusion functions on the same operands.
 import dataclasses
 import json
 import re
+import types
 import warnings
 from importlib import resources
 
@@ -223,8 +224,56 @@ def test_a_shorter_study_gives_the_first_runs_bit_for_bit(runs, feedback):
             assert short[name][0].tobytes() == full[name][0][:, :head].tobytes()
 
 
-def test_timing_is_fusion_seconds_per_run_and_call():
-    report = run_scenario(_bearing(runs=2, duration_s=10.0))
+@pytest.mark.parametrize("feedback", [True, False])
+def test_timing_is_fusion_seconds_per_run_and_call(feedback):
+    report = run_scenario(_bearing(runs=2, duration_s=10.0, feedback=feedback))
     assert report.timing["centralized_cv"] is None
     for name in ("naive", "gmd", "amd", "hmd"):
         assert 0.0 < report.timing[name] < 1.0
+
+
+@pytest.mark.parametrize("feedback", [True, False])
+def test_shared_pair_work_is_timed_once_in_its_first_reader(monkeypatch, feedback):
+    # A clock that moves one second per cross-product kernel call: naive, the
+    # first reader of a pair's products, is charged for them; hmd, fused from
+    # the same pair without feedback, reads them for free; gmd (pcf)
+    # multiplies its powered components itself, and amd multiplies nothing.
+    clock = [0.0]
+    kernel = fusion._products
+
+    def counted(*args):
+        clock[0] += 1.0
+        return kernel(*args)
+
+    monkeypatch.setattr(fusion, "_products", counted)
+    monkeypatch.setattr(simulation, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    report = run_scenario(_bearing(runs=2, duration_s=10.0, feedback=feedback))
+    # Seconds per run and call: one kernel call fuses both runs.
+    per_call = 1.0 / 2
+    assert report.timing == {"centralized_cv": None, "centralized_ca": None,
+                             "naive": per_call, "gmd": per_call, "amd": 0.0,
+                             "hmd": per_call if feedback else 0.0}
+
+
+@pytest.mark.parametrize("feedback, products", [(False, 300), (True, 450)])
+def test_a_fusion_step_multiplies_each_cross_pair_once(monkeypatch, feedback, products):
+    """Every strategy fuses from its bank's prepared pair. Without feedback one
+    pair per fusion step serves all four, so naive and hmd share its cross
+    products and gmd (pcf) multiplies its powered ones: 2 kernel calls per
+    fusion step. With feedback each strategy has a pair of its own, and naive,
+    gmd and hmd each multiply: 3. The one cross layout is built once."""
+    calls = []
+    kernel = fusion._products
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(fusion, "_products", counted)
+    fusion._cross_layout.cache_clear()
+    report = run_scenario(load_preset("scenario2", runs=1, feedback=feedback))
+    assert report.steps.size == 150
+    assert len(calls) == products
+    layouts = fusion._cross_layout.cache_info()
+    assert layouts.misses == 1
+    assert layouts.hits == report.steps.size * (4 if feedback else 1) - 1

@@ -17,6 +17,8 @@ from trackfuse import (
     sine_truth_states,
 )
 
+from oracles import ref_ncv_truth_states
+
 
 def _ncv_truth(q=0.5, dims=3):
     return NcvTruth(q=np.full(dims, q),
@@ -30,7 +32,7 @@ def test_knot_conversion_constant():
 
 def test_ncv_truth_shapes_and_initial_row(rng):
     truth = _ncv_truth()
-    states = ncv_truth_states(truth, n_steps=10, dt=2.0, rng=rng)
+    states = ncv_truth_states(truth, rng.standard_normal((10, 6)), dt=2.0)
     assert states.shape == (11, 6)
     np.testing.assert_allclose(states[0], [10.0, 10.0, 10.0, 2.0, 2.0, 2.0],
                                atol=0)
@@ -39,23 +41,27 @@ def test_ncv_truth_shapes_and_initial_row(rng):
 def test_ncv_truth_with_zero_noise_is_straight_line():
     truth = NcvTruth(q=np.zeros(2), initial_position=np.array([0.0, 5.0]),
                      initial_velocity=np.array([1.0, -2.0]))
-    states = ncv_truth_states(truth, n_steps=5, dt=2.0,
-                              rng=np.random.default_rng(0))
+    states = ncv_truth_states(truth, np.random.default_rng(0).standard_normal((5, 4)),
+                              dt=2.0)
     for k in range(6):
         np.testing.assert_allclose(states[k, :2], [2.0 * k, 5.0 - 4.0 * k],
                                    atol=1e-12)
         np.testing.assert_allclose(states[k, 2:], [1.0, -2.0], atol=1e-12)
 
 
-def test_ncv_truth_consumes_draws_even_when_noise_free():
-    """Per-step draws happen regardless of q, keeping run RNG streams aligned."""
-    used = np.random.default_rng(42)
-    truth = NcvTruth(q=np.zeros(2), initial_position=np.zeros(2),
-                     initial_velocity=np.zeros(2))
-    ncv_truth_states(truth, n_steps=7, dt=1.0, rng=used)
-    fresh = np.random.default_rng(42)
-    fresh.standard_normal((7, 4))
-    assert used.standard_normal() == fresh.standard_normal()
+def test_a_stack_of_ncv_truths_gives_each_run_its_own_bits():
+    # The runs step as one [R, 2d] recursion; each keeps the bits of the
+    # one-step-at-a-time reference fed the same draws.
+    truth = _ncv_truth(q=2.0)
+    white = np.random.default_rng(5).standard_normal((4, 30, 6))
+    stacked = ncv_truth_states(truth, white, dt=1.5)
+    assert stacked.shape == (4, 31, 6)
+    for r in range(4):
+        replay = np.random.default_rng(5)
+        replay.standard_normal((r, 30, 6))
+        want = ref_ncv_truth_states(truth, 30, 1.5, replay)
+        assert stacked[r].tobytes() == want.tobytes()
+        assert ncv_truth_states(truth, white[r], dt=1.5).tobytes() == want.tobytes()
 
 
 def test_ncv_truth_increment_covariance_matches_process_noise():
@@ -64,8 +70,8 @@ def test_ncv_truth_increment_covariance_matches_process_noise():
     dt, q = 2.0, 0.5
     truth = NcvTruth(q=np.array([q]), initial_position=np.zeros(1),
                      initial_velocity=np.zeros(1))
-    states = ncv_truth_states(truth, n_steps=20000, dt=dt,
-                              rng=np.random.default_rng(3))
+    states = ncv_truth_states(truth, np.random.default_rng(3).standard_normal((20000, 2)),
+                              dt=dt)
     f, q_mat = ncv_matrices(dt, q, dims=1)
     increments = states[1:] - states[:-1] @ f.T
     sample_cov = np.cov(increments.T, bias=True)

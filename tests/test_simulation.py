@@ -31,7 +31,6 @@ from trackfuse import (
     compute_nees,
     moment_match,
     ncv_matrices,
-    ncv_truth_states,
     nees_bounds,
     range_az_el_sensor,
     run_scenario,
@@ -41,6 +40,8 @@ from trackfuse import (
 )
 from trackfuse import simulation
 from trackfuse.simulation import CSV_HEADER
+
+from oracles import ref_ncv_truth_states
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +234,7 @@ def _replay_draws(cfg, run_idx):
     """Replay the documented per-run draw order and return the raw material."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
                                                        spawn_key=(run_idx,)))
-    states = ncv_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s, rng)
+    states = ref_ncv_truth_states(cfg.truth, cfg.n_steps, cfg.dt_s, rng)
     init_cov = np.diag([cfg.tracker.init_pos_std ** 2] * 2
                        + [cfg.tracker.init_vel_std ** 2] * 2)
     chol = np.linalg.cholesky(init_cov)
@@ -248,6 +249,33 @@ def _replay_draws(cfg, run_idx):
             row.append(np.array([wrap_angle(z[0])]))
         meas.append(row)
     return states, init_cov, perts, central_pert, meas
+
+
+def test_draws_take_the_ncv_increments_even_when_noise_free():
+    """The truth's per-step draws happen regardless of q, keeping each run's
+    later draws (perturbations, measurement noise) aligned."""
+    cfg = _toy_config(["naive"])
+    cfg = dataclasses.replace(cfg, truth=dataclasses.replace(cfg.truth, q=np.zeros(2)))
+    truth, perts, white = simulation._draws(cfg, 0, 4)
+    fresh = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    assert truth.tobytes() == fresh.standard_normal((cfg.n_steps, 4)).tobytes()
+    assert perts.tobytes() == fresh.standard_normal((len(cfg.sensors) + 1, 4)).tobytes()
+    assert white.tobytes() == fresh.standard_normal((cfg.n_steps, 2)).tobytes()
+
+
+@pytest.mark.parametrize("runs", [1, 4])
+def test_an_ncv_study_steps_every_run_s_truth_in_one_recursion(monkeypatch, runs):
+    calls = []
+    ncv = simulation.ncv_truth_states
+
+    def counted(truth, white, dt):
+        calls.append(np.shape(white))
+        return ncv(truth, white, dt)
+
+    monkeypatch.setattr(simulation, "ncv_truth_states", counted)
+    cfg = load_preset("scenario1", runs=runs, duration_s=10 * load_preset("scenario1").dt_s)
+    run_scenario(cfg)
+    assert calls == [(runs, cfg.n_steps, 6)]
 
 
 @pytest.mark.parametrize("seed", range(5))
